@@ -35,6 +35,8 @@ from .sinr import compute_weight_schedule, sinr_sweep
 THREADS_ENV = "LPIC_THREADS"
 
 _BLOCK_TRIALS = 8192   # fixed: part of the deterministic draw structure
+_CHUNK_TRIALS = 256    # cache-sized slice for dense combined-domain matrices
+_CERT_MARGIN = 1e-9    # nonconv certificate margin, far above rounding
 _MAX_REDRAWS = 1000    # sequence redraw attempts before giving up
 _Z95 = 1.959963984540054
 
@@ -265,7 +267,11 @@ def _prepare_detectors(cfg: ExperimentConfig, correlations, sigma2, amplitudes):
 # --- block simulation -----------------------------------------------------
 
 def _draw_block(rng: np.random.Generator, ctx: _Context, size: int):
-    """Draw one block of trials; fixed draw order (bits, channel, noise)."""
+    """Draw one block of trials; fixed draw order (bits, channel, noise).
+
+    The per-subcarrier products run as stacked GEMMs over a subcarrier-major
+    view, so y comes back as a (size, M, K) view of an (M, size, K) array.
+    """
     k, m = ctx.cfg.users, ctx.cfg.subcarriers
     bits = (rng.integers(0, 2, size=(size, k)) * 2 - 1).astype(np.float64)
     h = sqrt(0.5) * (
@@ -274,10 +280,10 @@ def _draw_block(rng: np.random.Generator, ctx: _Context, size: int):
     w = sqrt(ctx.sigma2 / 2.0) * (
         rng.standard_normal((size, m, k)) + 1j * rng.standard_normal((size, m, k))
     )
-    noise = np.einsum("ikl,bil->bik", ctx.factors, w)
     x = (ctx.amplitudes * bits)[:, None, :] * h
-    y = np.einsum("ikl,bil->bik", ctx.correlations, x) + noise
-    return bits, h, y
+    y = np.matmul(x.transpose(1, 0, 2), ctx.correlations.transpose(0, 2, 1))
+    y += np.matmul(w.transpose(1, 0, 2), ctx.factors.transpose(0, 2, 1))
+    return bits, h, y.transpose(1, 0, 2)
 
 
 def _count_errors(decisions, bits, all_users: bool) -> int:
@@ -309,45 +315,106 @@ def _detect_block(ctx: _Context, bits, h, y):
             counts[spec] = _count_errors(_decide(stat), bits, cfg.count_all_users)
         return counts, nonconv
 
-    # type2: combine first, then per-realization combined-domain filters
-    k = cfg.users
-    y_c = np.sum(np.conj(h) * y, axis=1)
+    # type2: combine first, then cancel in the combined domain, where
+    # R_eff = R_c P^-1 (P = diag of per-user combined power) changes per draw
+    hc = np.conj(h)
+    y_c = np.sum(hc * y, axis=1)
     power = np.sum(np.abs(h) ** 2, axis=1)                       # (B, K)
-    r_c = np.zeros((y.shape[0], k, k), dtype=complex)
-    for i in range(cfg.subcarriers):
-        r_c += np.conj(h[:, i, :])[:, :, None] * ctx.correlations[i][None] * h[:, i, :][:, None, :]
-    r_eff = r_c / power[:, None, :]
+    stats = {}
+    for spec, (tag, payload) in ctx.live:
+        if tag == "t2_mf":
+            stats[spec] = y_c
+        elif tag == "t2_stack":  # per-subcarrier filters, then combine
+            filtered = np.einsum("ikl,bil->bik", payload, y)
+            stats[spec] = np.sum(hc * filtered, axis=1)
+        else:  # staged and decorrelator: filled chunk by chunk below
+            stats[spec] = np.empty_like(y_c)
+    dense = any(tag in ("t2_prop", "t2_dc") for _, (tag, _) in ctx.live)
 
-    # R_eff is similar to the Hermitian s^-1 R_c s^-1 (s = sqrt of power), so
-    # its eigenvalues are real; count draws outside the convergence region.
+    # cache-sized chunks; one dense R_c per chunk serves the nonconv
+    # diagnostic and the detectors that need the matrix form
+    for lo in range(0, y_c.shape[0], _CHUNK_TRIALS):
+        rows = slice(lo, lo + _CHUNK_TRIALS)
+        r_c = _combined_matrix(ctx.correlations, h[rows], hc[rows])
+        nonconv += _count_nonconvergent(r_c, power[rows])
+        r_eff = r_c / power[rows, None, :] if dense else None
+        for spec, (tag, payload) in ctx.live:
+            if tag == "t2_conv":
+                stats[spec][rows] = _conventional_type2(
+                    ctx.correlations, h[rows], hc[rows], power[rows], y_c[rows], payload
+                )
+            elif tag == "t2_prop":
+                stats[spec][rows] = _proposed_type2(r_eff, y_c[rows], payload)
+            elif tag == "t2_dc":
+                stats[spec][rows] = np.linalg.solve(r_eff, y_c[rows, :, None])[:, :, 0]
+
+    for spec, stat in stats.items():
+        counts[spec] = _count_errors(_decide(stat), bits, cfg.count_all_users)
+    return counts, nonconv
+
+
+def _combined_matrix(correlations, h, hc):
+    """Dense R_c = sum_i D(conj h_i) R_i D(h_i) for a (B, M, K) slice of draws."""
+    r_c = hc[:, 0, :, None] * correlations[0]
+    r_c *= h[:, 0, None, :]
+    term = np.empty_like(r_c)
+    for i in range(1, correlations.shape[0]):
+        np.multiply(hc[:, i, :, None], correlations[i], out=term)
+        term *= h[:, i, None, :]
+        r_c += term
+    return r_c
+
+
+def _count_nonconvergent(r_c, power) -> int:
+    """Count draws with lambda_max(R_eff) >= 2, exactly.
+
+    R_eff = R_c P^-1 is similar to the Hermitian P^-1/2 R_c P^-1/2, and by
+    congruence (2 - margin) P - R_c is positive definite exactly when that
+    matrix's lambda_max < 2 - margin.  So one successful batched Cholesky
+    proves every draw convergent; only a chunk where it fails pays for
+    eigvalsh.  The margin dwarfs the factorisation's rounding, so the count
+    equals eigvalsh's on every draw.
+    """
+    shifted = -r_c
+    diag = np.arange(r_c.shape[-1])
+    shifted[:, diag, diag] += (2.0 - _CERT_MARGIN) * power
+    try:
+        np.linalg.cholesky(shifted)
+        return 0
+    except np.linalg.LinAlgError:
+        pass
     s = np.sqrt(power)
     herm = r_c / (s[:, :, None] * s[:, None, :])
     lam_max = np.linalg.eigvalsh(herm)[:, -1]
-    nonconv = int(np.count_nonzero(lam_max >= 2.0))
+    return int(np.count_nonzero(lam_max >= 2.0))
 
-    eye = np.eye(k)
-    for spec, (tag, payload) in ctx.live:
-        if tag == "t2_mf":
-            stat = y_c
-        elif tag == "t2_conv":
-            stat = y_c.copy()
-            for _ in range(payload - 1):
-                stat = y_c + stat - np.einsum("bkl,bl->bk", r_eff, stat)
-        elif tag == "t2_prop":
-            step = eye[None] - r_eff
-            part = None
-            stat = y_c.copy()
-            for _ in range(payload - 1):
-                part = step.copy() if part is None else part @ step
-                part[:, np.arange(k), np.arange(k)] = 0.0
-                stat = stat + np.einsum("bkl,bl->bk", part, y_c)
-        elif tag == "t2_dc":
-            stat = np.linalg.solve(r_eff, y_c[:, :, None])[:, :, 0]
-        else:  # t2_stack: per-subcarrier filters, then combine
-            filtered = np.einsum("ikl,bil->bik", payload, y)
-            stat = np.sum(np.conj(h) * filtered, axis=1)
-        counts[spec] = _count_errors(_decide(stat), bits, cfg.count_all_users)
-    return counts, nonconv
+
+def _conventional_type2(correlations, h, hc, power, y_c, stage: int):
+    """Conventional combined-domain series without forming R_eff.
+
+    R_eff v = sum_i conj(h_i) * (R_i (h_i * v / p)): M stacked (B,K)@(K,K)
+    GEMMs per stage over a subcarrier-major view of the draws.
+    """
+    h_t, hc_t = h.transpose(1, 0, 2), hc.transpose(1, 0, 2)
+    r_t = correlations.transpose(0, 2, 1)
+    stat = y_c.copy()
+    for _ in range(stage - 1):
+        applied = np.sum(hc_t * np.matmul(h_t * (stat / power), r_t), axis=0)
+        stat = y_c + stat - applied
+    return stat
+
+
+def _proposed_type2(r_eff, y_c, stage: int):
+    """Zero-diagonal combined-domain series on a dense (B, K, K) R_eff."""
+    k = r_eff.shape[-1]
+    step = np.eye(k)[None] - r_eff
+    part = None
+    stat = y_c.copy()
+    for _ in range(stage - 1):
+        part = step.copy() if part is None else part @ step
+        part[:, np.arange(k), np.arange(k)] = 0.0
+        stat = stat + np.einsum("bkl,bl->bk", part, y_c)
+    return stat
 
 
 def _block_fixed(ctx: _Context, seed_seq, size: int):
@@ -439,15 +506,13 @@ def run_ber_experiment(cfg: ExperimentConfig, threads: int | None = None) -> lis
     if threads == 1:
         results = map(work, jobs)
     else:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        results = pool.map(work, jobs)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(work, jobs))
     for counts, nonconv, fail_now in results:
         nonconv_total += nonconv
         failed.update(fail_now)
         for spec, errs in counts.items():
             totals[spec] = totals.get(spec, 0) + errs
-    if threads > 1:
-        pool.shutdown()
 
     suffix = "[all-users]" if cfg.count_all_users else ""
     records = []

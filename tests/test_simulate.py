@@ -6,10 +6,12 @@ per-trial loops and compare error counts exactly.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from lpic import simulate
 from lpic.config import ConfigError, parse_config
 from lpic.filters import build_filter, zero_diagonal
 from lpic.model import correlation_matrix, generate_spreading_set, noise_transform
@@ -25,7 +27,7 @@ from lpic.simulate import (
     wilson_interval,
 )
 
-from oracles import wilson_by_bisection
+from oracles import random_correlation, wilson_by_bisection
 
 
 class TestWilsonInterval:
@@ -129,6 +131,19 @@ class TestDeterminism:
         assert a == b
         assert all(r.trials == 150 for r in a)
         assert all(r.bit_errors > 0 for r in a)  # 150 trials at 8 dB always err
+
+
+class TestWorkerPool:
+    def test_pool_shuts_down_when_a_block_raises(self, monkeypatch):
+        def fail(ctx, seed_seq, size):
+            raise RuntimeError("block failed")
+
+        monkeypatch.setattr(simulate, "_block_fixed", fail)
+        cfg = parse_config("K = 2\nP = 8\nsnr_db = 5\ntrials = 20000\ndetectors = mf\n")
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_ber_experiment(cfg, threads=2)
+        workers = [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+        assert workers == []
 
 
 class TestSharedStreams:
@@ -297,6 +312,130 @@ class TestReferenceRecomputation:
             assert rec.bit_errors == want
             assert rec.receiver == "type2"
             assert rec.nonconv == nonconv
+
+
+def _combined(correlations, h):
+    """Plain R_c = sum_i D(conj h_i) R_i D(h_i) and combined power, per draw."""
+    r_c = sum(
+        np.conj(h[:, i, :])[:, :, None] * correlations[i][None] * h[:, i, :][:, None, :]
+        for i in range(len(correlations))
+    )
+    return r_c, np.sum(np.abs(h) ** 2, axis=1)
+
+
+def _eigvalsh_count(r_c, power):
+    s = np.sqrt(power)
+    herm = r_c / (s[:, :, None] * s[:, None, :])
+    return int(np.count_nonzero(np.linalg.eigvalsh(herm)[:, -1] >= 2.0))
+
+
+def _fading(rng, trials, subs, users):
+    return np.sqrt(0.5) * (
+        rng.standard_normal((trials, subs, users))
+        + 1j * rng.standard_normal((trials, subs, users))
+    )
+
+
+class TestNonconvCertificate:
+    """The Cholesky certificate must count exactly what eigvalsh counts."""
+
+    def _forbid_eigvalsh(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("certificate fell back to eigvalsh")
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+
+    def test_all_convergent_chunk_needs_no_eigvalsh(self, rng, monkeypatch):
+        rs = np.stack([random_correlation(rng, 6, 128) for _ in range(2)])
+        r_c, power = _combined(rs, _fading(rng, 256, 2, 6))
+        assert _eigvalsh_count(r_c, power) == 0
+        self._forbid_eigvalsh(monkeypatch)
+        assert simulate._count_nonconvergent(r_c, power) == 0
+
+    def test_mixed_chunk_matches_eigvalsh(self, rng):
+        rs = np.stack([random_correlation(rng, 12, 16) for _ in range(2)])
+        r_c, power = _combined(rs, _fading(rng, 256, 2, 12))
+        want = _eigvalsh_count(r_c, power)
+        assert 0 < want < 256
+        assert simulate._count_nonconvergent(r_c, power) == want
+
+    def test_lambda_max_within_margin_of_two(self, rng, monkeypatch):
+        # with M = 1 and unit-modulus h, herm = D(conj h) R D(h) is unitarily
+        # similar to R, so lambda_max is set by construction.  At exactly 2,
+        # eigvalsh lands on either side and a margin-free Cholesky would
+        # certify some draws that eigvalsh counts.
+        users = 8
+        offsets = (-2e-9, -1e-9, -5e-10, -1e-12, 1e-12, 5e-10, 1e-9, 2e-9) + (0.0,) * 32
+        mats, draws = [], []
+        for offset in offsets:
+            q, _ = np.linalg.qr(rng.standard_normal((users, users)))
+            lam = np.concatenate([rng.uniform(0.1, 1.5, users - 1), [2.0 + offset]])
+            h = np.exp(2j * np.pi * rng.uniform(size=(1, 1, users)))
+            r_c, power = _combined(((q * lam) @ q.T)[None], h)
+            mats.append(r_c)
+            draws.append(power)
+        r_c, power = np.concatenate(mats), np.concatenate(draws)
+        assert simulate._count_nonconvergent(r_c, power) == _eigvalsh_count(r_c, power)
+        for t, offset in enumerate(offsets):
+            one = (r_c[t : t + 1], power[t : t + 1])
+            want = _eigvalsh_count(*one)
+            if offset:
+                assert want == (offset > 0)
+            assert simulate._count_nonconvergent(*one) == want
+        # a draw more than the margin below 2 is proved without eigvalsh
+        self._forbid_eigvalsh(monkeypatch)
+        assert simulate._count_nonconvergent(r_c[:1], power[:1]) == 0
+
+
+class TestGoldenCounts:
+    """Fixed-mode bit_errors and nonconv, pinned bit for bit.
+
+    The counts come from the dense harness that built R_eff for every draw and
+    ran eigvalsh on each for nonconv.  Every config spans more than one
+    8192-trial block.  A change that moves any count changed a draw or a
+    rounding that decides a bit.
+    """
+
+    DETECTORS = "mf, conventional:4, proposed:4, decorrelator, mmse"
+    BASE = (
+        "K = {K}\nP = {P}\nM = {M}\nsnr_db = {snr}\nnear_far = tenfold\n"
+        "receiver = {rx}\ntrials = {trials}\nseed = {seed}\ndetectors = %s\n" % DETECTORS
+    )
+
+    @pytest.mark.parametrize(
+        "params, nonconv, errors",
+        [
+            (
+                dict(K=20, P=64, M=4, snr=14, rx="type1", trials=20000, seed=1),
+                0,
+                {"mf": 4915, "conventional": 2115, "proposed": 1472,
+                 "decorrelator": 4, "mmse": 101},
+            ),
+            (
+                dict(K=20, P=64, M=4, snr=8, rx="type2", trials=12000, seed=1),
+                0,
+                {"mf": 2980, "conventional": 71, "proposed": 70,
+                 "decorrelator": 67, "mmse": 1133},
+            ),
+            (   # mixed nonconv
+                dict(K=12, P=16, M=4, snr=14, rx="type2", trials=12000, seed=4),
+                862,
+                {"mf": 3775, "conventional": 467, "proposed": 319,
+                 "decorrelator": 1, "mmse": 928},
+            ),
+            (   # nearly every draw outside the convergence region
+                dict(K=20, P=32, M=2, snr=14, rx="type2", trials=9000, seed=5),
+                8985,
+                {"mf": 3529, "conventional": 3484, "proposed": 3211,
+                 "decorrelator": 15, "mmse": 1041},
+            ),
+        ],
+        ids=["type1_k20p64m4", "type2_k20p64m4", "type2_mixed", "type2_near_total"],
+    )
+    def test_counts_are_pinned(self, params, nonconv, errors):
+        records = _run(self.BASE.format(**params))
+        assert {r.detector: r.bit_errors for r in records} == errors
+        assert {r.nonconv for r in records} == {nonconv}
+        assert all(r.trials == params["trials"] for r in records)
 
 
 class TestReceiverComparison:
