@@ -159,14 +159,17 @@ def render_sinr_csv(points: list[SinrPoint]) -> str:
 
 @dataclass
 class _Context:
-    """Everything fixed across trials of one experiment."""
+    """Everything fixed across the trials drawn on one spreading draw."""
 
     cfg: ExperimentConfig
     correlations: np.ndarray   # (M, K, K)
     factors: np.ndarray        # (M, K, K) noise shaping
     amplitudes: np.ndarray
     sigma2: float
-    live: list                 # [(DetectorSpec, kind context)]
+    rows: slice                # counted users: all K, or user 0 alone
+    specs: list                # matrix-form detectors, in filters order
+    filters: np.ndarray        # (D, M, R, K) their counted filter rows
+    combined: list             # type2 detectors evaluated in the combined domain
     failed: dict               # DetectorSpec -> reason
 
 
@@ -197,9 +200,17 @@ def _draw_correlations(cfg: ExperimentConfig, rng: np.random.Generator):
     raise RuntimeError(f"no acceptable spreading draw in {_MAX_REDRAWS} attempts")
 
 
-def _prepare_detectors(cfg: ExperimentConfig, correlations, sigma2, amplitudes):
-    """Build per-detector contexts; construction failures are isolated."""
-    live, failed = [], {}
+def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
+    """Build every detector for one spreading draw; failures are isolated.
+
+    A matrix-form detector keeps only the counted rows of its filter on each
+    subcarrier (single carrier is M = 1), stacked over detectors into one
+    (D, M, R, K) tensor: R = K with count_all_users, else 1.  Type2
+    detectors other than mmse have no fixed filter and run per draw in the
+    combined domain.
+    """
+    amplitudes, sigma2 = cfg.amplitudes(), cfg.sigma2()
+    rows = slice(None) if cfg.count_all_users else slice(0, 1)
     weighted_stages = [d.stage for d in cfg.detectors if d.kind == "weighted_proposed"]
     schedules = None
     if weighted_stages:
@@ -211,57 +222,49 @@ def _prepare_detectors(cfg: ExperimentConfig, correlations, sigma2, amplitudes):
         except Exception as exc:  # schedule failure downs only the weighted detectors
             schedules = exc
 
+    specs, stacks, combined, failed = [], [], [], {}
     for spec in cfg.detectors:
         try:
             if spec.kind == "weighted_proposed" and isinstance(schedules, Exception):
                 raise schedules
-            if cfg.receiver == "single":
-                filt = build_filter(
-                    spec.kind,
-                    correlations[0],
-                    spec.stage,
-                    sigma2=sigma2,
-                    schedule=schedules[0] if spec.kind == "weighted_proposed" else None,
-                )
-                live.append((spec, ("matrix", filt.matrix)))
-            elif cfg.receiver == "type1":
-                stack = np.stack(
-                    [
-                        build_filter(
-                            spec.kind,
-                            correlations[i],
-                            spec.stage,
-                            sigma2=sigma2,
-                            schedule=schedules[i] if spec.kind == "weighted_proposed" else None,
-                        ).matrix
-                        for i in range(cfg.subcarriers)
-                    ]
-                )
-                live.append((spec, ("stack", stack)))
-            else:  # type2: combined-domain filters are per-realization
-                if spec.kind == "mf":
-                    live.append((spec, ("t2_mf", None)))
-                elif spec.kind == "conventional":
-                    live.append((spec, ("t2_conv", spec.stage)))
-                elif spec.kind == "proposed":
-                    live.append((spec, ("t2_prop", spec.stage)))
-                elif spec.kind == "decorrelator":
-                    live.append((spec, ("t2_dc", None)))
-                elif spec.kind == "mmse":
-                    stack = np.stack(
-                        [
-                            build_filter("mmse", correlations[i], 1, sigma2=sigma2).matrix
-                            for i in range(cfg.subcarriers)
-                        ]
-                    )
-                    live.append((spec, ("t2_stack", stack)))
-                else:
+            if cfg.receiver == "type2" and spec.kind != "mmse":
+                if spec.kind not in ("mf", "conventional", "proposed", "decorrelator"):
                     raise ConfigError(
                         f"{spec.kind} has no combined-domain form (receiver=type2)"
                     )
+                combined.append(spec)
+                continue
+            stacks.append(
+                [
+                    build_filter(
+                        spec.kind,
+                        correlations[i],
+                        spec.stage,
+                        sigma2=sigma2,
+                        schedule=schedules[i] if spec.kind == "weighted_proposed" else None,
+                    ).matrix[rows]
+                    for i in range(cfg.subcarriers)
+                ]
+            )
+            specs.append(spec)
         except Exception as exc:
             failed[spec] = f"{type(exc).__name__}: {exc}"
-    return live, failed
+    counted = cfg.users if cfg.count_all_users else 1
+    filters = np.array(stacks, dtype=complex).reshape(
+        len(specs), cfg.subcarriers, counted, cfg.users
+    )
+    return _Context(
+        cfg=cfg,
+        correlations=correlations,
+        factors=factors,
+        amplitudes=amplitudes,
+        sigma2=sigma2,
+        rows=rows,
+        specs=specs,
+        filters=filters,
+        combined=combined,
+        failed=failed,
+    )
 
 
 # --- block simulation -----------------------------------------------------
@@ -286,71 +289,89 @@ def _draw_block(rng: np.random.Generator, ctx: _Context, size: int):
     return bits, h, y.transpose(1, 0, 2)
 
 
-def _count_errors(decisions, bits, all_users: bool) -> int:
-    if all_users:
-        return int(np.count_nonzero(decisions != bits))
-    return int(np.count_nonzero(decisions[:, 0] != bits[:, 0]))
-
-
-def _decide(stat: np.ndarray) -> np.ndarray:
-    return np.where(np.real(stat) < 0, -1.0, 1.0)
-
-
 def _detect_block(ctx: _Context, bits, h, y):
-    """Evaluate every live detector on one drawn block; returns counts."""
-    cfg = ctx.cfg
+    """Evaluate every prepared detector on one drawn block.
+
+    Returns (bit errors per detector, nonconv, failed); failed names the
+    combined-domain detectors that could not be evaluated on this block.
+    """
+    counts = _count_matrix_forms(ctx, bits, h, y)
+    if ctx.cfg.receiver != "type2":
+        return counts, 0, {}
+    nonconv, failed = _detect_combined(ctx, bits, h, y, counts)
+    return counts, nonconv, failed
+
+
+def _count_matrix_forms(ctx: _Context, bits, h, y) -> dict:
+    """Bit errors of every matrix-form detector from its counted filter rows.
+
+    One GEMM per subcarrier evaluates a group of detectors at once, and the
+    coherent combination accumulates in subcarrier order 0..M-1.  A group
+    has at most K output columns, so counting every user holds no more per
+    GEMM than one full filter does.  An exact zero (or NaN) decides +1.
+    """
+    detectors, m, counted, k = ctx.filters.shape
+    hc = np.conj(h[:, :, ctx.rows])                  # (B, M, R)
+    wrong = bits[:, None, ctx.rows] < 0              # (B, 1, R)
+    step = k // counted
     counts = {}
-    nonconv = 0
-    if cfg.receiver == "single":
-        y1, h1 = y[:, 0, :], h[:, 0, :]
-        for spec, (tag, matrix) in ctx.live:
-            stat = np.conj(h1) * (y1 @ matrix.T)
-            counts[spec] = _count_errors(_decide(stat), bits, cfg.count_all_users)
-        return counts, nonconv
+    for lo in range(0, detectors, step):
+        group = ctx.filters[lo : lo + step]
+        stat = None
+        for i in range(m):
+            z = (y[:, i, :] @ group[:, i].reshape(-1, k).T).reshape(len(y), -1, counted)
+            np.multiply(hc[:, i, None, :], z, out=z)
+            if stat is None:
+                stat = z
+            else:
+                stat += z
+        errors = np.count_nonzero((stat.real < 0) != wrong, axis=(0, 2))
+        counts.update(zip(ctx.specs[lo : lo + step], errors.tolist()))
+    return counts
 
-    if cfg.receiver == "type1":
-        for spec, (tag, stack) in ctx.live:
-            filtered = np.einsum("ikl,bil->bik", stack, y)
-            stat = np.sum(np.conj(h) * filtered, axis=1)
-            counts[spec] = _count_errors(_decide(stat), bits, cfg.count_all_users)
-        return counts, nonconv
 
-    # type2: combine first, then cancel in the combined domain, where
-    # R_eff = R_c P^-1 (P = diag of per-user combined power) changes per draw
+def _detect_combined(ctx: _Context, bits, h, y, counts: dict):
+    """Type2 detectors without a fixed filter, plus the nonconv diagnostic.
+
+    Combines first, then cancels in the combined domain, where
+    R_eff = R_c P^-1 (P = diag of per-user combined power) changes per draw.
+    Adds each detector's errors to counts; returns (nonconv, failed).
+    """
     hc = np.conj(h)
     y_c = np.sum(hc * y, axis=1)
     power = np.sum(np.abs(h) ** 2, axis=1)                       # (B, K)
-    stats = {}
-    for spec, (tag, payload) in ctx.live:
-        if tag == "t2_mf":
-            stats[spec] = y_c
-        elif tag == "t2_stack":  # per-subcarrier filters, then combine
-            filtered = np.einsum("ikl,bil->bik", payload, y)
-            stats[spec] = np.sum(hc * filtered, axis=1)
-        else:  # staged and decorrelator: filled chunk by chunk below
-            stats[spec] = np.empty_like(y_c)
-    dense = any(tag in ("t2_prop", "t2_dc") for _, (tag, _) in ctx.live)
+    stats = {
+        spec: y_c if spec.kind == "mf" else np.empty_like(y_c) for spec in ctx.combined
+    }
+    dense = any(spec.kind in ("proposed", "decorrelator") for spec in ctx.combined)
+    failed = {}
+    nonconv = 0
 
     # cache-sized chunks; one dense R_c per chunk serves the nonconv
     # diagnostic and the detectors that need the matrix form
     for lo in range(0, y_c.shape[0], _CHUNK_TRIALS):
-        rows = slice(lo, lo + _CHUNK_TRIALS)
-        r_c = _combined_matrix(ctx.correlations, h[rows], hc[rows])
-        nonconv += _count_nonconvergent(r_c, power[rows])
-        r_eff = r_c / power[rows, None, :] if dense else None
-        for spec, (tag, payload) in ctx.live:
-            if tag == "t2_conv":
-                stats[spec][rows] = _conventional_type2(
-                    ctx.correlations, h[rows], hc[rows], power[rows], y_c[rows], payload
+        chunk = slice(lo, lo + _CHUNK_TRIALS)
+        r_c = _combined_matrix(ctx.correlations, h[chunk], hc[chunk])
+        nonconv += _count_nonconvergent(r_c, power[chunk])
+        r_eff = r_c / power[chunk, None, :] if dense else None
+        for spec in ctx.combined:
+            if spec.kind == "conventional":
+                stats[spec][chunk] = _conventional_type2(
+                    ctx.correlations, h[chunk], hc[chunk], power[chunk], y_c[chunk], spec.stage
                 )
-            elif tag == "t2_prop":
-                stats[spec][rows] = _proposed_type2(r_eff, y_c[rows], payload)
-            elif tag == "t2_dc":
-                stats[spec][rows] = np.linalg.solve(r_eff, y_c[rows, :, None])[:, :, 0]
+            elif spec.kind == "proposed":
+                stats[spec][chunk] = _proposed_type2(r_eff, y_c[chunk], spec.stage)
+            elif spec.kind == "decorrelator" and spec not in failed:
+                try:
+                    stats[spec][chunk] = np.linalg.solve(r_eff, y_c[chunk, :, None])[:, :, 0]
+                except np.linalg.LinAlgError as exc:  # singular R_eff in this chunk
+                    failed[spec] = f"{type(exc).__name__}: {exc}"
 
+    wrong = bits[:, ctx.rows] < 0
     for spec, stat in stats.items():
-        counts[spec] = _count_errors(_decide(stat), bits, cfg.count_all_users)
-    return counts, nonconv
+        if spec not in failed:
+            counts[spec] = int(np.count_nonzero((stat[:, ctx.rows].real < 0) != wrong))
+    return nonconv, failed
 
 
 def _combined_matrix(correlations, h, hc):
@@ -420,8 +441,7 @@ def _proposed_type2(r_eff, y_c, stage: int):
 def _block_fixed(ctx: _Context, seed_seq, size: int):
     rng = np.random.default_rng(seed_seq)
     bits, h, y = _draw_block(rng, ctx, size)
-    counts, nonconv = _detect_block(ctx, bits, h, y)
-    return counts, nonconv, {}
+    return _detect_block(ctx, bits, h, y)
 
 
 def _block_per_trial(cfg: ExperimentConfig, seed_seq, size: int):
@@ -431,27 +451,16 @@ def _block_per_trial(cfg: ExperimentConfig, seed_seq, size: int):
     trial); intended for small desk checks of sequence-averaged behavior.
     """
     rng = np.random.default_rng(seed_seq)
-    amplitudes = cfg.amplitudes()
-    sigma2 = cfg.sigma2()
     counts: dict = {}
     failed: dict = {}
     nonconv = 0
     for _ in range(size):
-        correlations, factors = _draw_correlations(cfg, rng)
-        live, fail_now = _prepare_detectors(cfg, correlations, sigma2, amplitudes)
-        failed.update(fail_now)
-        trial_ctx = _Context(
-            cfg=cfg,
-            correlations=correlations,
-            factors=factors,
-            amplitudes=amplitudes,
-            sigma2=sigma2,
-            live=live,
-            failed=failed,
-        )
+        trial_ctx = _prepare_context(cfg, *_draw_correlations(cfg, rng))
+        failed.update(trial_ctx.failed)
         bits, h, y = _draw_block(rng, trial_ctx, 1)
-        got, nc = _detect_block(trial_ctx, bits, h, y)
+        got, nc, fail_now = _detect_block(trial_ctx, bits, h, y)
         nonconv += nc
+        failed.update(fail_now)
         for spec, errs in got.items():
             counts[spec] = counts.get(spec, 0) + errs
     return counts, nonconv, failed
@@ -461,8 +470,9 @@ def run_ber_experiment(cfg: ExperimentConfig, threads: int | None = None) -> lis
     """Run the configured Monte Carlo BER experiment.
 
     Returns one record per detector in (kind, stage) order.  A detector whose
-    filters cannot be constructed yields a flagged row (trials=0, ber=nan)
-    while the others proceed.
+    filters cannot be constructed, or that fails on some block (a singular
+    type2 R_eff), yields a flagged row (trials=0, ber=nan) while the others
+    proceed.
     """
     threads = default_threads() if threads is None else threads
     if threads < 1:
@@ -470,23 +480,12 @@ def run_ber_experiment(cfg: ExperimentConfig, threads: int | None = None) -> lis
 
     root = np.random.SeedSequence(cfg.seed)
     seq_ss, blocks_parent = root.spawn(2)
-    amplitudes = cfg.amplitudes()
-    sigma2 = cfg.sigma2()
 
     ctx = None
     failed_fixed: dict = {}
     if cfg.sequence_mode == "fixed":
-        correlations, factors = _draw_correlations(cfg, np.random.default_rng(seq_ss))
-        live, failed_fixed = _prepare_detectors(cfg, correlations, sigma2, amplitudes)
-        ctx = _Context(
-            cfg=cfg,
-            correlations=correlations,
-            factors=factors,
-            amplitudes=amplitudes,
-            sigma2=sigma2,
-            live=live,
-            failed=failed_fixed,
-        )
+        ctx = _prepare_context(cfg, *_draw_correlations(cfg, np.random.default_rng(seq_ss)))
+        failed_fixed = ctx.failed
 
     n_blocks = ceil(cfg.trials / _BLOCK_TRIALS)
     sizes = [

@@ -131,45 +131,40 @@ def q_coefficients(
     return QCoefficients(user=user, stage=stage, values=np.delete(row, user))
 
 
-def _breakdown_from_q(
+def _breakdown_terms(
     correlation: np.ndarray,
-    q_row: np.ndarray,
+    q: np.ndarray,
     amplitudes: np.ndarray,
     sigma2: float,
-    user: int,
-    stage: int,
-) -> SinrBreakdown:
+):
+    """SINR coefficients of every user at once from the full Q matrix.
+
+    Returns (a, b, c, d, e, w_opt, degenerate), each of length K; w_opt is
+    1 where degenerate.  Row k of G = Q R holds g_i = q_i + sum_{l != i,k}
+    q_l rho_li for user k; the interference sums run over i != k.
+    """
     r = correlation
     k = r.shape[0]
     a2 = amplitudes**2
-    mask = np.arange(k) != user
-    rho_k = r[user]
+    off = ~np.eye(k, dtype=bool)
+    rho = np.where(off, r, 0.0)
+    g = q @ r
+    g_off = np.where(off, g, 0.0)
 
-    a = float(q_row @ rho_k)  # q_row[user] = 0 excludes the diagonal term
-    b = float(np.sum(rho_k[mask] ** 2 * a2[mask]))
-    g = r @ q_row  # g_i = q_i + sum_{l != i,k} q_l rho_li
-    c = float(np.sum(g[mask] ** 2 * a2[mask]))
-    d = float(np.sum(rho_k[mask] * g[mask] * a2[mask]))
-    e = float(q_row @ r @ q_row)  # includes i = j terms; exact for noise cov sigma2 R
+    a = np.sum(q * r, axis=1)  # q[k, k] = 0 excludes the diagonal term
+    b = rho**2 @ a2
+    c = g_off**2 @ a2
+    d = (rho * g_off) @ a2
+    e = np.sum(g * q, axis=1)  # includes i = j terms; exact for noise cov sigma2 R
 
     num = d - a * b
     den = c - a * d + sigma2 * (e - a * a)
-    scale = max(abs(c), abs(a * d), sigma2 * abs(e), sigma2 * a * a, 1.0)
-    degenerate = abs(den) <= _DEGENERATE_RTOL * scale
-    w_opt = None if degenerate else num / den
-    return SinrBreakdown(
-        user=user,
-        stage=stage,
-        amplitude=float(amplitudes[user]),
-        sigma2=float(sigma2),
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        e=e,
-        w_opt=w_opt,
-        degenerate=degenerate,
+    scale = np.maximum.reduce(
+        [np.abs(c), np.abs(a * d), sigma2 * np.abs(e), sigma2 * a * a, np.ones(k)]
     )
+    degenerate = np.abs(den) <= _DEGENERATE_RTOL * scale
+    w_opt = np.divide(num, den, out=np.ones(k), where=~degenerate)
+    return a, b, c, d, e, w_opt, degenerate
 
 
 def sinr_breakdown(
@@ -195,8 +190,21 @@ def sinr_breakdown(
         raise ValueError("sigma2 must be nonnegative")
     if not 0 <= user < k:
         raise ValueError(f"user {user} out of range for K={k}")
-    q_full = q_matrix(r, prior_weights, stage)
-    return _breakdown_from_q(r, q_full[user], amps, sigma2, user, stage)
+    terms = _breakdown_terms(r, q_matrix(r, prior_weights, stage), amps, sigma2)
+    a, b, c, d, e, w_opt, degenerate = (v[user].item() for v in terms)
+    return SinrBreakdown(
+        user=user,
+        stage=stage,
+        amplitude=float(amps[user]),
+        sigma2=float(sigma2),
+        a=a,
+        b=b,
+        c=c,
+        d=d,
+        e=e,
+        w_opt=None if degenerate else w_opt,
+        degenerate=degenerate,
+    )
 
 
 def sinr_sweep(
@@ -240,13 +248,7 @@ def compute_weight_schedule(
     degen = np.zeros((0, k), dtype=bool)
     for m in range(2, max_stage + 1):
         prior = WeightSchedule(rows) if m > 2 else None
-        q_full = q_matrix(r, prior, m)
-        w_row = np.empty(k)
-        d_row = np.empty(k, dtype=bool)
-        for user in range(k):
-            bd = _breakdown_from_q(r, q_full[user], amps, sigma2, user, m)
-            d_row[user] = bd.degenerate
-            w_row[user] = 1.0 if bd.degenerate else bd.w_opt
+        *_, w_row, d_row = _breakdown_terms(r, q_matrix(r, prior, m), amps, sigma2)
         rows = np.vstack([rows, w_row])
         degen = np.vstack([degen, d_row])
     return WeightSchedule(rows, degenerate=degen)

@@ -26,6 +26,7 @@ from lpic.simulate import (
     run_sinr_experiment,
     wilson_interval,
 )
+from lpic.sinr import compute_weight_schedule
 
 from oracles import random_correlation, wilson_by_bisection
 
@@ -189,6 +190,20 @@ class TestFailureIsolation:
             assert by[name].trials == 5000
             assert by[name].bit_errors > 0
 
+    def test_singular_type2_draw_flags_only_the_decorrelator(self):
+        # P=1 gives every R_i rank 1, so R_c over M=2 subcarriers is singular at K=3
+        text = (
+            "K = 3\nP = 1\nM = 2\nsnr_db = 8\nreceiver = type2\ntrials = 20000\n"
+            "detectors = mf, decorrelator\n"
+        )
+        recs = _run(text)
+        assert render_ber_csv(recs) == render_ber_csv(_run(text, threads=2))
+        by = {r.detector: r for r in recs}
+        bad = by["decorrelator"]
+        assert bad.trials == 0 and bad.bit_errors == 0 and math.isnan(bad.ber)
+        assert by["mf"].trials == 20000
+        assert by["mf"].bit_errors > 0 and by["mf"].nonconv > 0
+
 
 class TestReferenceRecomputation:
     def test_single_carrier_error_counts_match_a_plain_loop(self):
@@ -241,6 +256,65 @@ class TestReferenceRecomputation:
             lo, hi = wilson_interval(want, trials)
             assert (rec.ci_low, rec.ci_high) == (lo, hi)
             assert rec.receiver == "single" and rec.nonconv == 0
+
+    def test_type1_all_users_error_counts_match_a_plain_loop(self):
+        users, chips, subs, trials, seed, snr_db = 4, 16, 2, 9000, 17, 9.0
+        cfg = parse_config(
+            f"K = {users}\nP = {chips}\nM = {subs}\nsnr_db = {snr_db}\n"
+            f"trials = {trials}\nseed = {seed}\nreceiver = type1\ncount_all_users = true\n"
+            "detectors = mf, conventional:3, proposed:3, weighted_proposed:3, mmse\n"
+        )
+        records = {(r.detector, r.stage): r for r in run_ber_experiment(cfg)}
+
+        root = np.random.SeedSequence(seed)
+        seq_ss, blocks_parent = root.spawn(2)
+        seq_rng = np.random.default_rng(seq_ss)
+        rs = [
+            correlation_matrix(generate_spreading_set(users, chips, seq_rng))
+            for _ in range(subs)
+        ]
+        ells = [noise_transform(m) for m in rs]
+        sigma2 = subs / 10 ** (snr_db / 10.0)
+        amps = np.ones(users)
+        schedules = [compute_weight_schedule(m, amps, sigma2, 3) for m in rs]
+        mats = {
+            (kind, stage): [
+                build_filter(kind, rs[i], stage, sigma2=sigma2, schedule=schedules[i]).matrix
+                for i in range(subs)
+            ]
+            for kind, stage in (
+                ("mf", 1), ("conventional", 3), ("proposed", 3),
+                ("weighted_proposed", 3), ("mmse", 1),
+            )
+        }
+        counts = {key: 0 for key in mats}
+
+        n_blocks = math.ceil(trials / 8192)
+        sizes = [min(8192, trials - 8192 * i) for i in range(n_blocks)]
+        assert n_blocks == 2
+        for block_seed, size in zip(blocks_parent.spawn(n_blocks), sizes):
+            rng = np.random.default_rng(block_seed)
+            bits = (rng.integers(0, 2, size=(size, users)) * 2 - 1).astype(float)
+            h = _fading(rng, size, subs, users)
+            w = math.sqrt(sigma2 / 2.0) * (
+                rng.standard_normal((size, subs, users))
+                + 1j * rng.standard_normal((size, subs, users))
+            )
+            for t in range(size):
+                ys = [rs[i] @ (bits[t] * h[t, i]) + ells[i] @ w[t, i] for i in range(subs)]
+                for key, per_sub in mats.items():
+                    stat = sum(
+                        np.conj(h[t, i]) * (per_sub[i] @ ys[i]) for i in range(subs)
+                    )
+                    for user in range(users):
+                        decision = -1.0 if stat[user].real < 0 else 1.0
+                        counts[key] += decision != bits[t, user]
+
+        for (kind, stage), want in counts.items():
+            rec = records[(kind + "[all-users]", stage)]
+            assert rec.bit_errors == want
+            assert rec.trials == trials * users
+            assert rec.receiver == "type1" and rec.nonconv == 0
 
     def test_type2_error_counts_match_a_plain_loop(self):
         users, chips, subs, trials, seed, snr_db = 4, 16, 2, 400, 13, 10.0
@@ -389,10 +463,11 @@ class TestNonconvCertificate:
 class TestGoldenCounts:
     """Fixed-mode bit_errors and nonconv, pinned bit for bit.
 
-    The counts come from the dense harness that built R_eff for every draw and
-    ran eigvalsh on each for nonconv.  Every config spans more than one
-    8192-trial block.  A change that moves any count changed a draw or a
-    rounding that decides a bit.
+    The type2 counts come from the dense harness that built R_eff for every
+    draw and ran eigvalsh on each for nonconv; the counted-rows counts come
+    from the harness that filtered and decided every user.  Every config
+    spans more than one 8192-trial block.  A change that moves any count
+    changed a draw or a rounding that decides a bit.
     """
 
     DETECTORS = "mf, conventional:4, proposed:4, decorrelator, mmse"
@@ -436,6 +511,39 @@ class TestGoldenCounts:
         assert {r.detector: r.bit_errors for r in records} == errors
         assert {r.nonconv for r in records} == {nonconv}
         assert all(r.trials == params["trials"] for r in records)
+
+    FAMILY = (
+        "mf, conventional:2..5, proposed:2..5, mmse_converging:4, "
+        "modified_mmse:4, weighted_proposed:4, decorrelator, mmse"
+    )
+
+    @pytest.mark.parametrize(
+        "extra, errors",
+        [
+            (   # user 0 only: all 14 detectors in one GEMM
+                f"snr_db = 15\ntrials = 20000\ndetectors = {FAMILY}\n",
+                [5283, 5172, 3552, 3453, 210, 7577, 385,
+                 4207, 2379, 5283, 3705, 2523, 2347, 783],
+            ),
+            (   # every user: one GEMM per detector
+                f"snr_db = 12\ntrials = 10000\ncount_all_users = true\ndetectors = {FAMILY}\n",
+                [31528, 27703, 24809, 21623, 2137, 39431, 5161,
+                 22407, 15698, 31528, 22451, 19524, 16151, 6876],
+            ),
+            (   # every user, four subcarriers combined after filtering
+                "M = 4\nreceiver = type1\nsnr_db = 8\ntrials = 10000\n"
+                "count_all_users = true\ndetectors = %s\n" % DETECTORS,
+                [22290, 933, 25090, 9368, 17491],
+            ),
+        ],
+        ids=["single_family", "single_family_all_users", "type1_m4_all_users"],
+    )
+    def test_counted_rows_are_pinned(self, extra, errors):
+        cfg = parse_config("K = 20\nP = 64\nnear_far = tenfold\nseed = 1\n" + extra)
+        records = run_ber_experiment(cfg)
+        assert [r.bit_errors for r in records] == errors  # (kind, stage) order
+        counted = cfg.trials * (cfg.users if cfg.count_all_users else 1)
+        assert all(r.trials == counted and r.nonconv == 0 for r in records)
 
 
 class TestReceiverComparison:
