@@ -5,7 +5,9 @@ Trials are partitioned into fixed-size blocks, each block gets its own
 SeedSequence child, and worker threads (LPIC_THREADS) only distribute whole
 blocks, so results are bit-identical for any worker count.  Near-far profiles
 scale amplitudes after the draws, so bit/fading/noise streams are shared
-between profiles at the same seed.
+between profiles at the same seed.  In per_trial mode each trial reads its
+block's stream in a fixed order (sequences, bits, fading, noise); how many
+trials are then built and detected together does not enter any record.
 
 Error counting uses the desired user 0 only unless count_all_users is set,
 in which case the detector label gains an "[all-users]" suffix and the
@@ -15,6 +17,7 @@ trials field counts bits (trials x K).
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil, log10, sqrt
@@ -22,7 +25,7 @@ from math import ceil, log10, sqrt
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .filters import build_filter
+from .filters import SPECTRAL_KINDS, build_filter
 from .model import (
     NotPositiveSemidefiniteError,
     convergence_check,
@@ -36,8 +39,12 @@ THREADS_ENV = "LPIC_THREADS"
 
 _BLOCK_TRIALS = 8192   # fixed: part of the deterministic draw structure
 _CHUNK_TRIALS = 256    # cache-sized slice for dense combined-domain matrices
+_DRAW_CHUNK = 32       # per_trial draws built as one stack; bounds the build temporaries
 _CERT_MARGIN = 1e-9    # nonconv certificate margin, far above rounding
 _MAX_REDRAWS = 1000    # sequence redraw attempts before giving up
+# what a detector build raises on a draw it cannot serve (singular or
+# indefinite matrix, non-finite weight schedule)
+_BUILD_ERRORS = (ValueError, np.linalg.LinAlgError)
 _Z95 = 1.959963984540054
 
 BER_CSV_HEADER = "detector,stage,receiver,snr_db,trials,bit_errors,ber,ci_low,ci_high,nonconv"
@@ -159,18 +166,23 @@ def render_sinr_csv(points: list[SinrPoint]) -> str:
 
 @dataclass
 class _Context:
-    """Everything fixed across the trials drawn on one spreading draw."""
+    """Everything fixed across the trials drawn on G spreading draws.
+
+    A fixed-mode block shares one draw (G = 1) among all its trials; a
+    per_trial chunk has one draw per trial (G = its trial count).  Trial t
+    uses draw t // (T / G) of a T-trial block.
+    """
 
     cfg: ExperimentConfig
-    correlations: np.ndarray   # (M, K, K)
-    factors: np.ndarray        # (M, K, K) noise shaping
+    correlations: np.ndarray   # (M, G, K, K)
+    factors: np.ndarray        # (M, G, K, K) noise shaping
     amplitudes: np.ndarray
     sigma2: float
     rows: slice                # counted users: all K, or user 0 alone
     specs: list                # matrix-form detectors, in filters order
-    filters: np.ndarray        # (D, M, R, K) their counted filter rows
+    filters: np.ndarray        # (D, G, M, R, K) their counted filter rows
+    built: np.ndarray          # (D, G) draws each detector was built on
     combined: list             # type2 detectors evaluated in the combined domain
-    failed: dict               # DetectorSpec -> reason
 
 
 def _draw_correlations(cfg: ExperimentConfig, rng: np.random.Generator):
@@ -201,57 +213,87 @@ def _draw_correlations(cfg: ExperimentConfig, rng: np.random.Generator):
 
 
 def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
-    """Build every detector for one spreading draw; failures are isolated.
+    """Build every detector on one spreading draw or a stack of draws.
 
-    A matrix-form detector keeps only the counted rows of its filter on each
-    subcarrier (single carrier is M = 1), stacked over detectors into one
-    (D, M, R, K) tensor: R = K with count_all_users, else 1.  Type2
-    detectors other than mmse have no fixed filter and run per draw in the
-    combined domain.
+    correlations and factors are (M, K, K) for the one draw of a fixed-mode
+    run, or (M, B, K, K) for B per-trial draws, which every build and the
+    weight schedule take as one stack.  A matrix-form detector keeps only the
+    counted rows of its filter on each subcarrier (single carrier is M = 1),
+    stacked over detectors into one (D, G, M, R, K) tensor: R = K with
+    count_all_users, else 1.  Type2 detectors other than mmse have no fixed
+    filter and run per trial in the combined domain.
+
+    Failures are isolated.  A detector that cannot be built on its one draw
+    is left out; one that cannot be built on a stack is rebuilt draw by draw
+    and marked as not built on the draws that fail.
     """
     amplitudes, sigma2 = cfg.amplitudes(), cfg.sigma2()
     rows = slice(None) if cfg.count_all_users else slice(0, 1)
-    weighted_stages = [d.stage for d in cfg.detectors if d.kind == "weighted_proposed"]
-    schedules = None
-    if weighted_stages:
-        top = max(max(weighted_stages), 2)
-        try:
-            schedules = [
-                compute_weight_schedule(r, amplitudes, sigma2, top) for r in correlations
-            ]
-        except Exception as exc:  # schedule failure downs only the weighted detectors
-            schedules = exc
-
-    specs, stacks, combined, failed = [], [], [], {}
-    for spec in cfg.detectors:
-        try:
-            if spec.kind == "weighted_proposed" and isinstance(schedules, Exception):
-                raise schedules
-            if cfg.receiver == "type2" and spec.kind != "mmse":
-                if spec.kind not in ("mf", "conventional", "proposed", "decorrelator"):
-                    raise ConfigError(
-                        f"{spec.kind} has no combined-domain form (receiver=type2)"
-                    )
-                combined.append(spec)
-                continue
-            stacks.append(
-                [
-                    build_filter(
-                        spec.kind,
-                        correlations[i],
-                        spec.stage,
-                        sigma2=sigma2,
-                        schedule=schedules[i] if spec.kind == "weighted_proposed" else None,
-                    ).matrix[rows]
-                    for i in range(cfg.subcarriers)
-                ]
-            )
-            specs.append(spec)
-        except Exception as exc:
-            failed[spec] = f"{type(exc).__name__}: {exc}"
     counted = cfg.users if cfg.count_all_users else 1
+    weighted_stages = [d.stage for d in cfg.detectors if d.kind == "weighted_proposed"]
+    top = max(max(weighted_stages), 2) if weighted_stages else 0
+
+    def counted_rows(spec, mats, schedule, spectra=None):
+        """(..., M, R, K) counted rows of one detector on (M, ..., K, K) draws."""
+        if spec.kind == "weighted_proposed" and isinstance(schedule, Exception):
+            raise schedule
+        out = np.empty(mats.shape[1:-2] + (cfg.subcarriers, counted, cfg.users), dtype=complex)
+        for i in range(cfg.subcarriers):
+            out[..., i, :, :] = build_filter(
+                spec.kind,
+                mats[i],
+                spec.stage,
+                sigma2=sigma2,
+                schedule=schedule[i] if spec.kind == "weighted_proposed" else None,
+                eigenvalues=None if spectra is None else spectra[i],
+            ).matrix[..., rows, :]
+        return out
+
+    def schedule_of(mats):
+        if not top:
+            return None
+        try:
+            return compute_weight_schedule(mats, amplitudes, sigma2, top)
+        except _BUILD_ERRORS as exc:  # schedule failure downs only the weighted detectors
+            return exc
+
+    stacked = correlations.ndim == 4
+    draws = correlations.shape[1] if stacked else 1
+    schedule = schedule_of(correlations)
+    spectra = None  # eigvalsh of each subcarrier's correlations, shared by SPECTRAL_KINDS
+    specs, stacks, built, combined = [], [], [], []
+    for spec in cfg.detectors:
+        if cfg.receiver == "type2" and spec.kind != "mmse":
+            combined.append(spec)
+            continue
+        try:
+            if spec.kind in SPECTRAL_KINDS and spectra is None:
+                spectra = [np.linalg.eigvalsh(mats) for mats in correlations]
+            given = spectra if spec.kind in SPECTRAL_KINDS else None
+            stacks.append(counted_rows(spec, correlations, schedule, given))
+            built.append(np.ones(draws, dtype=bool))
+        except _BUILD_ERRORS:
+            if not stacked:
+                continue
+            # rebuild draw by draw, so one bad draw costs only itself
+            rebuilt = np.zeros((draws, cfg.subcarriers, counted, cfg.users), dtype=complex)
+            ok = np.zeros(draws, dtype=bool)
+            weighted = spec.kind == "weighted_proposed"
+            for b in range(draws):
+                one = correlations[:, b]
+                try:
+                    rebuilt[b] = counted_rows(spec, one, schedule_of(one) if weighted else None)
+                    ok[b] = True
+                except _BUILD_ERRORS:
+                    pass
+            stacks.append(rebuilt)
+            built.append(ok)
+        specs.append(spec)
+
+    if not stacked:
+        correlations, factors = correlations[:, None], factors[:, None]
     filters = np.array(stacks, dtype=complex).reshape(
-        len(specs), cfg.subcarriers, counted, cfg.users
+        len(specs), draws, cfg.subcarriers, counted, cfg.users
     )
     return _Context(
         cfg=cfg,
@@ -262,120 +304,169 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
         rows=rows,
         specs=specs,
         filters=filters,
+        built=np.array(built, dtype=bool).reshape(len(specs), draws),
         combined=combined,
-        failed=failed,
     )
 
 
 # --- block simulation -----------------------------------------------------
 
-def _draw_block(rng: np.random.Generator, ctx: _Context, size: int):
-    """Draw one block of trials; fixed draw order (bits, channel, noise).
+def _draw_symbols(rng: np.random.Generator, cfg: ExperimentConfig, sigma2: float, size: int):
+    """Bits, fading and noise of size trials; fixed draw order (bits, channel, noise).
 
-    The per-subcarrier products run as stacked GEMMs over a subcarrier-major
-    view, so y comes back as a (size, M, K) view of an (M, size, K) array.
+    Each of fading and noise draws its real parts, then its imaginary parts.
     """
-    k, m = ctx.cfg.users, ctx.cfg.subcarriers
+    k, m = cfg.users, cfg.subcarriers
     bits = (rng.integers(0, 2, size=(size, k)) * 2 - 1).astype(np.float64)
     h = sqrt(0.5) * (
         rng.standard_normal((size, m, k)) + 1j * rng.standard_normal((size, m, k))
     )
-    w = sqrt(ctx.sigma2 / 2.0) * (
+    w = sqrt(sigma2 / 2.0) * (
         rng.standard_normal((size, m, k)) + 1j * rng.standard_normal((size, m, k))
     )
+    return bits, h, w
+
+
+def _draw_trials(cfg: ExperimentConfig, rng: np.random.Generator, sigma2: float, count: int):
+    """count trials, each with its own spreading draw.
+
+    Every trial reads the stream of a one-trial block: its sequences (with
+    the redraw policy), then what _draw_symbols(rng, cfg, sigma2, 1) reads,
+    taking the four normal arrays in one call.  Returns (M, count, K, K)
+    correlations and factors, then bits, fading and noise.
+    """
+    mats, raw_bits, normals = [], [], []
+    for _ in range(count):
+        mats.append(_draw_correlations(cfg, rng))
+        raw_bits.append(rng.integers(0, 2, size=(1, cfg.users)))
+        normals.append(rng.standard_normal((4, 1, cfg.subcarriers, cfg.users)))
+    correlations, factors = (np.stack(part, axis=1) for part in zip(*mats))
+    normals = np.concatenate(normals, axis=1)
+    # the arithmetic of _draw_symbols on the stacked draws
+    bits = (np.concatenate(raw_bits) * 2 - 1).astype(np.float64)
+    h = sqrt(0.5) * (normals[0] + 1j * normals[1])
+    w = sqrt(sigma2 / 2.0) * (normals[2] + 1j * normals[3])
+    return correlations, factors, bits, h, w
+
+
+def _apply(mats, v):
+    """Per-draw products v_t R^T: v is (M, T, K), mats (M, G, K, K).
+
+    Each of the G draws serves T / G consecutive trials, so the products run
+    as one stacked GEMM per subcarrier and draw; the result is (M, T, K).
+    """
+    m, g, k = mats.shape[0], mats.shape[1], mats.shape[-1]
+    out = np.matmul(v.reshape(m, g, -1, k), mats.transpose(0, 1, 3, 2))
+    return out.reshape(m, -1, k)
+
+
+def _receive(ctx: _Context, bits, h, w):
+    """Matched-filter outputs y = R x + L w.
+
+    y comes back as a (T, M, K) view of an (M, T, K) array.
+    """
     x = (ctx.amplitudes * bits)[:, None, :] * h
-    y = np.matmul(x.transpose(1, 0, 2), ctx.correlations.transpose(0, 2, 1))
-    y += np.matmul(w.transpose(1, 0, 2), ctx.factors.transpose(0, 2, 1))
-    return bits, h, y.transpose(1, 0, 2)
+    y = _apply(ctx.correlations, x.transpose(1, 0, 2))
+    y += _apply(ctx.factors, w.transpose(1, 0, 2))
+    return y.transpose(1, 0, 2)
 
 
 def _detect_block(ctx: _Context, bits, h, y):
     """Evaluate every prepared detector on one drawn block.
 
-    Returns (bit errors per detector, nonconv, failed); failed names the
-    combined-domain detectors that could not be evaluated on this block.
+    Returns (errors, kept, nonconv): bit errors and counted trials per
+    detector, and the nonconv diagnostic.  A detector keeps the trials whose
+    draws it was built on (and, for the type2 decorrelator, whose R_eff was
+    invertible).
     """
-    counts = _count_matrix_forms(ctx, bits, h, y)
+    errors, kept = Counter(), Counter()
+    _count_matrix_forms(ctx, bits, h, y, errors, kept)
     if ctx.cfg.receiver != "type2":
-        return counts, 0, {}
-    nonconv, failed = _detect_combined(ctx, bits, h, y, counts)
-    return counts, nonconv, failed
+        return errors, kept, 0
+    return errors, kept, _detect_combined(ctx, bits, h, y, errors, kept)
 
 
-def _count_matrix_forms(ctx: _Context, bits, h, y) -> dict:
+def _count_matrix_forms(ctx: _Context, bits, h, y, errors, kept) -> None:
     """Bit errors of every matrix-form detector from its counted filter rows.
 
-    One GEMM per subcarrier evaluates a group of detectors at once, and the
-    coherent combination accumulates in subcarrier order 0..M-1.  A group
-    has at most K output columns, so counting every user holds no more per
-    GEMM than one full filter does.  An exact zero (or NaN) decides +1.
+    One GEMM per subcarrier and draw evaluates a group of detectors at once,
+    and the coherent combination accumulates in subcarrier order 0..M-1.  A
+    group has at most K output columns, so counting every user holds no
+    more per GEMM than one full filter does.  An exact zero (or NaN)
+    decides +1.
     """
-    detectors, m, counted, k = ctx.filters.shape
-    hc = np.conj(h[:, :, ctx.rows])                  # (B, M, R)
-    wrong = bits[:, None, ctx.rows] < 0              # (B, 1, R)
+    detectors, g, m, counted, k = ctx.filters.shape
+    n = len(y) // g                                  # trials per draw
+    hc = np.conj(h[:, :, ctx.rows]).reshape(g, n, m, counted)
+    wrong = (bits[:, None, ctx.rows] < 0).reshape(g, n, 1, counted)
     step = k // counted
-    counts = {}
     for lo in range(0, detectors, step):
         group = ctx.filters[lo : lo + step]
         stat = None
         for i in range(m):
-            z = (y[:, i, :] @ group[:, i].reshape(-1, k).T).reshape(len(y), -1, counted)
-            np.multiply(hc[:, i, None, :], z, out=z)
+            rows_t = group[:, :, i].transpose(1, 0, 2, 3).reshape(g, -1, k).transpose(0, 2, 1)
+            z = np.matmul(y[:, i, :].reshape(g, n, k), rows_t).reshape(g, n, -1, counted)
+            np.multiply(hc[:, :, i, None, :], z, out=z)
             if stat is None:
                 stat = z
             else:
                 stat += z
-        errors = np.count_nonzero((stat.real < 0) != wrong, axis=(0, 2))
-        counts.update(zip(ctx.specs[lo : lo + step], errors.tolist()))
-    return counts
+        bad = (stat.real < 0) != wrong               # (G, n, D', R)
+        built = ctx.built[lo : lo + step].T          # (G, D')
+        if not built.all():
+            bad &= built[:, None, :, None]
+        specs = ctx.specs[lo : lo + step]
+        errors.update(dict(zip(specs, np.count_nonzero(bad, axis=(0, 1, 3)).tolist())))
+        kept.update(dict(zip(specs, (n * np.count_nonzero(built, axis=0)).tolist())))
 
 
-def _detect_combined(ctx: _Context, bits, h, y, counts: dict):
+def _detect_combined(ctx: _Context, bits, h, y, errors, kept) -> int:
     """Type2 detectors without a fixed filter, plus the nonconv diagnostic.
 
     Combines first, then cancels in the combined domain, where
-    R_eff = R_c P^-1 (P = diag of per-user combined power) changes per draw.
-    Adds each detector's errors to counts; returns (nonconv, failed).
+    R_eff = R_c P^-1 (P = diag of per-user combined power) changes per trial.
+    Adds each detector's errors and counted trials; returns nonconv.
     """
-    hc = np.conj(h)
-    y_c = np.sum(hc * y, axis=1)
-    power = np.sum(np.abs(h) ** 2, axis=1)                       # (B, K)
-    stats = {
-        spec: y_c if spec.kind == "mf" else np.empty_like(y_c) for spec in ctx.combined
-    }
     dense = any(spec.kind in ("proposed", "decorrelator") for spec in ctx.combined)
-    failed = {}
+    shared = ctx.correlations.shape[1] == 1
+    wrong = bits[:, ctx.rows] < 0
     nonconv = 0
 
     # cache-sized chunks; one dense R_c per chunk serves the nonconv
     # diagnostic and the detectors that need the matrix form
-    for lo in range(0, y_c.shape[0], _CHUNK_TRIALS):
+    for lo in range(0, len(y), _CHUNK_TRIALS):
         chunk = slice(lo, lo + _CHUNK_TRIALS)
-        r_c = _combined_matrix(ctx.correlations, h[chunk], hc[chunk])
-        nonconv += _count_nonconvergent(r_c, power[chunk])
-        r_eff = r_c / power[chunk, None, :] if dense else None
+        mats = ctx.correlations if shared else ctx.correlations[:, chunk]
+        h_c = h[chunk]
+        hc = np.conj(h_c)
+        y_c = np.sum(hc * y[chunk], axis=1)
+        power = np.sum(np.abs(h_c) ** 2, axis=1)                 # (B, K)
+        r_c = _combined_matrix(mats, h_c, hc)
+        nonconv += _count_nonconvergent(r_c, power)
+        r_eff = r_c / power[:, None, :] if dense else None
         for spec in ctx.combined:
-            if spec.kind == "conventional":
-                stats[spec][chunk] = _conventional_type2(
-                    ctx.correlations, h[chunk], hc[chunk], power[chunk], y_c[chunk], spec.stage
-                )
+            solved = None
+            if spec.kind == "mf":
+                stat = y_c
+            elif spec.kind == "conventional":
+                stat = _conventional_type2(mats, h_c, hc, power, y_c, spec.stage)
             elif spec.kind == "proposed":
-                stats[spec][chunk] = _proposed_type2(r_eff, y_c[chunk], spec.stage)
-            elif spec.kind == "decorrelator" and spec not in failed:
-                try:
-                    stats[spec][chunk] = np.linalg.solve(r_eff, y_c[chunk, :, None])[:, :, 0]
-                except np.linalg.LinAlgError as exc:  # singular R_eff in this chunk
-                    failed[spec] = f"{type(exc).__name__}: {exc}"
-
-    wrong = bits[:, ctx.rows] < 0
-    for spec, stat in stats.items():
-        if spec not in failed:
-            counts[spec] = int(np.count_nonzero((stat[:, ctx.rows].real < 0) != wrong))
-    return nonconv, failed
+                stat = _proposed_type2(r_eff, y_c, spec.stage)
+            else:
+                stat, solved = _decorrelate(r_eff, y_c)
+            bad = (stat[:, ctx.rows].real < 0) != wrong[chunk]
+            if solved is not None:
+                bad = bad[solved]
+            errors[spec] += int(np.count_nonzero(bad))
+            kept[spec] += len(bad)
+    return nonconv
 
 
 def _combined_matrix(correlations, h, hc):
-    """Dense R_c = sum_i D(conj h_i) R_i D(h_i) for a (B, M, K) slice of draws."""
+    """Dense R_c = sum_i D(conj h_i) R_i D(h_i) for a (B, M, K) slice of draws.
+
+    correlations is (M, 1, K, K) shared by the slice, or (M, B, K, K).
+    """
     r_c = hc[:, 0, :, None] * correlations[0]
     r_c *= h[:, 0, None, :]
     term = np.empty_like(r_c)
@@ -413,14 +504,13 @@ def _count_nonconvergent(r_c, power) -> int:
 def _conventional_type2(correlations, h, hc, power, y_c, stage: int):
     """Conventional combined-domain series without forming R_eff.
 
-    R_eff v = sum_i conj(h_i) * (R_i (h_i * v / p)): M stacked (B,K)@(K,K)
-    GEMMs per stage over a subcarrier-major view of the draws.
+    R_eff v = sum_i conj(h_i) * (R_i (h_i * v / p)): stacked GEMMs per stage
+    over a subcarrier-major view of the draws (see _apply).
     """
     h_t, hc_t = h.transpose(1, 0, 2), hc.transpose(1, 0, 2)
-    r_t = correlations.transpose(0, 2, 1)
     stat = y_c.copy()
     for _ in range(stage - 1):
-        applied = np.sum(hc_t * np.matmul(h_t * (stat / power), r_t), axis=0)
+        applied = np.sum(hc_t * _apply(correlations, h_t * (stat / power)), axis=0)
         stat = y_c + stat - applied
     return stat
 
@@ -438,41 +528,64 @@ def _proposed_type2(r_eff, y_c, stage: int):
     return stat
 
 
+def _decorrelate(r_eff, y_c):
+    """Decorrelator statistics R_eff^-1 y_c and the mask of trials solved.
+
+    The mask is None when every trial was solved.  A chunk with a singular
+    R_eff is solved trial by trial, so only its singular trials go uncounted.
+    """
+    try:
+        return np.linalg.solve(r_eff, y_c[:, :, None])[:, :, 0], None
+    except np.linalg.LinAlgError:
+        pass
+    stat = np.zeros_like(y_c)
+    ok = np.ones(len(y_c), dtype=bool)
+    for t in range(len(y_c)):
+        try:
+            stat[t] = np.linalg.solve(r_eff[t], y_c[t])
+        except np.linalg.LinAlgError:
+            ok[t] = False
+    return stat, ok
+
+
 def _block_fixed(ctx: _Context, seed_seq, size: int):
     rng = np.random.default_rng(seed_seq)
-    bits, h, y = _draw_block(rng, ctx, size)
-    return _detect_block(ctx, bits, h, y)
+    bits, h, w = _draw_symbols(rng, ctx.cfg, ctx.sigma2, size)
+    return _detect_block(ctx, bits, h, _receive(ctx, bits, h, w))
 
 
 def _block_per_trial(cfg: ExperimentConfig, seed_seq, size: int):
     """Per-trial spreading redraw: sequences, bits, channel, noise per trial.
 
-    Orders of magnitude slower than fixed mode (filters are rebuilt every
-    trial); intended for small desk checks of sequence-averaged behavior.
+    Trials are drawn in chunks of _DRAW_CHUNK, each trial as a one-trial
+    block would draw it (see _draw_trials); a chunk is then built and
+    detected as one stack of draws.
     """
     rng = np.random.default_rng(seed_seq)
-    counts: dict = {}
-    failed: dict = {}
-    nonconv = 0
-    for _ in range(size):
-        trial_ctx = _prepare_context(cfg, *_draw_correlations(cfg, rng))
-        failed.update(trial_ctx.failed)
-        bits, h, y = _draw_block(rng, trial_ctx, 1)
-        got, nc, fail_now = _detect_block(trial_ctx, bits, h, y)
-        nonconv += nc
-        failed.update(fail_now)
-        for spec, errs in got.items():
-            counts[spec] = counts.get(spec, 0) + errs
-    return counts, nonconv, failed
+    sigma2 = cfg.sigma2()
+    errors, kept, nonconv = Counter(), Counter(), 0
+    for lo in range(0, size, _DRAW_CHUNK):
+        correlations, factors, bits, h, w = _draw_trials(
+            cfg, rng, sigma2, min(_DRAW_CHUNK, size - lo)
+        )
+        ctx = _prepare_context(cfg, correlations, factors)
+        y = _receive(ctx, bits, h, w)
+        got_errors, got_kept, got_nonconv = _detect_block(ctx, bits, h, y)
+        errors.update(got_errors)
+        kept.update(got_kept)
+        nonconv += got_nonconv
+    return errors, kept, nonconv
 
 
 def run_ber_experiment(cfg: ExperimentConfig, threads: int | None = None) -> list[BerRecord]:
     """Run the configured Monte Carlo BER experiment.
 
-    Returns one record per detector in (kind, stage) order.  A detector whose
-    filters cannot be constructed, or that fails on some block (a singular
-    type2 R_eff), yields a flagged row (trials=0, ber=nan) while the others
-    proceed.
+    Returns one record per detector in (kind, stage) order.  In fixed mode a
+    detector whose filters cannot be constructed, or that fails on some trial
+    (a singular type2 R_eff), yields a flagged row (trials=0, ber=nan) while
+    the others proceed.  In per_trial mode such a detector skips the draws
+    it fails on and its row counts the trials it kept; it is flagged only
+    when it kept none.
     """
     threads = default_threads() if threads is None else threads
     if threads < 1:
@@ -481,11 +594,9 @@ def run_ber_experiment(cfg: ExperimentConfig, threads: int | None = None) -> lis
     root = np.random.SeedSequence(cfg.seed)
     seq_ss, blocks_parent = root.spawn(2)
 
-    ctx = None
-    failed_fixed: dict = {}
-    if cfg.sequence_mode == "fixed":
+    fixed = cfg.sequence_mode == "fixed"
+    if fixed:
         ctx = _prepare_context(cfg, *_draw_correlations(cfg, np.random.default_rng(seq_ss)))
-        failed_fixed = ctx.failed
 
     n_blocks = ceil(cfg.trials / _BLOCK_TRIALS)
     sizes = [
@@ -493,31 +604,30 @@ def run_ber_experiment(cfg: ExperimentConfig, threads: int | None = None) -> lis
     ]
     block_seeds = blocks_parent.spawn(n_blocks)
 
-    if cfg.sequence_mode == "fixed":
+    if fixed:
         work = lambda args: _block_fixed(ctx, args[0], args[1])
     else:
         work = lambda args: _block_per_trial(cfg, args[0], args[1])
 
-    totals: dict = {}
-    nonconv_total = 0
-    failed = dict(failed_fixed)
+    errors, kept, nonconv_total = Counter(), Counter(), 0
     jobs = list(zip(block_seeds, sizes))
     if threads == 1:
         results = map(work, jobs)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, jobs))
-    for counts, nonconv, fail_now in results:
+    for block_errors, block_kept, nonconv in results:
+        errors.update(block_errors)
+        kept.update(block_kept)
         nonconv_total += nonconv
-        failed.update(fail_now)
-        for spec, errs in counts.items():
-            totals[spec] = totals.get(spec, 0) + errs
 
     suffix = "[all-users]" if cfg.count_all_users else ""
+    per_trial_bits = cfg.users if cfg.count_all_users else 1
     records = []
     for spec in cfg.detectors:
         label = spec.kind + suffix
-        if spec in failed:
+        trials = kept[spec]
+        if trials == 0 or (fixed and trials < cfg.trials):
             records.append(
                 BerRecord(
                     detector=label,
@@ -533,8 +643,8 @@ def run_ber_experiment(cfg: ExperimentConfig, threads: int | None = None) -> lis
                 )
             )
             continue
-        bits_counted = cfg.trials * (cfg.users if cfg.count_all_users else 1)
-        errs = totals.get(spec, 0)
+        bits_counted = trials * per_trial_bits
+        errs = errors[spec]
         lo, hi = wilson_interval(errs, bits_counted)
         records.append(
             BerRecord(

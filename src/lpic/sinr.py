@@ -91,11 +91,13 @@ def q_matrix(
     stage instead of the nested interference sums' O(K^m).
 
     prior_weights must cover stages 2..m-1 (None means unit weights).  At
-    m = 2 the coefficients are just the cross-correlations.
+    m = 2 the coefficients are just the cross-correlations.  A (..., K, K)
+    stack of correlations, with a schedule of the same leading axes, gives
+    a stack of Q matrices.
     """
     r = np.asarray(correlation, dtype=float)
-    k = r.shape[0]
-    if r.shape != (k, k):
+    k = r.shape[-1]
+    if r.ndim < 2 or r.shape[-2] != k:
         raise ValueError("correlation must be square")
     if stage < 2:
         raise ValueError("combining coefficients are defined for stages >= 2")
@@ -106,13 +108,13 @@ def q_matrix(
             f"prior weights cover stages up to {prior_weights.max_stage}, "
             f"stage {stage} needs 2..{stage - 1}"
         )
-    eye = np.eye(k)
-    c_part = eye - r
-    total = c_part.copy()
+    step = np.eye(k) - r
+    c_part = step
+    total = step.copy()
     for n in range(2, stage):
         w = prior_weights.stage(stage - n + 1)
-        c_part = zero_diagonal(c_part @ (w[:, None] * (eye - r)))
-        total += c_part
+        c_part = zero_diagonal(c_part @ (w[..., :, None] * step))
+        total = total + c_part
     return -total
 
 
@@ -139,31 +141,32 @@ def _breakdown_terms(
 ):
     """SINR coefficients of every user at once from the full Q matrix.
 
-    Returns (a, b, c, d, e, w_opt, degenerate), each of length K; w_opt is
-    1 where degenerate.  Row k of G = Q R holds g_i = q_i + sum_{l != i,k}
-    q_l rho_li for user k; the interference sums run over i != k.
+    Returns (a, b, c, d, e, w_opt, degenerate), each of shape (..., K) for
+    (..., K, K) inputs; w_opt is 1 where degenerate.  Row k of G = Q R holds
+    g_i = q_i + sum_{l != i,k} q_l rho_li for user k; the interference sums
+    run over i != k.
     """
     r = correlation
-    k = r.shape[0]
+    k = r.shape[-1]
     a2 = amplitudes**2
     off = ~np.eye(k, dtype=bool)
     rho = np.where(off, r, 0.0)
     g = q @ r
     g_off = np.where(off, g, 0.0)
 
-    a = np.sum(q * r, axis=1)  # q[k, k] = 0 excludes the diagonal term
+    a = np.sum(q * r, axis=-1)  # q[k, k] = 0 excludes the diagonal term
     b = rho**2 @ a2
     c = g_off**2 @ a2
     d = (rho * g_off) @ a2
-    e = np.sum(g * q, axis=1)  # includes i = j terms; exact for noise cov sigma2 R
+    e = np.sum(g * q, axis=-1)  # includes i = j terms; exact for noise cov sigma2 R
 
     num = d - a * b
     den = c - a * d + sigma2 * (e - a * a)
     scale = np.maximum.reduce(
-        [np.abs(c), np.abs(a * d), sigma2 * np.abs(e), sigma2 * a * a, np.ones(k)]
+        [np.abs(c), np.abs(a * d), sigma2 * np.abs(e), sigma2 * a * a, np.ones_like(a)]
     )
     degenerate = np.abs(den) <= _DEGENERATE_RTOL * scale
-    w_opt = np.divide(num, den, out=np.ones(k), where=~degenerate)
+    w_opt = np.divide(num, den, out=np.ones_like(a), where=~degenerate)
     return a, b, c, d, e, w_opt, degenerate
 
 
@@ -237,20 +240,21 @@ def compute_weight_schedule(
     their optimal weights, so the schedule is built bottom-up and is
     deterministic.  A degenerate optimum (flat SINR, e.g. R = I) falls back
     to weight 1 for that user and is marked in the schedule's degenerate
-    mask.
+    mask.  A (..., K, K) stack of correlations gives a stacked schedule,
+    weights (..., max_stage-1, K); it fails if any draw's weights are not
+    finite.
     """
     r = np.asarray(correlation, dtype=float)
     amps = np.asarray(amplitudes, dtype=float)
-    k = r.shape[0]
     if max_stage < 2:
         raise ValueError("max_stage must be >= 2")
-    rows = np.zeros((0, k))
-    degen = np.zeros((0, k), dtype=bool)
+    rows = np.zeros(r.shape[:-2] + (0, r.shape[-1]))
+    degen = np.zeros(rows.shape, dtype=bool)
     for m in range(2, max_stage + 1):
         prior = WeightSchedule(rows) if m > 2 else None
         *_, w_row, d_row = _breakdown_terms(r, q_matrix(r, prior, m), amps, sigma2)
-        rows = np.vstack([rows, w_row])
-        degen = np.vstack([degen, d_row])
+        rows = np.concatenate([rows, w_row[..., None, :]], axis=-2)
+        degen = np.concatenate([degen, d_row[..., None, :]], axis=-2)
     return WeightSchedule(rows, degenerate=degen)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from lpic.filters import (
     FILTER_KINDS,
+    SPECTRAL_KINDS,
     STAGED_KINDS,
     MatrixFilter,
     SingularMatrixError,
@@ -290,6 +291,7 @@ class TestLimitScaling:
 class TestDispatchAndTypes:
     def test_kind_lists(self):
         assert set(STAGED_KINDS) < set(FILTER_KINDS)
+        assert set(SPECTRAL_KINDS) < set(FILTER_KINDS)
         assert len(FILTER_KINDS) == 8
 
     def test_mf_identity(self):
@@ -347,3 +349,101 @@ class TestDispatchAndTypes:
         assert m[1, 1] == 4.0  # input untouched
         with pytest.raises(ValueError):
             zero_diagonal(np.ones((2, 3)))
+
+
+class TestStackedBuilds:
+    """A (..., K, K) stack builds exactly the per-draw filters, stacked."""
+
+    SIGMA2 = 0.1
+
+    def _draws(self, rng, count=12, users=6, chips=32):
+        return np.stack([random_correlation(rng, users, chips) for _ in range(count)])
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_stack_equals_per_draw_builds(self, rng, kind):
+        from lpic.sinr import compute_weight_schedule
+
+        rs = self._draws(rng)
+        amps = np.where(np.arange(6) % 2, 10.0, 1.0)
+        schedule = compute_weight_schedule(rs, amps, self.SIGMA2, 6)
+        for stage in (1, 2, 4, 6) if kind in STAGED_KINDS else (1,):
+            got = build_filter(kind, rs, stage, sigma2=self.SIGMA2, schedule=schedule).matrix
+            want = np.stack(
+                [
+                    build_filter(kind, r, stage, sigma2=self.SIGMA2, schedule=schedule[b]).matrix
+                    for b, r in enumerate(rs)
+                ]
+            )
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (kind, stage)
+            # a precomputed spectrum changes nothing
+            shared = build_filter(
+                kind, rs, stage, sigma2=self.SIGMA2, schedule=schedule,
+                eigenvalues=np.linalg.eigvalsh(rs),
+            ).matrix
+            assert np.array_equal(shared, want)
+            # two leading axes (subcarrier, draw) give the same filters
+            grid = build_filter(
+                kind, rs.reshape(3, 4, 6, 6), stage, sigma2=self.SIGMA2,
+                schedule=WeightSchedule(schedule.weights.reshape(3, 4, 5, 6)),
+            ).matrix
+            assert np.array_equal(grid.reshape(want.shape), want)
+
+    def test_one_singular_draw_fails_the_stack(self, rng):
+        rs = self._draws(rng)
+        rs[5] = equicorrelated_matrix(6, 1.0)  # rank one
+        with pytest.raises(SingularMatrixError, match="at draw 5 "):
+            build_filter("decorrelator", rs, 1)
+        with pytest.raises(SingularMatrixError):
+            build_filter("decorrelator", rs[5], 1)
+        kept = np.delete(rs, 5, axis=0)
+        assert np.array_equal(
+            build_filter("decorrelator", kept, 1).matrix,
+            np.stack([build_filter("decorrelator", r, 1).matrix for r in kept]),
+        )
+
+    def test_one_indefinite_draw_fails_the_mmse_weights(self, rng):
+        rs = self._draws(rng)
+        rs[3] = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -0.5])
+        with pytest.raises(ValueError, match="PSD"):
+            mmse_stage_weights(rs, self.SIGMA2)
+        with pytest.raises(ValueError, match="PSD"):
+            build_filter("mmse_converging", rs, 2, sigma2=self.SIGMA2)
+
+    def test_stage_bounds_and_shape_checks_hold_for_stacks(self, rng):
+        rs = self._draws(rng)
+        with pytest.raises(ValueError, match="eigenvalues"):
+            build_filter("decorrelator", rs, 1, eigenvalues=np.ones((12, 5)))
+        with pytest.raises(ValueError):
+            build_filter("mmse_converging", rs, 7, sigma2=self.SIGMA2)  # stage > K
+        with pytest.raises(ValueError):
+            build_filter("conventional", rs, 0)
+        with pytest.raises(ValueError):
+            build_filter("conventional", np.ones((4, 6, 5)), 2)
+        with pytest.raises(ValueError):
+            MatrixFilter(np.ones((4, 6, 5)), kind="mf", stage=1)
+        with pytest.raises(ValueError):
+            zero_diagonal(np.ones((4, 6, 5)))
+
+    def test_stacked_helpers(self, rng):
+        rs = self._draws(rng, count=4)
+        z = zero_diagonal(rs)
+        assert np.array_equal(z, np.stack([zero_diagonal(r) for r in rs]))
+        assert rs[0, 0, 0] == 1.0  # input untouched
+        f = build_filter("conventional", rs, 3)
+        y = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        got = f.apply(y)
+        for b in range(4):
+            assert np.allclose(got[b], f.matrix[b] @ y[b])
+        assert f.users == 6
+
+    def test_schedule_draw_selection(self):
+        weights = np.arange(24.0).reshape(2, 3, 4)
+        schedule = WeightSchedule(weights, degenerate=weights > 20)
+        assert (schedule.users, schedule.max_stage) == (4, 4)
+        assert np.array_equal(schedule.stage(3), weights[:, 1])
+        one = schedule[1]
+        assert np.array_equal(one.weights, weights[1])
+        assert np.array_equal(one.degenerate, weights[1] > 20)
+        with pytest.raises(IndexError):
+            one[0]

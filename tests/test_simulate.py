@@ -13,7 +13,7 @@ import pytest
 
 from lpic import simulate
 from lpic.config import ConfigError, parse_config
-from lpic.filters import build_filter, zero_diagonal
+from lpic.filters import SingularMatrixError, build_filter, zero_diagonal
 from lpic.model import correlation_matrix, generate_spreading_set, noise_transform
 from lpic.simulate import (
     BER_CSV_HEADER,
@@ -189,6 +189,65 @@ class TestFailureIsolation:
         for name in ("mf", "mmse"):
             assert by[name].trials == 5000
             assert by[name].bit_errors > 0
+
+    @pytest.mark.parametrize(
+        "users, chips, trials",
+        [(6, 16, 3000), (6, 8, 1000)],
+        ids=["few_singular", "many_singular"],
+    )
+    def test_per_trial_skips_only_the_singular_draws(self, users, chips, trials):
+        # small P gives some spreading draws a singular R; the decorrelator
+        # skips those trials alone instead of blanking its whole row
+        text = (
+            f"K = {users}\nP = {chips}\nsnr_db = 8\ntrials = {trials}\n"
+            "sequence_mode = per_trial\ndetectors = decorrelator, mf, weighted_proposed:3\n"
+        )
+        recs = _run(text)
+        assert render_ber_csv(recs) == render_ber_csv(_run(text, threads=2))
+        by = {r.detector: r for r in recs}
+        assert 0 < by["decorrelator"].trials < trials
+        assert by["mf"].trials == by["weighted_proposed"].trials == trials
+        errors, kept = _per_trial_plain_loop(parse_config(text))
+        for rec in recs:
+            assert rec.trials == kept[(rec.detector, rec.stage)]
+            assert rec.bit_errors == errors[(rec.detector, rec.stage)]
+            assert rec.ber == rec.bit_errors / rec.trials
+            assert (rec.ci_low, rec.ci_high) == wilson_interval(rec.bit_errors, rec.trials)
+
+    def test_per_trial_row_is_flagged_when_no_draw_builds(self):
+        # P=1 makes every R singular, so the decorrelator never builds
+        recs = _run(
+            "K = 2\nP = 1\nsnr_db = 8\ntrials = 300\nsequence_mode = per_trial\n"
+            "detectors = mf, decorrelator\n"
+        )
+        by = {r.detector: r for r in recs}
+        assert by["decorrelator"].trials == 0 and math.isnan(by["decorrelator"].ber)
+        assert by["mf"].trials == 300
+
+    def test_per_trial_type2_skips_only_the_unsolvable_trials(self):
+        # rank-one R_i make R_eff singular; the trials whose solve meets an
+        # exact zero pivot are skipped by the decorrelator alone
+        text = (
+            "K = 3\nP = 1\nM = 2\nsnr_db = 8\nreceiver = type2\ntrials = 300\n"
+            "sequence_mode = per_trial\ndetectors = mf, decorrelator\n"
+        )
+        recs = _run(text)
+        assert render_ber_csv(recs) == render_ber_csv(_run(text, threads=2))
+        by = {r.detector: r for r in recs}
+        assert 0 < by["decorrelator"].trials < 300
+        assert by["mf"].trials == 300 and by["mf"].nonconv > 0
+
+    def test_singular_combined_trial_skips_only_itself(self, rng):
+        noise = rng.standard_normal((2, 5, 3, 3))
+        r_eff = 3.0 * np.eye(3) + noise[0] + 1j * noise[1]
+        r_eff[2] = np.ones((3, 3))  # exactly singular
+        y_c = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        stat, solved = simulate._decorrelate(r_eff, y_c)
+        assert solved.tolist() == [True, True, False, True, True]
+        for t in (0, 1, 3, 4):
+            assert np.allclose(stat[t], np.linalg.solve(r_eff[t], y_c[t]))
+        stat, solved = simulate._decorrelate(np.delete(r_eff, 2, 0), np.delete(y_c, 2, 0))
+        assert solved is None
 
     def test_singular_type2_draw_flags_only_the_decorrelator(self):
         # P=1 gives every R_i rank 1, so R_c over M=2 subcarriers is singular at K=3
@@ -387,6 +446,64 @@ class TestReferenceRecomputation:
             assert rec.receiver == "type2"
             assert rec.nonconv == nonconv
 
+    def test_per_trial_error_counts_match_a_plain_loop(self):
+        cfg = parse_config(
+            "K = 4\nP = 16\nM = 2\nsnr_db = 6\ntrials = 300\nseed = 5\nreceiver = type1\n"
+            "near_far = tenfold\nsequence_mode = per_trial\n"
+            "detectors = mf, conventional:3, weighted_proposed:3, mmse_converging:2, mmse\n"
+        )
+        records = run_ber_experiment(cfg)
+        counts, kept = _per_trial_plain_loop(cfg)
+        assert set(kept.values()) == {300}
+        for rec in records:
+            assert rec.bit_errors == counts[(rec.detector, rec.stage)]
+            assert rec.trials == 300
+
+
+def _per_trial_plain_loop(cfg):
+    """Replay a one-block per_trial run trial by trial with public functions.
+
+    Each trial draws its sequences per subcarrier, then its bits, fading and
+    noise, and builds every detector on its own draw.  A detector that cannot
+    be built on a draw skips that trial.  Returns (errors, kept) per
+    (kind, stage); counts user 0 only.
+    """
+    users, chips, subs = cfg.users, cfg.chips, cfg.subcarriers
+    sigma2, amps = cfg.sigma2(), cfg.amplitudes()
+    top = max([2] + [d.stage for d in cfg.detectors])
+    errors = {(d.kind, d.stage): 0 for d in cfg.detectors}
+    kept = dict(errors)
+    _, blocks_parent = np.random.SeedSequence(cfg.seed).spawn(2)
+    (block_seed,) = blocks_parent.spawn(1)
+    rng = np.random.default_rng(block_seed)
+    for _ in range(cfg.trials):
+        rs = [
+            correlation_matrix(generate_spreading_set(users, chips, rng))
+            for _ in range(subs)
+        ]
+        ells = [noise_transform(m) for m in rs]
+        bits = (rng.integers(0, 2, size=(1, users)) * 2 - 1).astype(float)[0]
+        h = _fading(rng, 1, subs, users)[0]
+        w = math.sqrt(sigma2 / 2.0) * (
+            rng.standard_normal((1, subs, users))
+            + 1j * rng.standard_normal((1, subs, users))
+        )[0]
+        ys = [rs[i] @ (amps * bits * h[i]) + ells[i] @ w[i] for i in range(subs)]
+        schedules = [compute_weight_schedule(m, amps, sigma2, top) for m in rs]
+        for kind, stage in errors:
+            try:
+                mats = [
+                    build_filter(kind, rs[i], stage, sigma2=sigma2, schedule=schedules[i])
+                    for i in range(subs)
+                ]
+            except SingularMatrixError:
+                continue
+            stat = sum(np.conj(h[i, 0]) * (mats[i].matrix[0] @ ys[i]) for i in range(subs))
+            decision = -1.0 if stat.real < 0 else 1.0
+            errors[(kind, stage)] += decision != bits[0]
+            kept[(kind, stage)] += 1
+    return errors, kept
+
 
 def _combined(correlations, h):
     """Plain R_c = sum_i D(conj h_i) R_i D(h_i) and combined power, per draw."""
@@ -544,6 +661,51 @@ class TestGoldenCounts:
         assert [r.bit_errors for r in records] == errors  # (kind, stage) order
         counted = cfg.trials * (cfg.users if cfg.count_all_users else 1)
         assert all(r.trials == counted and r.nonconv == 0 for r in records)
+
+    # per_trial counts come from the harness that rebuilt every detector for
+    # each one-trial block; records are in (kind, stage) order
+    @pytest.mark.parametrize(
+        "text, nonconv, errors",
+        [
+            (
+                "K = 20\nP = 64\nnear_far = tenfold\nsnr_db = 15\ntrials = 600\n"
+                f"seed = 3\ndetectors = {FAMILY}\n",
+                0,
+                [200, 175, 198, 163, 4, 211, 16, 117, 72, 200, 162, 174, 158, 43],
+            ),
+            (
+                "K = 10\nP = 32\nM = 2\nreceiver = type1\nnear_far = tenfold\n"
+                "snr_db = 10\ntrials = 400\nseed = 4\ncount_all_users = true\n"
+                f"detectors = {FAMILY}\n",
+                0,
+                [490, 408, 464, 358, 27, 590, 132, 260, 204, 490, 325, 334, 269, 48],
+            ),
+            (
+                "K = 12\nP = 16\nM = 2\nreceiver = type2\nsnr_db = 12\ntrials = 600\n"
+                "seed = 6\ndetectors = mf, conventional:3, proposed:3, decorrelator, mmse\n",
+                475,
+                [11, 1, 22, 2, 14],
+            ),
+        ],
+        ids=["single_family", "type1_m2_all_users", "type2_m2"],
+    )
+    def test_per_trial_counts_are_pinned(self, text, nonconv, errors):
+        cfg = parse_config(text + "sequence_mode = per_trial\n")
+        records = run_ber_experiment(cfg)
+        assert [r.bit_errors for r in records] == errors
+        counted = cfg.trials * (cfg.users if cfg.count_all_users else 1)
+        assert all(r.trials == counted and r.nonconv == nonconv for r in records)
+
+    def test_per_trial_two_blocks_are_pinned_at_any_thread_count(self):
+        text = (
+            "K = 4\nP = 32\nsnr_db = 8\ntrials = 9000\nseed = 8\nsequence_mode = per_trial\n"
+            "detectors = mf, conventional:3, proposed:3, weighted_proposed:3, "
+            "mmse_converging:3, modified_mmse:3, decorrelator, mmse\n"
+        )
+        records = _run(text)
+        assert [r.bit_errors for r in records] == [346, 330, 469, 337, 344, 342, 335, 340]
+        assert all(r.trials == 9000 for r in records)
+        assert _run(text, threads=2) == records
 
 
 class TestReceiverComparison:

@@ -253,3 +253,32 @@ class TestEquicorrReport:
             equicorr_sir_report(4, 0.0)
         with pytest.raises(ValueError):
             equicorr_sir_report(4, -0.5)  # below -1/(K-1)
+
+
+class TestStackedSchedule:
+    def test_stack_equals_per_draw_schedules(self, rng):
+        users = 6
+        rs = [random_correlation(rng, users, 16) for _ in range(7)]
+        rs.insert(3, np.eye(users))  # orthogonal draw: every optimum degenerate
+        amps = np.where(np.arange(users) % 2, 10.0, 1.0)
+        got = compute_weight_schedule(np.stack(rs), amps, 0.05, 5)
+        assert got.weights.shape == (8, 4, users)
+        for b, r in enumerate(rs):
+            want = compute_weight_schedule(r, amps, 0.05, 5)
+            assert np.array_equal(got[b].weights, want.weights)
+            assert np.array_equal(got[b].degenerate, want.degenerate)
+        assert got.degenerate[3].all()
+        assert not got.degenerate[np.arange(8) != 3].any()
+
+    def test_q_matrix_stack_equals_per_draw(self, rng):
+        rs = np.stack([random_correlation(rng, 5, 16) for _ in range(4)])
+        prior = compute_weight_schedule(rs, np.ones(5), 0.1, 3)
+        got = q_matrix(rs, prior, 4)
+        for b in range(4):
+            assert np.array_equal(got[b], q_matrix(rs[b], prior[b], 4))
+
+    def test_non_finite_draw_fails_the_stack(self, rng):
+        rs = np.stack([random_correlation(rng, 4, 16) for _ in range(3)])
+        rs[1, 0, 1] = rs[1, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            compute_weight_schedule(rs, np.ones(4), 0.1, 3)
