@@ -611,10 +611,11 @@ def run_ber_experiment(cfg: ExperimentConfig, threads: int | None = None) -> lis
 
     errors, kept, nonconv_total = Counter(), Counter(), 0
     jobs = list(zip(block_seeds, sizes))
-    if threads == 1:
+    workers = min(threads, len(jobs))  # a worker without a block would only idle
+    if workers == 1:
         results = map(work, jobs)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, jobs))
     for block_errors, block_kept, nonconv in results:
         errors.update(block_errors)

@@ -146,6 +146,15 @@ class TestWorkerPool:
         workers = [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
         assert workers == []
 
+    def test_single_block_runs_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool started for one block")
+
+        text = "K = 3\nP = 8\nsnr_db = 5\ntrials = 500\ndetectors = mf, conventional:2\n"
+        want = _run(text)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+        assert _run(text, threads=2) == want
+
 
 class TestSharedStreams:
     def test_decorrelator_rows_identical_across_near_far(self):
