@@ -1,10 +1,11 @@
 """Linear parallel interference cancellation for synchronous DS-CDMA.
 
 Matrix-filter multistage detectors (conventional and zero-diagonal series,
-eigenvalue-weighted MMSE-converging variants, per-user weighted stages),
-closed-form output SINR and optimal stage weights, multicarrier Type I / II
-combining, brute-force expansion oracles, and a deterministic Monte Carlo
-BER harness.
+eigenvalue-weighted MMSE-converging variants, per-user weighted stages; all
+but the conventional one sum the single stage recursion
+filters.cancellation_series), closed-form output SINR and optimal stage
+weights, brute-force expansion oracles, and a deterministic Monte Carlo BER
+harness with single-carrier and multicarrier Type I / II receivers.
 """
 
 from .config import ConfigError, DetectorSpec, ExperimentConfig, load_config, parse_config
@@ -29,25 +30,11 @@ from .filters import (
 from .model import (
     NotPositiveSemidefiniteError,
     SpreadingSet,
-    SymbolBlock,
-    bit_decision,
     convergence_check,
     correlation_matrix,
     equicorrelated_matrix,
     generate_spreading_set,
-    matched_filter_output,
     noise_transform,
-    sample_channel,
-    sample_noise,
-)
-from .multicarrier import (
-    McEffectiveModel,
-    build_conventional_mcc,
-    build_proposed_mcc,
-    effective_matrices,
-    mcc_combine,
-    type1_receive,
-    type2_receive,
 )
 from .simulate import (
     BerRecord,

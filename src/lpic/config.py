@@ -22,12 +22,13 @@ import math
 import numpy as np
 
 from .filters import FILTER_KINDS, STAGED_KINDS
-from .multicarrier import TYPE2_KINDS
 
 NEAR_FAR_PROFILES = ("none", "tenfold")
 RECEIVERS = ("single", "type1", "type2")
 SEQUENCE_MODES = ("fixed", "per_trial")
 SUBCARRIER_MODES = ("independent", "identical")
+# filter kinds with a combined-domain (receiver=type2) form
+TYPE2_KINDS = ("mf", "conventional", "proposed", "decorrelator", "mmse")
 
 _DEFAULT_TRIALS = 100_000
 _DEFAULT_SEED = 1

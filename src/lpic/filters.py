@@ -2,9 +2,10 @@
 
 Every detector here is a one-shot K x K linear filter applied to the matched
 filter bank output.  The builders also take a stack of correlation matrices
-with leading draw axes, shape (..., K, K), and return the stack of filters
-that per-draw builds would give, bit for bit.  The m-stage cancellation
-structures are represented in closed matrix form:
+with leading draw axes, shape (..., K, K), real or complex, and return the
+stack of filters that per-draw builds would give, bit for bit.  The m-stage
+cancellation structures are represented in closed matrix form; all but the
+conventional one sum the one stage recursion, cancellation_series:
 
   * conventional: truncated series G = I + (I-R) + ... + (I-R)^(m-1), built by
     the stage recursion G <- I + (I-R) G.  Converges to R^-1 iff
@@ -47,6 +48,7 @@ STAGED_KINDS = ("conventional", "proposed", "mmse_converging", "modified_mmse", 
 SPECTRAL_KINDS = ("mmse_converging", "modified_mmse", "decorrelator")
 
 _PIVOT_RTOL = 1e3 * np.finfo(float).eps  # singularity threshold for inversions
+_LIMIT_MAX_STAGES = 1000  # limit_scaling_matrix gives up after this many
 
 
 class SingularMatrixError(ValueError):
@@ -192,6 +194,24 @@ def _identities(r: np.ndarray) -> np.ndarray:
     return out
 
 
+def cancellation_series(first, steps, hollow: bool, coefs=None) -> np.ndarray:
+    """The stage recursion: sum_n c_n T_n with T_0 = first and T_n = T_{n-1} S_n.
+
+    steps yields S_1, S_2, ...; with hollow set, each new product T_n (n >= 1)
+    has its diagonal zeroed before it is summed and carried on.  coefs holds
+    c_0, c_1, ... (None means every c_n = 1).  Takes (..., K, K) stacks, real
+    or complex; c_0 T_0 must already have the result's shape.
+    """
+    part = first
+    total = first.copy() if coefs is None else coefs[0] * first
+    for n, step in enumerate(steps, 1):
+        part = part @ step
+        if hollow:
+            _hollow(part)
+        total += part if coefs is None else coefs[n] * part
+    return total
+
+
 def build_mf(users: int) -> MatrixFilter:
     """The trivial first-stage detector (identity on the matched filter bank)."""
     return MatrixFilter(np.eye(users), kind="mf", stage=1)
@@ -226,13 +246,8 @@ def build_proposed(correlation: np.ndarray, stage: int) -> MatrixFilter:
     r = _check_square(correlation)
     if stage < 1:
         raise ValueError("stage must be >= 1")
-    eye = np.eye(r.shape[-1], dtype=r.dtype)
-    step = eye - r
-    part = eye
-    total = _identities(r)
-    for _ in range(stage - 1):
-        part = _hollow(part @ step)
-        total += part
+    step = np.eye(r.shape[-1], dtype=r.dtype) - r
+    total = cancellation_series(_identities(r), [step] * (stage - 1), hollow=True)
     return MatrixFilter(total, kind="proposed", stage=stage)
 
 
@@ -284,21 +299,7 @@ def build_mmse_converging(
     mu_i annihilates eigenvalue lambda_i exactly, the stage-K filter equals
     (R + sigma2 I)^-1 to machine precision.  Requires stage <= K.
     """
-    r = _check_square(correlation)
-    k = r.shape[-1]
-    if not 1 <= stage <= k:
-        raise ValueError(f"stage must be in 1..K={k} (filter is exact at K)")
-    mu = mmse_stage_weights(r, sigma2, ascending, eigenvalues)[..., None, None]
-    eye = np.eye(k)
-    s = r + sigma2 * eye
-    total = mu[..., stage - 1, :, :] * eye  # mu_m I
-    prod = eye
-    for i in range(1, stage):
-        # prod over j=1..i of (I - mu_{m-i+j} S); extend by the j=1 factor each step
-        factor = mu[..., stage - i, :, :] * s
-        prod = prod @ np.subtract(eye, factor, out=factor)
-        total = total + mu[..., stage - 1 - i, :, :] * prod
-    return MatrixFilter(total, kind="mmse_converging", stage=stage, sigma2=sigma2)
+    return _mmse_series("mmse_converging", correlation, sigma2, stage, ascending, eigenvalues)
 
 
 def build_modified_mmse(
@@ -323,6 +324,11 @@ def build_modified_mmse(
     and the limit is a near-diagonal row rescaling of (R + sigma2 I)^-1,
     which leaves sign decisions unchanged.
     """
+    return _mmse_series("modified_mmse", correlation, sigma2, stage, ascending, eigenvalues)
+
+
+def _mmse_series(kind, correlation, sigma2, stage, ascending, eigenvalues) -> MatrixFilter:
+    """The eigenvalue-stepped series; modified_mmse hollows its products."""
     r = _check_square(correlation)
     k = r.shape[-1]
     if not 1 <= stage <= k:
@@ -330,13 +336,12 @@ def build_modified_mmse(
     mu = mmse_stage_weights(r, sigma2, ascending, eigenvalues)[..., None, None]
     eye = np.eye(k)
     s = r + sigma2 * eye
-    total = mu[..., stage - 1, :, :] * eye
-    j_part = eye
-    for i in range(1, stage):
-        factor = mu[..., stage - i, :, :] * s
-        j_part = _hollow(j_part @ np.subtract(eye, factor, out=factor))
-        total = total + mu[..., stage - 1 - i, :, :] * j_part
-    return MatrixFilter(total, kind="modified_mmse", stage=stage, sigma2=sigma2)
+    # term i carries mu_{m-i} and extends the product by I - mu_{m-i+1} S
+    coefs = [mu[..., stage - 1 - i, :, :] for i in range(stage)]
+    factors = (mu[..., stage - i, :, :] * s for i in range(1, stage))
+    steps = (np.subtract(eye, f, out=f) for f in factors)
+    total = cancellation_series(eye, steps, kind == "modified_mmse", coefs)
+    return MatrixFilter(total, kind=kind, stage=stage, sigma2=sigma2)
 
 
 def build_weighted_proposed(
@@ -358,16 +363,20 @@ def build_weighted_proposed(
         raise ValueError("schedule user count does not match correlation size")
     if stage > 1 and schedule.max_stage < stage:
         raise ValueError(f"schedule covers stages up to {schedule.max_stage}, need {stage}")
-    eye = np.eye(k, dtype=r.dtype)
-    step = eye - r
-    part = eye
-    total = _identities(r)
-    for n in range(1, stage):
-        w = schedule.stage(stage - n + 1)
-        # diag(w) @ (I - R) is a row scaling
-        part = _hollow(part @ (w[..., :, None] * step))
-        total = total + part
+    step = np.eye(k, dtype=r.dtype) - r
+    # diag(w) @ (I - R) is a row scaling
+    steps = (schedule.stage(stage - n + 1)[..., :, None] * step for n in range(1, stage))
+    total = cancellation_series(_identities(r), steps, hollow=True)
     return MatrixFilter(total, kind="weighted_proposed", stage=stage, schedule=schedule)
+
+
+def singular_draws(eigenvalues: np.ndarray) -> np.ndarray:
+    """Mask of the draws whose (..., K) spectra fail the pivot threshold.
+
+    That is min |eigenvalue| <= _PIVOT_RTOL max |eigenvalue|, for every inversion.
+    """
+    vals = np.abs(eigenvalues)
+    return vals.min(axis=-1) <= _PIVOT_RTOL * vals.max(axis=-1)
 
 
 def _guarded_inverse(
@@ -377,15 +386,15 @@ def _guarded_inverse(
 
     A stack is inverted draw by draw and fails if any draw is singular.
     """
-    vals = np.abs(_spectrum(matrix, eigenvalues))
-    lo, hi = vals.min(axis=-1), vals.max(axis=-1)
-    singular = lo <= _PIVOT_RTOL * hi
+    vals = _spectrum(matrix, eigenvalues)
+    singular = singular_draws(vals)
     if np.any(singular):
         at = np.unravel_index(np.argmax(singular), singular.shape)
         where = f" at draw {','.join(str(int(i)) for i in at)}" if at else ""
+        mags = np.abs(vals[at])
         raise SingularMatrixError(
             f"{what} is singular to working precision{where} "
-            f"(|eig| range {lo[at]:.3e}..{hi[at]:.3e})"
+            f"(|eig| range {mags.min():.3e}..{mags.max():.3e})"
         )
     return np.linalg.solve(matrix, np.eye(matrix.shape[-1]))
 
@@ -411,15 +420,14 @@ def build_mmse(correlation: np.ndarray, sigma2: float) -> MatrixFilter:
     return MatrixFilter(inv, kind="mmse", stage=1, sigma2=sigma2)
 
 
-def limit_scaling_matrix(
-    correlation: np.ndarray, tol: float = 1e-12, max_stages: int = 1000
-) -> LimitScaling:
+def limit_scaling_matrix(correlation: np.ndarray, tol: float = 1e-12) -> LimitScaling:
     """Diagonal scaling F relating the zero-diagonal limit to the decorrelator.
 
     The zero-diagonal stage recursion converges to F R^-1 where
     F = I - D_1 - D_2 - ... and D_n = diag(B_{n-1} (I-R)).  The series is
     accumulated until two consecutive D_n fall below tol in max-abs norm
-    (D_1 is always exactly zero, so a single small term does not stop it).
+    (D_1 is always exactly zero, so a single small term does not stop it),
+    for at most _LIMIT_MAX_STAGES stages.
     For an equicorrelated R the factors are
     f_k = 1 - (K-1) rho^2 / (1 + (K-2) rho).
     """
@@ -434,7 +442,7 @@ def limit_scaling_matrix(
     part = eye.copy()
     values = np.ones(k)
     prev_norm = np.inf
-    for n in range(1, max_stages + 1):
+    for n in range(1, _LIMIT_MAX_STAGES + 1):
         step = part @ (eye - r)
         diag = np.diagonal(step).copy()
         values -= diag
@@ -443,7 +451,7 @@ def limit_scaling_matrix(
             return LimitScaling(values=values, tol=tol, stages=n)
         prev_norm = norm
         part = zero_diagonal(step)
-    raise ValueError(f"limit scaling did not settle below tol={tol} in {max_stages} stages")
+    raise ValueError(f"limit scaling did not settle below tol={tol} in {_LIMIT_MAX_STAGES} stages")
 
 
 def build_filter(

@@ -1,6 +1,7 @@
-"""Synchronous DS-CDMA system model.
+"""Synchronous DS-CDMA system model: sequences, correlations, noise shaping.
 
-Conventions used throughout the package:
+Conventions used throughout the package (simulate draws the bits, fading
+and noise and forms y by them):
   * K users, P chips per symbol, M subcarriers (M=1 is single carrier).
   * Spreading sequences are random +/-1 chips; the normalized cross-correlation
     matrix R = C C^T / P has unit diagonal.
@@ -47,30 +48,6 @@ class SpreadingSet:
         return self.chips.shape[1]
 
 
-@dataclass(frozen=True)
-class SymbolBlock:
-    """One symbol interval: BPSK bits and per-user amplitudes."""
-
-    bits: np.ndarray
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits)
-        amps = np.asarray(self.amplitudes, dtype=float)
-        if bits.shape != amps.shape or bits.ndim != 1:
-            raise ValueError("bits and amplitudes must be 1-D arrays of equal length")
-        if not np.all(np.abs(bits) == 1):
-            raise ValueError("bits must be +/-1 valued")
-        if not np.all(amps > 0):
-            raise ValueError("amplitudes must be positive")
-        object.__setattr__(self, "bits", bits.astype(np.int8))
-        object.__setattr__(self, "amplitudes", amps)
-
-    def effective_symbols(self, channel: np.ndarray) -> np.ndarray:
-        """x_k = A_k b_k h_k for one subcarrier's channel vector."""
-        return self.amplitudes * self.bits * np.asarray(channel)
-
-
 class ConvergenceReport(NamedTuple):
     max_eigenvalue: float
     converges: bool
@@ -110,23 +87,6 @@ def equicorrelated_matrix(users: int, rho: float) -> np.ndarray:
     return r
 
 
-def sample_channel(
-    users: int,
-    subcarriers: int,
-    rng: np.random.Generator,
-    size: int | None = None,
-) -> np.ndarray:
-    """Unit-power complex Gaussian fading, independent per user and subcarrier.
-
-    Real and imaginary parts each have variance 0.5.  Returns (M, K), or
-    (size, M, K) when size is given.
-    """
-    shape = (subcarriers, users) if size is None else (size, subcarriers, users)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return np.sqrt(0.5) * (re + 1j * im)
-
-
 def noise_transform(correlation: np.ndarray) -> np.ndarray:
     """Real factor L with L L^T = R, used to shape white noise.
 
@@ -145,55 +105,6 @@ def noise_transform(correlation: np.ndarray) -> np.ndarray:
             f"correlation matrix is not PSD (min eigenvalue {vals[0]:.3e})"
         )
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
-def sample_noise(
-    correlation: np.ndarray,
-    sigma2: float,
-    rng: np.random.Generator,
-    size: int | None = None,
-) -> np.ndarray:
-    """Complex Gaussian noise with covariance sigma2 * R.
-
-    The white seed has independent real/imag parts of variance sigma2/2, so
-    E[n_k conj(n_j)] = sigma2 * rho_kj and E[n n^T] = 0.  Returns (K,) or
-    (size, K).
-    """
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
-    factor = noise_transform(correlation)
-    k = factor.shape[0]
-    shape = (k,) if size is None else (size, k)
-    scale = np.sqrt(sigma2 / 2.0)
-    white = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return white @ factor.T
-
-
-def matched_filter_output(
-    correlation: np.ndarray,
-    channel: np.ndarray,
-    block: SymbolBlock,
-    noise: np.ndarray,
-) -> np.ndarray:
-    """First-stage (matched filter bank) output y = R x + n for one subcarrier.
-
-    Component form: y_k = x_k + sum_{j != k} rho_kj x_j + n_k.
-    """
-    r = np.asarray(correlation, dtype=float)
-    h = np.asarray(channel)
-    n = np.asarray(noise)
-    k = r.shape[0]
-    if r.shape != (k, k):
-        raise ValueError("correlation must be square")
-    if h.shape != (k,) or n.shape != (k,) or block.bits.shape != (k,):
-        raise ValueError("channel, noise and block must all have length K")
-    return r @ block.effective_symbols(h) + n
-
-
-def bit_decision(channel: np.ndarray, filtered: np.ndarray) -> np.ndarray:
-    """Coherent BPSK decision sign(Re(conj(h) y)); a zero statistic maps to +1."""
-    stat = np.real(np.conj(channel) * filtered)
-    return np.where(stat < 0, -1, 1).astype(np.int8)
 
 
 def convergence_check(correlation: np.ndarray) -> ConvergenceReport:

@@ -25,7 +25,7 @@ from math import ceil, log10, sqrt
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .filters import SPECTRAL_KINDS, build_filter
+from .filters import _PIVOT_RTOL, SPECTRAL_KINDS, build_filter, build_proposed, singular_draws
 from .model import (
     NotPositiveSemidefiniteError,
     convergence_check,
@@ -427,7 +427,6 @@ def _detect_combined(ctx: _Context, bits, h, y, errors, kept) -> int:
     R_eff = R_c P^-1 (P = diag of per-user combined power) changes per trial.
     Adds each detector's errors and counted trials; returns nonconv.
     """
-    dense = any(spec.kind in ("proposed", "decorrelator") for spec in ctx.combined)
     shared = ctx.correlations.shape[1] == 1
     wrong = bits[:, ctx.rows] < 0
     nonconv = 0
@@ -443,7 +442,6 @@ def _detect_combined(ctx: _Context, bits, h, y, errors, kept) -> int:
         power = np.sum(np.abs(h_c) ** 2, axis=1)                 # (B, K)
         r_c = _combined_matrix(mats, h_c, hc)
         nonconv += _count_nonconvergent(r_c, power)
-        r_eff = r_c / power[:, None, :] if dense else None
         for spec in ctx.combined:
             solved = None
             if spec.kind == "mf":
@@ -451,9 +449,9 @@ def _detect_combined(ctx: _Context, bits, h, y, errors, kept) -> int:
             elif spec.kind == "conventional":
                 stat = _conventional_type2(mats, h_c, hc, power, y_c, spec.stage)
             elif spec.kind == "proposed":
-                stat = _proposed_type2(r_eff, y_c, spec.stage)
+                stat = build_proposed(r_c / power[:, None, :], spec.stage).apply(y_c)
             else:
-                stat, solved = _decorrelate(r_eff, y_c)
+                stat, solved = _decorrelate(r_c, power, y_c)
             bad = (stat[:, ctx.rows].real < 0) != wrong[chunk]
             if solved is not None:
                 bad = bad[solved]
@@ -487,18 +485,27 @@ def _count_nonconvergent(r_c, power) -> int:
     eigvalsh.  The margin dwarfs the factorisation's rounding, so the count
     equals eigvalsh's on every draw.
     """
-    shifted = -r_c
-    diag = np.arange(r_c.shape[-1])
-    shifted[:, diag, diag] += (2.0 - _CERT_MARGIN) * power
+    if _factorizes(-r_c, (2.0 - _CERT_MARGIN) * power):
+        return 0
+    lam_max = np.linalg.eigvalsh(_hermitian(r_c, power))[:, -1]
+    return int(np.count_nonzero(lam_max >= 2.0))
+
+
+def _factorizes(shifted, shift) -> bool:
+    """Whether every draw of shifted + diag(shift) has a Cholesky factor; overwrites shifted."""
+    diag = np.arange(shifted.shape[-1])
+    shifted[:, diag, diag] += shift
     try:
         np.linalg.cholesky(shifted)
-        return 0
     except np.linalg.LinAlgError:
-        pass
+        return False
+    return True
+
+
+def _hermitian(r_c, power):
+    """P^-1/2 R_c P^-1/2, the Hermitian matrix similar to R_eff = R_c P^-1."""
     s = np.sqrt(power)
-    herm = r_c / (s[:, :, None] * s[:, None, :])
-    lam_max = np.linalg.eigvalsh(herm)[:, -1]
-    return int(np.count_nonzero(lam_max >= 2.0))
+    return r_c / (s[:, :, None] * s[:, None, :])
 
 
 def _conventional_type2(correlations, h, hc, power, y_c, stage: int):
@@ -515,37 +522,24 @@ def _conventional_type2(correlations, h, hc, power, y_c, stage: int):
     return stat
 
 
-def _proposed_type2(r_eff, y_c, stage: int):
-    """Zero-diagonal combined-domain series on a dense (B, K, K) R_eff."""
-    k = r_eff.shape[-1]
-    step = np.eye(k)[None] - r_eff
-    part = None
-    stat = y_c.copy()
-    for _ in range(stage - 1):
-        part = step.copy() if part is None else part @ step
-        part[:, np.arange(k), np.arange(k)] = 0.0
-        stat = stat + np.einsum("bkl,bl->bk", part, y_c)
-    return stat
-
-
-def _decorrelate(r_eff, y_c):
+def _decorrelate(r_c, power, y_c):
     """Decorrelator statistics R_eff^-1 y_c and the mask of trials solved.
 
-    The mask is None when every trial was solved.  A chunk with a singular
-    R_eff is solved trial by trial, so only its singular trials go uncounted.
+    A trial whose Hermitian form H (see _hermitian) fails the filters' pivot
+    threshold is left unsolved, as a singular R is for the single-carrier
+    decorrelator.  H is PSD, so lambda_max(H) <= tr(H) = tr(R_eff), and one
+    batched Cholesky of R_c - (rtol tr(H) + margin) P proves a chunk regular;
+    only a chunk where it fails pays for eigvalsh, whose mask it equals.
+    The mask is None when every trial was solved.
     """
-    try:
+    r_eff = r_c / power[:, None, :]
+    trace = np.trace(r_eff, axis1=1, axis2=2).real
+    if _factorizes(r_c.copy(), -(_PIVOT_RTOL * trace + _CERT_MARGIN)[:, None] * power):
         return np.linalg.solve(r_eff, y_c[:, :, None])[:, :, 0], None
-    except np.linalg.LinAlgError:
-        pass
+    ok = ~singular_draws(np.linalg.eigvalsh(_hermitian(r_c, power)))
     stat = np.zeros_like(y_c)
-    ok = np.ones(len(y_c), dtype=bool)
-    for t in range(len(y_c)):
-        try:
-            stat[t] = np.linalg.solve(r_eff[t], y_c[t])
-        except np.linalg.LinAlgError:
-            ok[t] = False
-    return stat, ok
+    stat[ok] = np.linalg.solve(r_eff[ok], y_c[ok, :, None])[:, :, 0]
+    return stat, None if ok.all() else ok
 
 
 def _block_fixed(ctx: _Context, seed_seq, size: int):

@@ -19,7 +19,7 @@ from math import sqrt
 
 import numpy as np
 
-from .filters import WeightSchedule, zero_diagonal
+from .filters import WeightSchedule, cancellation_series
 
 # relative threshold below which the optimum denominator counts as degenerate
 _DEGENERATE_RTOL = 1e-13
@@ -85,7 +85,7 @@ def q_matrix(
     """Full K x K matrix of combining coefficients q_ki at a given stage.
 
     Row k holds user k's coefficients (zero diagonal).  Computed by the
-    matrix recursion equivalent of the weighted stage expansion:
+    matrix recursion (cancellation_series) of the weighted stage expansion:
     Q = -(C_1 + ... + C_{m-1}) with C_1 = I - R and
     C_n = zero_diagonal(C_{n-1} W_{m-n+1} (I - R)), which costs O(K^3) per
     stage instead of the nested interference sums' O(K^m).
@@ -109,13 +109,8 @@ def q_matrix(
             f"stage {stage} needs 2..{stage - 1}"
         )
     step = np.eye(k) - r
-    c_part = step
-    total = step.copy()
-    for n in range(2, stage):
-        w = prior_weights.stage(stage - n + 1)
-        c_part = zero_diagonal(c_part @ (w[..., :, None] * step))
-        total = total + c_part
-    return -total
+    steps = (prior_weights.stage(stage - n + 1)[..., :, None] * step for n in range(2, stage))
+    return -cancellation_series(step, steps, hollow=True)
 
 
 def q_coefficients(

@@ -356,7 +356,7 @@ class TestStackedBuilds:
 
     SIGMA2 = 0.1
 
-    def _draws(self, rng, count=12, users=6, chips=32):
+    def _draws(self, rng, count=12, users=6, chips=24):
         return np.stack([random_correlation(rng, users, chips) for _ in range(count)])
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
@@ -388,6 +388,19 @@ class TestStackedBuilds:
                 schedule=WeightSchedule(schedule.weights.reshape(3, 4, 5, 6)),
             ).matrix
             assert np.array_equal(grid.reshape(want.shape), want)
+
+    def test_complex_stack_equals_per_draw_builds(self, rng):
+        # the type2 harness builds on R_eff = R_c P^-1, complex and non-Hermitian
+        rs = self._draws(rng, count=8).reshape(2, 4, 6, 6)
+        h = np.sqrt(0.5) * (rng.standard_normal((2, 4, 6)) + 1j * rng.standard_normal((2, 4, 6)))
+        r_c = np.sum(np.conj(h)[..., :, None] * rs * h[..., None, :], axis=0)
+        r_eff = r_c / np.sum(np.abs(h) ** 2, axis=0)[:, None, :]
+        for kind in ("conventional", "proposed"):
+            for stage in (1, 2, 4, 6):
+                got = build_filter(kind, r_eff, stage).matrix
+                want = np.stack([build_filter(kind, r, stage).matrix for r in r_eff])
+                assert got.dtype == want.dtype == complex
+                assert np.array_equal(got, want), (kind, stage)
 
     def test_one_singular_draw_fails_the_stack(self, rng):
         rs = self._draws(rng)

@@ -1,23 +1,35 @@
-"""System model: spreading, correlation, fading, shaped noise, decisions."""
+"""System model: spreading, correlation, fading, shaped noise, decisions.
+
+Bits, fading and noise are drawn, and y = R x + n formed and decided, by the
+BER harness (simulate); those checks run on its draw and detect steps.
+"""
+
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from lpic import simulate
+from lpic.config import parse_config
 from lpic.model import (
     ConvergenceReport,
     NotPositiveSemidefiniteError,
     SpreadingSet,
-    SymbolBlock,
-    bit_decision,
     convergence_check,
     correlation_matrix,
     equicorrelated_matrix,
     generate_spreading_set,
-    matched_filter_output,
     noise_transform,
-    sample_channel,
-    sample_noise,
 )
+
+
+def _cfg(users, subcarriers=1):
+    rx = "single" if subcarriers == 1 else "type1"
+    return parse_config(
+        f"K = {users}\nP = 16\nM = {subcarriers}\nreceiver = {rx}\n"
+        "snr_db = 0\ndetectors = mf\n"
+    )
 
 
 class TestSpreading:
@@ -99,18 +111,28 @@ class TestCorrelation:
 
 class TestChannel:
     def test_shapes(self, rng):
-        assert sample_channel(4, 2, rng).shape == (2, 4)
-        assert sample_channel(4, 2, rng, size=10).shape == (10, 2, 4)
+        bits, h, w = simulate._draw_symbols(rng, _cfg(4, 2), 0.5, 10)
+        assert bits.shape == (10, 4)
+        assert set(np.unique(bits)) <= {-1.0, 1.0}
+        assert h.shape == w.shape == (10, 2, 4)
+        assert h.dtype == w.dtype == complex
 
     def test_unit_power(self):
         rng = np.random.default_rng(3)
-        h = sample_channel(3, 1, rng, size=200_000)
+        _, h, _ = simulate._draw_symbols(rng, _cfg(3), 0.5, 200_000)
         power = np.abs(h) ** 2
         # |h|^2 is exponential(1): mean 1, var 1
         se = 1.0 / np.sqrt(power.size)
         assert abs(power.mean() - 1.0) < 5 * se
         re_var = np.var(h.real)
         assert abs(re_var - 0.5) < 5 * 0.5 * np.sqrt(2.0 / h.size)
+
+
+def _shaped_noise(rng, r, sigma2, size):
+    """Noise L w as the harness draws and shapes it, (size, K)."""
+    _, _, w = simulate._draw_symbols(rng, _cfg(r.shape[0]), sigma2, size)
+    factors = noise_transform(r)[None, None]
+    return simulate._apply(factors, w.transpose(1, 0, 2))[0]
 
 
 class TestNoise:
@@ -131,17 +153,14 @@ class TestNoise:
 
     def test_sample_shapes_and_zero_variance(self, rng):
         r = equicorrelated_matrix(3, 0.4)
-        assert sample_noise(r, 0.5, rng).shape == (3,)
-        assert sample_noise(r, 0.5, rng, size=7).shape == (7, 3)
-        assert np.all(sample_noise(r, 0.0, rng, size=4) == 0)
-        with pytest.raises(ValueError):
-            sample_noise(r, -1.0, rng)
+        assert _shaped_noise(rng, r, 0.5, 7).shape == (7, 3)
+        assert np.all(_shaped_noise(rng, r, 0.0, 4) == 0)
 
     def test_covariance_matches_sigma2_r(self):
         rng = np.random.default_rng(17)
         r = equicorrelated_matrix(3, 0.5)
         sigma2 = 0.8
-        n = sample_noise(r, sigma2, rng, size=200_000)
+        n = _shaped_noise(rng, r, sigma2, 200_000)
         emp = (n.conj().T @ n) / n.shape[0]
         se = sigma2 / np.sqrt(n.shape[0])
         assert np.max(np.abs(emp - sigma2 * r)) < 6 * se
@@ -152,51 +171,52 @@ class TestNoise:
 
 class TestMatchedFilter:
     def test_component_form(self, rng):
-        users = 6
-        r = correlation_matrix(generate_spreading_set(users, 32, rng))
-        h = sample_channel(users, 1, rng)[0]
-        bits = rng.integers(0, 2, users) * 2 - 1
+        # y_k = x_k + sum_{j != k} rho_kj x_j + n_k with x_k = A_k b_k h_k
+        users, subs, trials = 6, 2, 5
+        rs = np.stack(
+            [correlation_matrix(generate_spreading_set(users, 32, rng)) for _ in range(subs)]
+        )
         amps = rng.uniform(0.5, 2.0, users)
-        block = SymbolBlock(bits=bits, amplitudes=amps)
-        n = sample_noise(r, 0.3, rng)
-        y = matched_filter_output(r, h, block, n)
-        x = amps * bits * h
-        for k in range(users):
-            direct = sum(r[k, j] * x[j] for j in range(users) if j != k)
-            assert abs(y[k] - (x[k] + direct + n[k])) < 1e-12
+        bits, h, w = simulate._draw_symbols(rng, _cfg(users, subs), 0.3, trials)
+        ells = np.stack([noise_transform(r) for r in rs])
+        ctx = SimpleNamespace(amplitudes=amps, correlations=rs[:, None], factors=ells[:, None])
+        y = simulate._receive(ctx, bits, h, w)
+        assert y.shape == (trials, subs, users)
+        for t in range(trials):
+            for i in range(subs):
+                x = amps * bits[t] * h[t, i]
+                n = ells[i] @ w[t, i]
+                for k in range(users):
+                    direct = sum(rs[i, k, j] * x[j] for j in range(users) if j != k)
+                    assert abs(y[t, i, k] - (x[k] + direct + n[k])) < 1e-12
 
-    def test_shape_validation(self, rng):
-        r = equicorrelated_matrix(3, 0.2)
-        block = SymbolBlock(bits=np.ones(3), amplitudes=np.ones(3))
-        with pytest.raises(ValueError):
-            matched_filter_output(r, np.ones(4, dtype=complex), block, np.zeros(3))
 
-    def test_symbol_block_validation(self):
-        with pytest.raises(ValueError):
-            SymbolBlock(bits=np.array([1, 2]), amplitudes=np.ones(2))
-        with pytest.raises(ValueError):
-            SymbolBlock(bits=np.ones(2), amplitudes=np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            SymbolBlock(bits=np.ones(3), amplitudes=np.ones(2))
-
-    def test_effective_symbols(self):
-        block = SymbolBlock(bits=np.array([1, -1]), amplitudes=np.array([1.0, 10.0]))
-        h = np.array([1 + 1j, 2.0])
-        assert np.allclose(block.effective_symbols(h), [1 + 1j, -20.0])
+def _errors(h, y, bits):
+    """Bit errors of one identity (matched-filter) row as the harness counts them."""
+    trials, subs, users = y.shape
+    rows = np.broadcast_to(np.eye(users)[:1], (1, 1, subs, 1, users)).astype(complex)
+    spec = object()
+    built = np.ones((1, 1), dtype=bool)
+    ctx = SimpleNamespace(filters=rows, built=built, specs=[spec], rows=slice(0, 1))
+    errors, kept = Counter(), Counter()
+    simulate._count_matrix_forms(ctx, bits, h, y, errors, kept)
+    assert kept[spec] == trials
+    return errors[spec]
 
 
 class TestDecision:
     def test_signs(self):
-        h = np.array([1.0, 1.0, 1j], dtype=complex)
-        y = np.array([2.0, -0.5, 3j])  # conj(h) y = (2, -0.5, 3)
-        assert np.array_equal(bit_decision(h, y), [1, -1, 1])
+        # decisions are sign(Re(conj(h) y)) for user 0, here (2, -0.5, 3)
+        h = np.array([1.0, 1.0, 1j], dtype=complex).reshape(3, 1, 1)
+        y = np.array([2.0, -0.5, 3j]).reshape(3, 1, 1)
+        assert _errors(h, y, np.array([[1.0], [-1.0], [1.0]])) == 0
+        assert _errors(h, y, np.array([[-1.0], [1.0], [-1.0]])) == 3
 
     def test_tie_goes_positive(self):
-        h = np.array([1.0], dtype=complex)
-        y = np.array([1j])  # Re(conj(h) y) = 0 exactly
-        out = bit_decision(h, y)
-        assert out[0] == 1
-        assert out.dtype == np.int8
+        h = np.ones((2, 1, 1), dtype=complex)
+        y = np.full((2, 1, 1), 1j)  # Re(conj(h) y) = 0 exactly
+        assert _errors(h, y, np.array([[1.0], [1.0]])) == 0
+        assert _errors(h, y, np.array([[-1.0], [-1.0]])) == 2
 
 
 class TestConvergence:

@@ -224,20 +224,22 @@ class TestFailureIsolation:
             assert (rec.ci_low, rec.ci_high) == wilson_interval(rec.bit_errors, rec.trials)
 
     def test_per_trial_row_is_flagged_when_no_draw_builds(self):
-        # P=1 makes every R singular, so the decorrelator never builds
-        recs = _run(
-            "K = 2\nP = 1\nsnr_db = 8\ntrials = 300\nsequence_mode = per_trial\n"
-            "detectors = mf, decorrelator\n"
-        )
-        by = {r.detector: r for r in recs}
-        assert by["decorrelator"].trials == 0 and math.isnan(by["decorrelator"].ber)
-        assert by["mf"].trials == 300
+        # P=1 makes every R singular, so the decorrelator never builds; with
+        # K=3 over M=2 subcarriers every R_eff has rank <= 2 and is never solved
+        for extra, users in (("", 2), ("M = 2\nreceiver = type2\n", 3)):
+            recs = _run(
+                f"K = {users}\nP = 1\nsnr_db = 8\ntrials = 300\nsequence_mode = per_trial\n"
+                f"detectors = mf, decorrelator\n{extra}"
+            )
+            by = {r.detector: r for r in recs}
+            assert by["decorrelator"].trials == 0 and math.isnan(by["decorrelator"].ber)
+            assert by["mf"].trials == 300
 
     def test_per_trial_type2_skips_only_the_unsolvable_trials(self):
-        # rank-one R_i make R_eff singular; the trials whose solve meets an
-        # exact zero pivot are skipped by the decorrelator alone
+        # P=2 gives rank-one R_i on some draws; an R_eff summed from two of
+        # them is singular at K=3, and the decorrelator skips those trials alone
         text = (
-            "K = 3\nP = 1\nM = 2\nsnr_db = 8\nreceiver = type2\ntrials = 300\n"
+            "K = 3\nP = 2\nM = 2\nsnr_db = 8\nreceiver = type2\ntrials = 300\n"
             "sequence_mode = per_trial\ndetectors = mf, decorrelator\n"
         )
         recs = _run(text)
@@ -246,17 +248,31 @@ class TestFailureIsolation:
         assert 0 < by["decorrelator"].trials < 300
         assert by["mf"].trials == 300 and by["mf"].nonconv > 0
 
-    def test_singular_combined_trial_skips_only_itself(self, rng):
-        noise = rng.standard_normal((2, 5, 3, 3))
-        r_eff = 3.0 * np.eye(3) + noise[0] + 1j * noise[1]
-        r_eff[2] = np.ones((3, 3))  # exactly singular
-        y_c = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        stat, solved = simulate._decorrelate(r_eff, y_c)
+    def test_singular_combined_trial_skips_only_itself(self, rng, monkeypatch):
+        # the pivot threshold, not an exact zero pivot, decides: trial 2 is
+        # singular to working precision yet LU-solvable
+        users, trials = 3, 5
+        a = rng.standard_normal((trials, users, users)) + 1j * rng.standard_normal(
+            (trials, users, users)
+        )
+        r_c = a @ a.conj().transpose(0, 2, 1) + np.eye(users)
+        v = np.array([1.0, 1j, -1.0]) / np.sqrt(3.0)
+        r_c[2] = np.outer(v, v.conj()) * 3.0 + np.outer([1.0, 0, 0], [1.0, 0, 0])
+        r_c[2] += 1e-14 * np.eye(users)
+        power = rng.uniform(0.5, 2.0, (trials, users))
+        r_eff = r_c / power[:, None, :]
+        assert np.all(np.isfinite(np.linalg.solve(r_eff[2], np.ones(users))))
+        y_c = rng.standard_normal((trials, users)) + 1j * rng.standard_normal((trials, users))
+        stat, solved = simulate._decorrelate(r_c, power, y_c)
         assert solved.tolist() == [True, True, False, True, True]
         for t in (0, 1, 3, 4):
-            assert np.allclose(stat[t], np.linalg.solve(r_eff[t], y_c[t]))
-        stat, solved = simulate._decorrelate(np.delete(r_eff, 2, 0), np.delete(y_c, 2, 0))
+            assert np.array_equal(stat[t], np.linalg.solve(r_eff[t], y_c[t]))
+        # a regular chunk is proved so by its Cholesky certificate alone
+        keep = [0, 1, 3, 4]
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        stat, solved = simulate._decorrelate(r_c[keep], power[keep], y_c[keep])
         assert solved is None
+        assert np.array_equal(stat, np.linalg.solve(r_eff[keep], y_c[keep, :, None])[:, :, 0])
 
     def test_singular_type2_draw_flags_only_the_decorrelator(self):
         # P=1 gives every R_i rank 1, so R_c over M=2 subcarriers is singular at K=3
@@ -637,6 +653,16 @@ class TestGoldenCounts:
         assert {r.detector: r.bit_errors for r in records} == errors
         assert {r.nonconv for r in records} == {nonconv}
         assert all(r.trials == params["trials"] for r in records)
+
+    def test_type2_proposed_stages_are_pinned(self):
+        # P = 48 keeps the R_eff arithmetic inexact; the counts come from the
+        # harness that summed each stage's product applied to y_c
+        records = _run(
+            "K = 12\nP = 48\nM = 2\nsnr_db = 12\nreceiver = type2\ntrials = 12000\nseed = 9\n"
+            "detectors = proposed:2..5, decorrelator, conventional:3\n"
+        )
+        assert [r.bit_errors for r in records] == [34, 34, 38, 34, 31, 33]
+        assert all(r.trials == 12000 and r.nonconv == 0 for r in records)
 
     FAMILY = (
         "mf, conventional:2..5, proposed:2..5, mmse_converging:4, "
