@@ -4,26 +4,16 @@ Matrix-filter multistage detectors (conventional and zero-diagonal series,
 eigenvalue-weighted MMSE-converging variants, per-user weighted stages; all
 but the conventional one sum the single stage recursion
 filters.cancellation_series), closed-form output SINR and optimal stage
-weights, brute-force expansion oracles, and a deterministic Monte Carlo BER
-harness with single-carrier and multicarrier Type I / II receivers.
+weights, and a deterministic Monte Carlo BER harness with single-carrier
+and multicarrier Type I / II receivers.
 """
 
 from .config import ConfigError, DetectorSpec, ExperimentConfig, load_config, parse_config
 from .filters import (
     FILTER_KINDS,
-    LimitScaling,
-    MatrixFilter,
     SingularMatrixError,
     WeightSchedule,
-    build_conventional,
-    build_decorrelator,
     build_filter,
-    build_mf,
-    build_mmse,
-    build_mmse_converging,
-    build_modified_mmse,
-    build_proposed,
-    build_weighted_proposed,
     limit_scaling_matrix,
     zero_diagonal,
 )
@@ -49,11 +39,9 @@ from .simulate import (
 )
 from .sinr import (
     EquicorrSirReport,
-    QCoefficients,
     SinrBreakdown,
     compute_weight_schedule,
     equicorr_sir_report,
-    q_coefficients,
     q_matrix,
     sinr_breakdown,
     sinr_sweep,

@@ -62,7 +62,7 @@ def _cmd_filter_dump(args) -> int:
     filt = build_filter(
         args.kind, correlation, args.stage, sigma2=args.sigma2, schedule=schedule
     )
-    lines = [",".join(f"{v:.17g}" for v in row) for row in filt.matrix]
+    lines = [",".join(f"{v:.17g}" for v in row) for row in filt]
     _write("\n".join(lines) + "\n", args.output)
     return 0
 

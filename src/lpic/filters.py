@@ -1,11 +1,12 @@
 """Matrix-filter detectors for multistage linear parallel interference cancellation.
 
 Every detector here is a one-shot K x K linear filter applied to the matched
-filter bank output.  The builders also take a stack of correlation matrices
-with leading draw axes, shape (..., K, K), real or complex, and return the
-stack of filters that per-draw builds would give, bit for bit.  The m-stage
-cancellation structures are represented in closed matrix form; all but the
-conventional one sum the one stage recursion, cancellation_series:
+filter bank output, a plain array built by build_filter(kind, R, stage, ...).
+It also takes a stack of correlation matrices with leading draw axes, shape
+(..., K, K), and returns the stack of filters that per-draw builds would
+give, bit for bit.  The m-stage cancellation structures are represented in
+closed matrix form; all but the conventional one sum the one stage
+recursion, cancellation_series:
 
   * conventional: truncated series G = I + (I-R) + ... + (I-R)^(m-1), built by
     the stage recursion G <- I + (I-R) G.  Converges to R^-1 iff
@@ -46,6 +47,9 @@ STAGED_KINDS = ("conventional", "proposed", "mmse_converging", "modified_mmse", 
 
 # kinds whose build takes the spectrum of R (and can be handed it precomputed)
 SPECTRAL_KINDS = ("mmse_converging", "modified_mmse", "decorrelator")
+
+# kinds built on the complex R_eff of the combined domain as well
+_COMPLEX_KINDS = ("mf", "conventional", "proposed")
 
 _PIVOT_RTOL = 1e3 * np.finfo(float).eps  # singularity threshold for inversions
 _LIMIT_MAX_STAGES = 1000  # limit_scaling_matrix gives up after this many
@@ -108,61 +112,6 @@ class WeightSchedule:
     def unit(cls, users: int, max_stage: int) -> "WeightSchedule":
         return cls(np.ones((max_stage - 1, users)))
 
-    @classmethod
-    def zero(cls, users: int, max_stage: int) -> "WeightSchedule":
-        return cls(np.zeros((max_stage - 1, users)))
-
-
-@dataclass(frozen=True)
-class LimitScaling:
-    """Diagonal limit scaling F = I - D_1 - D_2 - ... of the zero-diagonal filter.
-
-    values[k] is the factor by which the limiting filter scales user k's
-    decorrelated output: the zero-diagonal stage recursion converges to
-    F R^-1 rather than R^-1 itself.
-    """
-
-    values: np.ndarray
-    tol: float
-    stages: int
-
-
-@dataclass(frozen=True)
-class MatrixFilter:
-    """A K x K linear detector (or a (..., K, K) stack) with its construction metadata."""
-
-    matrix: np.ndarray
-    kind: str
-    stage: int
-    sigma2: float | None = None
-    schedule: WeightSchedule | None = None
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-            raise ValueError("filter matrix must be square")
-        if self.kind not in FILTER_KINDS:
-            raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.stage < 1:
-            raise ValueError("stage must be >= 1")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def users(self) -> int:
-        return self.matrix.shape[-1]
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """Filter a matched-filter output vector (or batch with trailing axis K).
-
-        A stacked filter applies draw by draw: y has the stack's leading axes.
-        """
-        y = np.asarray(y)
-        if y.shape[-1] != self.users:
-            raise ValueError(f"expected trailing axis {self.users}, got shape {y.shape}")
-        if self.matrix.ndim == 2:
-            return y @ self.matrix.T
-        return (self.matrix @ y[..., None])[..., 0]
-
 
 def zero_diagonal(matrix: np.ndarray) -> np.ndarray:
     """Copy of a square matrix (or a stack of them) with the diagonal forced to zero."""
@@ -212,45 +161,6 @@ def cancellation_series(first, steps, hollow: bool, coefs=None) -> np.ndarray:
     return total
 
 
-def build_mf(users: int) -> MatrixFilter:
-    """The trivial first-stage detector (identity on the matched filter bank)."""
-    return MatrixFilter(np.eye(users), kind="mf", stage=1)
-
-
-def build_conventional(correlation: np.ndarray, stage: int) -> MatrixFilter:
-    """m-stage cancellation filter I + (I-R) + ... + (I-R)^(m-1).
-
-    Built with the numerically stable stage recursion G <- I + (I-R) G rather
-    than explicit powers.
-    """
-    r = _check_square(correlation)
-    if stage < 1:
-        raise ValueError("stage must be >= 1")
-    eye = np.eye(r.shape[-1], dtype=r.dtype)
-    step = eye - r
-    g = _identities(r)
-    for _ in range(stage - 1):
-        g = step @ g
-        g += eye
-    return MatrixFilter(g, kind="conventional", stage=stage)
-
-
-def build_proposed(correlation: np.ndarray, stage: int) -> MatrixFilter:
-    """Zero-diagonal variant: sum of B_j, B_n = zero_diagonal(B_{n-1} (I-R)).
-
-    Zeroing the running product's diagonal keeps each stage from re-cancelling
-    the desired-signal and noise terms restored by the previous one, which
-    removes one family of interference terms per stage relative to the
-    conventional filter.  Agrees with the conventional filter at stages 1 and 2.
-    """
-    r = _check_square(correlation)
-    if stage < 1:
-        raise ValueError("stage must be >= 1")
-    step = np.eye(r.shape[-1], dtype=r.dtype) - r
-    total = cancellation_series(_identities(r), [step] * (stage - 1), hollow=True)
-    return MatrixFilter(total, kind="proposed", stage=stage)
-
-
 def _spectrum(r: np.ndarray, eigenvalues: np.ndarray | None) -> np.ndarray:
     """Ascending eigenvalues of r: the given ones, or eigvalsh(r)."""
     if eigenvalues is None:
@@ -262,15 +172,12 @@ def _spectrum(r: np.ndarray, eigenvalues: np.ndarray | None) -> np.ndarray:
 
 
 def mmse_stage_weights(
-    correlation: np.ndarray,
-    sigma2: float,
-    ascending: bool = False,
-    eigenvalues: np.ndarray | None = None,
+    correlation: np.ndarray, sigma2: float, eigenvalues: np.ndarray | None = None
 ) -> np.ndarray:
     """Scalar stage weights mu_i = 1/(lambda_i + sigma2) from the spectrum of R.
 
-    Eigenvalues are taken in descending order by default; the order changes
-    the intermediate filters (not the stage-K limit) and is part of the
+    Eigenvalues are taken in descending order; the order changes the
+    intermediate filters (not the stage-K limit) and is part of the
     detector's definition here.  A stack of matrices gives (..., K) weights
     and fails if any of them is not PSD.  eigenvalues, if given, must be
     np.linalg.eigvalsh(correlation); it saves decomposing R again.
@@ -281,93 +188,7 @@ def mmse_stage_weights(
     lams = _spectrum(r, eigenvalues)
     if np.any(lams[..., 0] < -1e-10 * np.maximum(lams[..., -1], 1.0)):
         raise ValueError("correlation must be PSD for the mmse stage weights")
-    if not ascending:
-        lams = lams[..., ::-1]
-    return 1.0 / (lams + sigma2)
-
-
-def build_mmse_converging(
-    correlation: np.ndarray,
-    sigma2: float,
-    stage: int,
-    ascending: bool = False,
-    eigenvalues: np.ndarray | None = None,
-) -> MatrixFilter:
-    """Stage filter mu_m I + sum_i mu_{m-i} prod_j (I - mu_{m-i+j} (R + sigma2 I)).
-
-    The product factors commute (all are polynomials in R), and because each
-    mu_i annihilates eigenvalue lambda_i exactly, the stage-K filter equals
-    (R + sigma2 I)^-1 to machine precision.  Requires stage <= K.
-    """
-    return _mmse_series("mmse_converging", correlation, sigma2, stage, ascending, eigenvalues)
-
-
-def build_modified_mmse(
-    correlation: np.ndarray,
-    sigma2: float,
-    stage: int,
-    ascending: bool = False,
-    eigenvalues: np.ndarray | None = None,
-) -> MatrixFilter:
-    """Zero-diagonal version of the mmse_converging structure.
-
-    mu_m I + sum_i mu_{m-i} J_i with J_0 = I and
-    J_i = zero_diagonal(J_{i-1} (I - mu_{m-i+1} (R + sigma2 I))): each J
-    term hollows the same weight indices the plain filter's i-th product
-    uses, so stage m consumes only mu_1..mu_m and shares the plain
-    recursion's descending-eigenvalue default.  Anchoring the J indices at
-    K instead leaves the final stage unchanged but wrecks the intermediate
-    filters for one order or the other (large steps enter the hollow
-    products first and the early or late stages diverge).
-
-    Stage K is not the exact inverse here: hollowing breaks the telescoping
-    and the limit is a near-diagonal row rescaling of (R + sigma2 I)^-1,
-    which leaves sign decisions unchanged.
-    """
-    return _mmse_series("modified_mmse", correlation, sigma2, stage, ascending, eigenvalues)
-
-
-def _mmse_series(kind, correlation, sigma2, stage, ascending, eigenvalues) -> MatrixFilter:
-    """The eigenvalue-stepped series; modified_mmse hollows its products."""
-    r = _check_square(correlation)
-    k = r.shape[-1]
-    if not 1 <= stage <= k:
-        raise ValueError(f"stage must be in 1..K={k}")
-    mu = mmse_stage_weights(r, sigma2, ascending, eigenvalues)[..., None, None]
-    eye = np.eye(k)
-    s = r + sigma2 * eye
-    # term i carries mu_{m-i} and extends the product by I - mu_{m-i+1} S
-    coefs = [mu[..., stage - 1 - i, :, :] for i in range(stage)]
-    factors = (mu[..., stage - i, :, :] * s for i in range(1, stage))
-    steps = (np.subtract(eye, f, out=f) for f in factors)
-    total = cancellation_series(eye, steps, kind == "modified_mmse", coefs)
-    return MatrixFilter(total, kind=kind, stage=stage, sigma2=sigma2)
-
-
-def build_weighted_proposed(
-    correlation: np.ndarray, schedule: WeightSchedule, stage: int
-) -> MatrixFilter:
-    """Zero-diagonal filter with per-user stage weights.
-
-    Sum of B_j with B_0 = I and B_n = zero_diagonal(B_{n-1} W_{m-n+1} (I-R)),
-    where W_s = diag(schedule.stage(s)).  Unit weights reproduce the
-    unweighted zero-diagonal filter; all-zero weights collapse to the matched
-    filter (identity).  A stacked schedule pairs draw by draw with a stack
-    of correlations.
-    """
-    r = _check_square(correlation)
-    k = r.shape[-1]
-    if stage < 1:
-        raise ValueError("stage must be >= 1")
-    if schedule.users != k:
-        raise ValueError("schedule user count does not match correlation size")
-    if stage > 1 and schedule.max_stage < stage:
-        raise ValueError(f"schedule covers stages up to {schedule.max_stage}, need {stage}")
-    step = np.eye(k, dtype=r.dtype) - r
-    # diag(w) @ (I - R) is a row scaling
-    steps = (schedule.stage(stage - n + 1)[..., :, None] * step for n in range(1, stage))
-    total = cancellation_series(_identities(r), steps, hollow=True)
-    return MatrixFilter(total, kind="weighted_proposed", stage=stage, schedule=schedule)
+    return 1.0 / (lams[..., ::-1] + sigma2)
 
 
 def singular_draws(eigenvalues: np.ndarray) -> np.ndarray:
@@ -399,36 +220,15 @@ def _guarded_inverse(
     return np.linalg.solve(matrix, np.eye(matrix.shape[-1]))
 
 
-def build_decorrelator(
-    correlation: np.ndarray, eigenvalues: np.ndarray | None = None
-) -> MatrixFilter:
-    """Fully decorrelating detector R^-1 (the stage limit when the series converges).
-
-    eigenvalues, if given, must be np.linalg.eigvalsh(correlation).
-    """
-    r = _check_square(correlation).astype(float)
-    inverse = _guarded_inverse(r, "correlation matrix", eigenvalues)
-    return MatrixFilter(inverse, kind="decorrelator", stage=1)
-
-
-def build_mmse(correlation: np.ndarray, sigma2: float) -> MatrixFilter:
-    """Linear MMSE detector (R + sigma2 I)^-1 for unit-power effective symbols."""
-    r = _check_square(correlation).astype(float)
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
-    inv = _guarded_inverse(r + sigma2 * np.eye(r.shape[-1]), "R + sigma2 I")
-    return MatrixFilter(inv, kind="mmse", stage=1, sigma2=sigma2)
-
-
-def limit_scaling_matrix(correlation: np.ndarray, tol: float = 1e-12) -> LimitScaling:
-    """Diagonal scaling F relating the zero-diagonal limit to the decorrelator.
+def limit_scaling_matrix(correlation: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Diagonal f of the scaling F relating the zero-diagonal limit to the decorrelator.
 
     The zero-diagonal stage recursion converges to F R^-1 where
-    F = I - D_1 - D_2 - ... and D_n = diag(B_{n-1} (I-R)).  The series is
-    accumulated until two consecutive D_n fall below tol in max-abs norm
-    (D_1 is always exactly zero, so a single small term does not stop it),
-    for at most _LIMIT_MAX_STAGES stages.
-    For an equicorrelated R the factors are
+    F = diag(f) = I - D_1 - D_2 - ... and D_n = diag(B_{n-1} (I-R)), so f_k
+    scales user k's decorrelated output.  The series is accumulated until
+    two consecutive D_n fall below tol in max-abs norm (D_1 is always
+    exactly zero, so a single small term does not stop it), for at most
+    _LIMIT_MAX_STAGES stages.  For an equicorrelated R the factors are
     f_k = 1 - (K-1) rho^2 / (1 + (K-2) rho).
     """
     r = _check_square(correlation).astype(float)
@@ -442,16 +242,67 @@ def limit_scaling_matrix(correlation: np.ndarray, tol: float = 1e-12) -> LimitSc
     part = eye.copy()
     values = np.ones(k)
     prev_norm = np.inf
-    for n in range(1, _LIMIT_MAX_STAGES + 1):
+    for _ in range(_LIMIT_MAX_STAGES):
         step = part @ (eye - r)
         diag = np.diagonal(step).copy()
         values -= diag
         norm = float(np.abs(diag).max())
         if norm < tol and prev_norm < tol:
-            return LimitScaling(values=values, tol=tol, stages=n)
+            return values
         prev_norm = norm
         part = zero_diagonal(step)
     raise ValueError(f"limit scaling did not settle below tol={tol} in {_LIMIT_MAX_STAGES} stages")
+
+
+def _conventional(r: np.ndarray, stage: int) -> np.ndarray:
+    """I + (I-R) + ... + (I-R)^(m-1) by the stable recursion G <- I + (I-R) G."""
+    eye = np.eye(r.shape[-1], dtype=r.dtype)
+    step = eye - r
+    g = _identities(r)
+    for _ in range(stage - 1):
+        g = step @ g
+        g += eye
+    return g
+
+
+def _zero_diagonal_series(r: np.ndarray, stage: int, schedule: WeightSchedule | None):
+    """Sum of B_j with B_0 = I and B_n = zero_diagonal(B_{n-1} W_{m-n+1} (I-R)).
+
+    W_s = diag(schedule.stage(s)); no schedule means unit weights (proposed).
+    Zeroing the running product's diagonal keeps each stage from re-cancelling
+    the desired-signal and noise terms the previous one restored.  A stacked
+    schedule pairs draw by draw with a stack of correlations.
+    """
+    step = np.eye(r.shape[-1], dtype=r.dtype) - r
+    if schedule is None:
+        steps = [step] * (stage - 1)
+    else:  # diag(w) @ (I - R) is a row scaling
+        steps = (schedule.stage(stage - n + 1)[..., :, None] * step for n in range(1, stage))
+    return cancellation_series(_identities(r), steps, hollow=True)
+
+
+def _mmse_series(r, sigma2, stage, hollow, eigenvalues) -> np.ndarray:
+    """mu_m I + sum_i mu_{m-i} J_i, J_0 = I, J_i = J_{i-1} (I - mu_{m-i+1} (R + sigma2 I)).
+
+    Plain (mmse_converging): the factors commute, and because each mu_i
+    annihilates eigenvalue lambda_i exactly, stage K equals (R + sigma2 I)^-1
+    to machine precision.  Hollow (modified_mmse): each J_i has its diagonal
+    zeroed.  Its J terms use the same weight indices as the plain filter's
+    products, so stage m consumes only mu_1..mu_m; anchoring them at K instead
+    leaves the final stage unchanged but wrecks the intermediate filters for
+    one eigenvalue order or the other (large steps enter the hollow products
+    first and the early or late stages diverge).  Hollowing breaks the
+    telescoping, so its stage K is a near-diagonal row rescaling of
+    (R + sigma2 I)^-1, which leaves sign decisions unchanged.
+    """
+    mu = mmse_stage_weights(r, sigma2, eigenvalues)[..., None, None]
+    eye = np.eye(r.shape[-1])
+    s = r + sigma2 * eye
+    # term i carries mu_{m-i} and extends the product by I - mu_{m-i+1} S
+    coefs = [mu[..., stage - 1 - i, :, :] for i in range(stage)]
+    factors = (mu[..., stage - i, :, :] * s for i in range(1, stage))
+    steps = (np.subtract(eye, f, out=f) for f in factors)
+    return cancellation_series(eye, steps, hollow, coefs)
 
 
 def build_filter(
@@ -461,41 +312,49 @@ def build_filter(
     sigma2: float | None = None,
     schedule: WeightSchedule | None = None,
     eigenvalues: np.ndarray | None = None,
-) -> MatrixFilter:
-    """Construct any single-carrier filter kind by name.
+) -> np.ndarray:
+    """The K x K filter matrix of any detector kind, by name.
 
-    sigma2 is required for the mmse family; a weight schedule is required for
-    weighted_proposed at stage >= 2.  A (..., K, K) stack of correlations
-    gives a stack of filters of the same shape.  eigenvalues, if given, must
-    be np.linalg.eigvalsh(correlation): the SPECTRAL_KINDS builds use it
-    instead of decomposing R again, the others ignore it.
+    A (..., K, K) stack of correlations gives the (..., K, K) stack of
+    filters.  The stage is ignored by the kinds outside STAGED_KINDS.
+    sigma2 >= 0 is required for the mmse family, and mmse_converging and
+    modified_mmse need stage <= K.  weighted_proposed at stage >= 2 needs a
+    weight schedule covering the stage.  Only the combined-domain kinds (mf,
+    conventional, proposed) take a complex correlation.  eigenvalues, if
+    given, must be np.linalg.eigvalsh(correlation): the SPECTRAL_KINDS
+    builds use it instead of decomposing R again, the others ignore it.
     """
     r = _check_square(correlation)
     k = r.shape[-1]
-    if kind == "mf":
-        mf = build_mf(k)
-        if r.ndim == 2:
-            return mf
-        return MatrixFilter(np.broadcast_to(mf.matrix, r.shape), kind="mf", stage=1)
-    if kind == "conventional":
-        return build_conventional(r, stage)
-    if kind == "proposed":
-        return build_proposed(r, stage)
-    if kind == "decorrelator":
-        return build_decorrelator(r, eigenvalues)
+    if kind not in FILTER_KINDS:
+        raise ValueError(f"unknown filter kind {kind!r}")
+    if stage < 1:
+        raise ValueError("stage must be >= 1")
+    if np.iscomplexobj(r) and kind not in _COMPLEX_KINDS:
+        raise ValueError(f"filter kind {kind!r} needs a real correlation matrix")
     if kind in ("mmse", "mmse_converging", "modified_mmse"):
         if sigma2 is None:
             raise ValueError(f"filter kind {kind!r} requires sigma2")
-        if kind == "mmse":
-            return build_mmse(r, sigma2)
-        if kind == "mmse_converging":
-            return build_mmse_converging(r, sigma2, stage, eigenvalues=eigenvalues)
-        return build_modified_mmse(r, sigma2, stage, eigenvalues=eigenvalues)
+        if sigma2 < 0:
+            raise ValueError("sigma2 must be nonnegative")
+        if kind != "mmse" and stage > k:
+            raise ValueError(f"stage must be in 1..K={k}")
     if kind == "weighted_proposed":
-        if schedule is None:
-            if stage == 1:
-                schedule = WeightSchedule.zero(k, 2)
-            else:
-                raise ValueError("weighted_proposed requires a weight schedule")
-        return build_weighted_proposed(r, schedule, stage)
-    raise ValueError(f"unknown filter kind {kind!r}")
+        if schedule is None and stage > 1:
+            raise ValueError("weighted_proposed requires a weight schedule")
+        if schedule is not None and schedule.users != k:
+            raise ValueError("schedule user count does not match correlation size")
+        if stage > 1 and schedule.max_stage < stage:
+            raise ValueError(f"schedule covers stages up to {schedule.max_stage}, need {stage}")
+
+    if kind == "mf":
+        return np.broadcast_to(np.eye(k), r.shape)
+    if kind == "conventional":
+        return _conventional(r, stage)
+    if kind in ("proposed", "weighted_proposed"):
+        return _zero_diagonal_series(r, stage, schedule if kind == "weighted_proposed" else None)
+    if kind == "decorrelator":
+        return _guarded_inverse(r, "correlation matrix", eigenvalues)
+    if kind == "mmse":
+        return _guarded_inverse(r + sigma2 * np.eye(k), "R + sigma2 I")
+    return _mmse_series(r, sigma2, stage, kind == "modified_mmse", eigenvalues)

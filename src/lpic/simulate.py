@@ -25,7 +25,7 @@ from math import ceil, log10, sqrt
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .filters import _PIVOT_RTOL, SPECTRAL_KINDS, build_filter, build_proposed, singular_draws
+from .filters import _PIVOT_RTOL, SPECTRAL_KINDS, build_filter, singular_draws
 from .model import (
     NotPositiveSemidefiniteError,
     convergence_check,
@@ -213,19 +213,18 @@ def _draw_correlations(cfg: ExperimentConfig, rng: np.random.Generator):
 
 
 def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
-    """Build every detector on one spreading draw or a stack of draws.
+    """Build every detector on a stack of G spreading draws.
 
-    correlations and factors are (M, K, K) for the one draw of a fixed-mode
-    run, or (M, B, K, K) for B per-trial draws, which every build and the
-    weight schedule take as one stack.  A matrix-form detector keeps only the
+    correlations and factors are (M, G, K, K): G = 1 for the one draw of a
+    fixed-mode run, or G per-trial draws, which every build and the weight
+    schedule take as one stack.  A matrix-form detector keeps only the
     counted rows of its filter on each subcarrier (single carrier is M = 1),
     stacked over detectors into one (D, G, M, R, K) tensor: R = K with
     count_all_users, else 1.  Type2 detectors other than mmse have no fixed
     filter and run per trial in the combined domain.
 
-    Failures are isolated.  A detector that cannot be built on its one draw
-    is left out; one that cannot be built on a stack is rebuilt draw by draw
-    and marked as not built on the draws that fail.
+    Failures are isolated.  A detector that cannot be built on the stack is
+    rebuilt draw by draw and marked as not built on the draws that fail.
     """
     amplitudes, sigma2 = cfg.amplitudes(), cfg.sigma2()
     rows = slice(None) if cfg.count_all_users else slice(0, 1)
@@ -246,7 +245,7 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
                 sigma2=sigma2,
                 schedule=schedule[i] if spec.kind == "weighted_proposed" else None,
                 eigenvalues=None if spectra is None else spectra[i],
-            ).matrix[..., rows, :]
+            )[..., rows, :]
         return out
 
     def schedule_of(mats):
@@ -257,8 +256,7 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
         except _BUILD_ERRORS as exc:  # schedule failure downs only the weighted detectors
             return exc
 
-    stacked = correlations.ndim == 4
-    draws = correlations.shape[1] if stacked else 1
+    draws = correlations.shape[1]
     schedule = schedule_of(correlations)
     spectra = None  # eigvalsh of each subcarrier's correlations, shared by SPECTRAL_KINDS
     specs, stacks, built, combined = [], [], [], []
@@ -273,8 +271,6 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
             stacks.append(counted_rows(spec, correlations, schedule, given))
             built.append(np.ones(draws, dtype=bool))
         except _BUILD_ERRORS:
-            if not stacked:
-                continue
             # rebuild draw by draw, so one bad draw costs only itself
             rebuilt = np.zeros((draws, cfg.subcarriers, counted, cfg.users), dtype=complex)
             ok = np.zeros(draws, dtype=bool)
@@ -290,8 +286,6 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
             built.append(ok)
         specs.append(spec)
 
-    if not stacked:
-        correlations, factors = correlations[:, None], factors[:, None]
     filters = np.array(stacks, dtype=complex).reshape(
         len(specs), draws, cfg.subcarriers, counted, cfg.users
     )
@@ -449,7 +443,8 @@ def _detect_combined(ctx: _Context, bits, h, y, errors, kept) -> int:
             elif spec.kind == "conventional":
                 stat = _conventional_type2(mats, h_c, hc, power, y_c, spec.stage)
             elif spec.kind == "proposed":
-                stat = build_proposed(r_c / power[:, None, :], spec.stage).apply(y_c)
+                g = build_filter("proposed", r_c / power[:, None, :], spec.stage)
+                stat = (g @ y_c[..., None])[..., 0]
             else:
                 stat, solved = _decorrelate(r_c, power, y_c)
             bad = (stat[:, ctx.rows].real < 0) != wrong[chunk]
@@ -590,7 +585,8 @@ def run_ber_experiment(cfg: ExperimentConfig, threads: int | None = None) -> lis
 
     fixed = cfg.sequence_mode == "fixed"
     if fixed:
-        ctx = _prepare_context(cfg, *_draw_correlations(cfg, np.random.default_rng(seq_ss)))
+        correlations, factors = _draw_correlations(cfg, np.random.default_rng(seq_ss))
+        ctx = _prepare_context(cfg, correlations[:, None], factors[:, None])
 
     n_blocks = ceil(cfg.trials / _BLOCK_TRIALS)
     sizes = [

@@ -26,20 +26,6 @@ _DEGENERATE_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
-class QCoefficients:
-    """Combining coefficients q_ki of one user's stage-m cancellation term."""
-
-    user: int
-    stage: int
-    values: np.ndarray  # length K-1, interferers in ascending index order
-
-    def full(self) -> np.ndarray:
-        """The length-K vector with a zero inserted at the user's own index."""
-        out = np.insert(self.values, self.user, 0.0)
-        return out
-
-
-@dataclass(frozen=True)
 class SinrBreakdown:
     """Coefficients of the stage-m SINR as a function of the stage weight w.
 
@@ -111,21 +97,6 @@ def q_matrix(
     step = np.eye(k) - r
     steps = (prior_weights.stage(stage - n + 1)[..., :, None] * step for n in range(2, stage))
     return -cancellation_series(step, steps, hollow=True)
-
-
-def q_coefficients(
-    correlation: np.ndarray,
-    prior_weights: WeightSchedule | None,
-    user: int,
-    stage: int,
-) -> QCoefficients:
-    """One user's stage-m combining coefficients (interferers only, K-1 values)."""
-    q_full = q_matrix(correlation, prior_weights, stage)
-    k = q_full.shape[0]
-    if not 0 <= user < k:
-        raise ValueError(f"user {user} out of range for K={k}")
-    row = q_full[user]
-    return QCoefficients(user=user, stage=stage, values=np.delete(row, user))
 
 
 def _breakdown_terms(

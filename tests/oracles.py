@@ -2,7 +2,8 @@
 
 Nothing in here imports from the package's construction code paths beyond
 plain numpy: closed-form BER expressions, a score-equation solver for the
-binomial interval, and explicit-power matrix series.  Agreement between
+binomial interval, explicit-power matrix series and a plain-loop mmse
+series in either eigenvalue order.  Agreement between
 these and the package is what the tests assert.
 """
 
@@ -77,3 +78,26 @@ def random_correlation(rng: np.random.Generator, users: int, chips: int) -> np.n
     """Correlation matrix of a fresh random +/-1 spreading draw."""
     c = rng.integers(0, 2, size=(users, chips)) * 2.0 - 1.0
     return c @ c.T / chips
+
+
+def mmse_series(r, sigma2: float, stage: int, hollow: bool, ascending: bool) -> np.ndarray:
+    """The eigenvalue-stepped mmse filters by a plain loop, in either eigenvalue order.
+
+    mu_m I + sum_i mu_{m-i} J_i with J_0 = I and
+    J_i = J_{i-1} (I - mu_{m-i+1} (R + sigma2 I)), each J_i hollowed when
+    hollow is set (modified_mmse); mu_i = 1 / (lambda_i + sigma2) with the
+    eigenvalues in ascending or descending order.
+    """
+    users = r.shape[0]
+    lams = np.linalg.eigvalsh(r)
+    mu = 1.0 / ((lams if ascending else lams[::-1]) + sigma2)
+    eye = np.eye(users)
+    s = r + sigma2 * eye
+    part = eye
+    total = mu[stage - 1] * eye
+    for i in range(1, stage):
+        part = part @ (eye - mu[stage - i] * s)
+        if hollow:
+            part = part - np.diag(np.diag(part))
+        total = total + mu[stage - 1 - i] * part
+    return total

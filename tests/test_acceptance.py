@@ -15,17 +15,7 @@ import numpy as np
 import pytest
 
 from lpic.config import parse_config
-from lpic.expanded import (
-    stage3_terms,
-    stagem_expanded_conventional,
-    stagem_expanded_proposed,
-)
-from lpic.filters import (
-    build_conventional,
-    build_mmse_converging,
-    build_proposed,
-    limit_scaling_matrix,
-)
+from lpic.filters import build_filter, limit_scaling_matrix
 from lpic.model import (
     convergence_check,
     correlation_matrix,
@@ -35,6 +25,7 @@ from lpic.model import (
 from lpic.simulate import run_ber_experiment
 from lpic.sinr import compute_weight_schedule, equicorr_sir_report, sinr_breakdown
 
+from expanded import stage3_terms, stagem_expanded_conventional, stagem_expanded_proposed
 from oracles import central_difference, mrc_bpsk_ber, random_correlation, rayleigh_bpsk_ber
 
 
@@ -78,11 +69,11 @@ def test_criterion_01_recursion_and_expansion_match_matrix_forms():
         eye = np.eye(users)
         for _ in range(stage - 1):
             stat = y1 + (eye - r) @ stat
-        gm = build_conventional(r, stage).matrix @ y1
+        gm = build_filter("conventional", r, stage) @ y1
         worst = max(worst, float(np.max(np.abs(stat - gm)) / np.max(np.abs(gm))))
 
         # literal chain-sum expansions vs both matrix filters
-        gp = build_proposed(r, stage).matrix @ y1
+        gp = build_filter("proposed", r, stage) @ y1
         for k in range(users):
             ec = stagem_expanded_conventional(r, y1, k, stage)
             ep = stagem_expanded_proposed(r, y1, k, stage)
@@ -142,13 +133,13 @@ def test_criterion_03_stage_limits_and_diagonal_scaling():
     t0 = time.monotonic()
     r = equicorrelated_matrix(10, 0.05)
     inv = np.linalg.inv(r)
-    conv_gap = float(np.linalg.norm(build_conventional(r, 200).matrix - inv))
+    conv_gap = float(np.linalg.norm(build_filter("conventional", r, 200) - inv))
     scaling = limit_scaling_matrix(r)
     prop_gap = float(
-        np.linalg.norm(build_proposed(r, 200).matrix - np.diag(scaling.values) @ inv)
+        np.linalg.norm(build_filter("proposed", r, 200) - np.diag(scaling) @ inv)
     )
     f_closed = 1.0 - 9 * 0.05**2 / (1.0 + 8 * 0.05)
-    f_gap = float(np.max(np.abs(scaling.values - f_closed)))
+    f_gap = float(np.max(np.abs(scaling - f_closed)))
     elapsed = time.monotonic() - t0
     _verdict(
         3,
@@ -165,7 +156,7 @@ def test_criterion_04_weighted_recursion_reaches_mmse_in_k_stages():
         for sigma2 in (0.01, 0.1, 1.0):
             for _ in range(4):
                 r = random_correlation(rng, users, 32)
-                g = build_mmse_converging(r, sigma2, users).matrix
+                g = build_filter("mmse_converging", r, users, sigma2=sigma2)
                 gap = np.linalg.norm(g - np.linalg.inv(r + sigma2 * np.eye(users)))
                 worst = max(worst, float(gap))
     _verdict(4, worst < 1e-8, f"worst stage-K gap {worst:.2e} over K<=6, three noise levels")
@@ -189,8 +180,8 @@ def test_criterion_05_interference_ratio_gain():
     # noiseless, and compare the amplitude-domain ratio
     report = equicorr_sir_report(3, 0.2)
     r = equicorrelated_matrix(3, 0.2)
-    gc = build_conventional(r, 3).matrix @ r
-    gp = build_proposed(r, 3).matrix @ r
+    gc = build_filter("conventional", r, 3) @ r
+    gp = build_filter("proposed", r, 3) @ r
     mc_rng = np.random.default_rng(77)
     draws = 1_000_000
     bits = (mc_rng.integers(0, 2, (draws, 3)) * 2 - 1).astype(float)

@@ -11,7 +11,9 @@ second-order own-signal term instead.
 import numpy as np
 import pytest
 
-from lpic.expanded import (
+from lpic.filters import build_filter
+
+from expanded import (
     Stage2Groups,
     Stage3Terms,
     classify_monomial,
@@ -22,8 +24,6 @@ from lpic.expanded import (
     stagem_expanded_conventional,
     stagem_expanded_proposed,
 )
-from lpic.filters import build_conventional, build_proposed
-
 from oracles import random_correlation
 
 
@@ -41,7 +41,7 @@ class TestStageExpansions:
                 r, x, n = draw_instance(rng, users)
                 y1 = r @ x + n
                 for stage in range(1, 6):
-                    g = build_conventional(r, stage).matrix
+                    g = build_filter("conventional", r, stage)
                     for k in range(users):
                         want = (g @ y1)[k]
                         got = stagem_expanded_conventional(r, y1, k, stage)
@@ -53,7 +53,7 @@ class TestStageExpansions:
                 r, x, n = draw_instance(rng, users)
                 y1 = r @ x + n
                 for stage in range(1, 6):
-                    g = build_proposed(r, stage).matrix
+                    g = build_filter("proposed", r, stage)
                     for k in range(users):
                         want = (g @ y1)[k]
                         got = stagem_expanded_proposed(r, y1, k, stage)
@@ -77,7 +77,7 @@ class TestStageExpansions:
             base = stagem_expanded_proposed(r, y1, k, 2)
             for stage in (3, 4, 5):
                 assert stagem_expanded_proposed(r, y1, k, stage) == base
-                g = build_proposed(r, stage).matrix
+                g = build_filter("proposed", r, stage)
                 assert abs((g @ y1)[k] - base) < 1e-13 * max(1.0, abs(base))
 
     def test_cost_guard(self, rng):
@@ -89,12 +89,10 @@ class TestStageExpansions:
 
 class TestStageGroups:
     def test_stage2_groups_sum_to_filter_output(self, rng):
-        from lpic.filters import build_conventional
-
         for users in (2, 3, 5):
             r, x, n = draw_instance(rng, users)
             y1 = r @ x + n
-            g2 = build_conventional(r, 2).matrix
+            g2 = build_filter("conventional", r, 2)
             for k in range(users):
                 groups = stage2_expanded(r, x, n, k)
                 assert abs(groups.total() - (g2 @ y1)[k]) < 1e-12
@@ -105,7 +103,7 @@ class TestStageGroups:
         for users in (2, 3, 4):
             r, x, n = draw_instance(rng, users)
             y1 = r @ x + n
-            g3 = build_conventional(r, 3).matrix
+            g3 = build_filter("conventional", r, 3)
             for k in range(users):
                 terms = stage3_terms(r, x, n, k)
                 assert abs(terms.total() - (g3 @ y1)[k]) < 1e-12
@@ -114,7 +112,7 @@ class TestStageGroups:
         for users in (2, 3, 4):
             r, x, n = draw_instance(rng, users)
             y1 = r @ x + n
-            gp3 = build_proposed(r, 3).matrix
+            gp3 = build_filter("proposed", r, 3)
             for k in range(users):
                 terms = stage3_terms(r, x, n, k)
                 assert abs(terms.zero_diag_total() - (gp3 @ y1)[k]) < 1e-12

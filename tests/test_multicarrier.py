@@ -12,7 +12,7 @@ import pytest
 
 from lpic import simulate
 from lpic.config import ConfigError, parse_config
-from lpic.filters import build_conventional, build_proposed
+from lpic.filters import build_filter
 from lpic.simulate import run_ber_experiment
 
 from oracles import random_correlation
@@ -103,7 +103,7 @@ class TestCombinedDomainFilters:
         eye = np.eye(4, dtype=complex)
         for stage in (1, 2, 4):
             want = sum(np.linalg.matrix_power(eye - r, j) for j in range(stage))
-            got = build_conventional(r, stage).matrix
+            got = build_filter("conventional", r, stage)
             assert got.dtype == complex
             assert np.allclose(got, want, atol=1e-12)
 
@@ -111,17 +111,17 @@ class TestCombinedDomainFilters:
         # R_eff's diagonal is 1 only up to rounding, so the two differ there
         corrs, h = draw_setup(rng, 2, 4)
         r = effective(corrs, h)
-        a = build_conventional(r, 2).matrix
-        b = build_proposed(r, 2).matrix
+        a = build_filter("conventional", r, 2)
+        b = build_filter("proposed", r, 2)
         assert np.allclose(a, b, atol=1e-15)
 
     def test_stage_bounds(self, rng):
         corrs, h = draw_setup(rng, 2, 3)
         r = effective(corrs, h)
         with pytest.raises(ValueError):
-            build_conventional(r, 0)
+            build_filter("conventional", r, 0)
         with pytest.raises(ValueError):
-            build_proposed(r, 0)
+            build_filter("proposed", r, 0)
 
 
 def _records(text, receiver):
@@ -172,7 +172,7 @@ class TestReceivers:
                 break
         y_c = rng.standard_normal(users) + 1j * rng.standard_normal(users)
         exact = np.linalg.solve(r_c / power[None, :], y_c)
-        series = build_conventional(r_c / power[None, :], 120).matrix @ y_c
+        series = build_filter("conventional", r_c / power[None, :], 120) @ y_c
         assert np.allclose(series, exact, atol=1e-8)
         free = simulate._conventional_type2(
             corrs[:, None], h[None], np.conj(h)[None], power[None], y_c[None], 120

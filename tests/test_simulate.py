@@ -304,10 +304,10 @@ class TestReferenceRecomputation:
         ell = noise_transform(r)
         sigma2 = 1.0 / 10 ** (snr_db / 10.0)
         mats = {
-            ("mf", 1): build_filter("mf", r, 1).matrix,
-            ("conventional", 3): build_filter("conventional", r, 3).matrix,
-            ("decorrelator", 1): build_filter("decorrelator", r, 1).matrix,
-            ("mmse", 1): build_filter("mmse", r, 1, sigma2=sigma2).matrix,
+            ("mf", 1): build_filter("mf", r, 1),
+            ("conventional", 3): build_filter("conventional", r, 3),
+            ("decorrelator", 1): build_filter("decorrelator", r, 1),
+            ("mmse", 1): build_filter("mmse", r, 1, sigma2=sigma2),
         }
         counts = {key: 0 for key in mats}
 
@@ -363,7 +363,7 @@ class TestReferenceRecomputation:
         schedules = [compute_weight_schedule(m, amps, sigma2, 3) for m in rs]
         mats = {
             (kind, stage): [
-                build_filter(kind, rs[i], stage, sigma2=sigma2, schedule=schedules[i]).matrix
+                build_filter(kind, rs[i], stage, sigma2=sigma2, schedule=schedules[i])
                 for i in range(subs)
             ]
             for kind, stage in (
@@ -418,7 +418,7 @@ class TestReferenceRecomputation:
         ]
         ells = [noise_transform(m) for m in rs]
         sigma2 = subs / 10 ** (snr_db / 10.0)
-        mmse_per_sub = [build_filter("mmse", m, 1, sigma2=sigma2).matrix for m in rs]
+        mmse_per_sub = [build_filter("mmse", m, 1, sigma2=sigma2) for m in rs]
 
         counts = {key: 0 for key in records}
         nonconv = 0
@@ -523,7 +523,7 @@ def _per_trial_plain_loop(cfg):
                 ]
             except SingularMatrixError:
                 continue
-            stat = sum(np.conj(h[i, 0]) * (mats[i].matrix[0] @ ys[i]) for i in range(subs))
+            stat = sum(np.conj(h[i, 0]) * (mats[i][0] @ ys[i]) for i in range(subs))
             decision = -1.0 if stat.real < 0 else 1.0
             errors[(kind, stage)] += decision != bits[0]
             kept[(kind, stage)] += 1

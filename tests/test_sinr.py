@@ -10,15 +10,13 @@ against the package's (a, b, c, d, e) quadratics.
 import numpy as np
 import pytest
 
-from lpic.filters import WeightSchedule, build_weighted_proposed
+from lpic.filters import WeightSchedule, build_filter
 from lpic.model import equicorrelated_matrix
 from lpic.sinr import (
     EquicorrSirReport,
-    QCoefficients,
     SinrBreakdown,
     compute_weight_schedule,
     equicorr_sir_report,
-    q_coefficients,
     q_matrix,
     sinr_breakdown,
     sinr_sweep,
@@ -49,15 +47,16 @@ class TestQMatrix:
         assert np.allclose(q, r - np.eye(5), atol=0)
 
     def test_coefficients_row_extraction(self, rng):
+        # unit prior weights: user k's stage-3 row is the nested interference
+        # sum q_ki = rho_ki - sum_{l != k, i} rho_kl rho_li, zero at i = k
         r = random_correlation(rng, 4, 16)
-        q = q_matrix(r, None, 3)
         for user in range(4):
-            qc = q_coefficients(r, None, user, 3)
-            assert qc.user == user and qc.stage == 3
-            assert np.array_equal(qc.values, np.delete(q[user], user))
-            full = qc.full()
-            assert full[user] == 0.0
-            assert np.array_equal(np.delete(full, user), qc.values)
+            row = q_matrix(r, None, 3)[user]
+            assert row[user] == 0.0
+            for i in range(4):
+                if i != user:
+                    middle = sum(r[user, l] * r[l, i] for l in range(4) if l not in (user, i))
+                    assert row[i] == pytest.approx(r[user, i] - middle, abs=1e-14)
 
     def test_stage_three_hand_values(self):
         # unit prior weights: q_01 at stage 3 is rho - rho^2 for three
@@ -82,8 +81,6 @@ class TestQMatrix:
             q_matrix(r, None, 1)
         with pytest.raises(ValueError):
             q_matrix(r, WeightSchedule.unit(3, 2), 5)  # covers only up to 2
-        with pytest.raises(ValueError):
-            q_coefficients(r, None, 3, 2)
 
     def test_weighted_filter_identity(self, rng):
         # the stage-m weighted filter is exactly I - diag(W_m) Q_m
@@ -92,7 +89,7 @@ class TestQMatrix:
             sched = WeightSchedule(rng.uniform(-0.5, 1.5, (stage - 1, users)))
             q = q_matrix(r, sched, stage)
             want = np.eye(users) - sched.stage(stage)[:, None] * q
-            got = build_weighted_proposed(r, sched, stage).matrix
+            got = build_filter("weighted_proposed", r, stage, schedule=sched)
             assert np.allclose(got, want, atol=1e-12)
 
 
