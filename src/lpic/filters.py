@@ -135,6 +135,17 @@ def _check_square(correlation: np.ndarray) -> np.ndarray:
     return r
 
 
+def _real_correlation(correlation: np.ndarray, what: str) -> np.ndarray:
+    """The correlation as a float array; a complex one is refused, not cast.
+
+    Casting would silently drop the imaginary part of a complex Hermitian R.
+    """
+    r = np.asarray(correlation)
+    if np.iscomplexobj(r):
+        raise ValueError(f"{what} needs a real correlation matrix")
+    return r.astype(float, copy=False)
+
+
 def _identities(r: np.ndarray) -> np.ndarray:
     """Identity matrices shaped like r: stage one of every series filter."""
     out = np.zeros_like(r)
@@ -151,14 +162,26 @@ def cancellation_series(first, steps, hollow: bool, coefs=None) -> np.ndarray:
     c_0, c_1, ... (None means every c_n = 1).  Takes (..., K, K) stacks, real
     or complex; c_0 T_0 must already have the result's shape.
     """
+    *_, total = cancellation_partials(first, steps, hollow, coefs)
+    return total
+
+
+def cancellation_partials(first, steps, hollow: bool, coefs=None):
+    """Yield every partial sum of cancellation_series: c_0 T_0, then + c_1 T_1, ...
+
+    One pass gives the filters of stages 1, 2, ... with the products and
+    additions of the last one's build, in the same order.  The yielded array
+    is the running total, updated in place by the next step: copy it to keep it.
+    """
     part = first
     total = first.copy() if coefs is None else coefs[0] * first
+    yield total
     for n, step in enumerate(steps, 1):
         part = part @ step
         if hollow:
             _hollow(part)
         total += part if coefs is None else coefs[n] * part
-    return total
+        yield total
 
 
 def _spectrum(r: np.ndarray, eigenvalues: np.ndarray | None) -> np.ndarray:
@@ -231,7 +254,7 @@ def limit_scaling_matrix(correlation: np.ndarray, tol: float = 1e-12) -> np.ndar
     _LIMIT_MAX_STAGES stages.  For an equicorrelated R the factors are
     f_k = 1 - (K-1) rho^2 / (1 + (K-2) rho).
     """
-    r = _check_square(correlation).astype(float)
+    r = _real_correlation(_check_square(correlation), "limit_scaling_matrix")
     report = convergence_check(r)
     if not report.converges:
         raise ValueError(

@@ -25,7 +25,13 @@ from math import ceil, log10, sqrt
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .filters import _PIVOT_RTOL, SPECTRAL_KINDS, build_filter, singular_draws
+from .filters import (
+    _PIVOT_RTOL,
+    SPECTRAL_KINDS,
+    build_filter,
+    cancellation_partials,
+    singular_draws,
+)
 from .model import (
     NotPositiveSemidefiniteError,
     convergence_check,
@@ -41,6 +47,7 @@ _BLOCK_TRIALS = 8192   # fixed: part of the deterministic draw structure
 _CHUNK_TRIALS = 256    # cache-sized slice for dense combined-domain matrices
 _DRAW_CHUNK = 32       # per_trial draws built as one stack; bounds the build temporaries
 _CERT_MARGIN = 1e-9    # nonconv certificate margin, far above rounding
+_CERT_RANK = 3         # eigenpairs per subcarrier in the low-rank nonconv bound
 _MAX_REDRAWS = 1000    # sequence redraw attempts before giving up
 # what a detector build raises on a draw it cannot serve (singular or
 # indefinite matrix, non-finite weight schedule)
@@ -183,6 +190,7 @@ class _Context:
     filters: np.ndarray        # (D, G, M, R, K) their counted filter rows
     built: np.ndarray          # (D, G) draws each detector was built on
     combined: list             # type2 detectors evaluated in the combined domain
+    bound: tuple | None        # low-rank nonconv bound (see _low_rank_bound)
 
 
 def _draw_correlations(cfg: ExperimentConfig, rng: np.random.Generator):
@@ -289,6 +297,8 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
     filters = np.array(stacks, dtype=complex).reshape(
         len(specs), draws, cfg.subcarriers, counted, cfg.users
     )
+    # per_trial draws are used once each: nothing to share the eigenpairs over
+    type2_fixed = cfg.receiver == "type2" and cfg.sequence_mode == "fixed"
     return _Context(
         cfg=cfg,
         correlations=correlations,
@@ -300,7 +310,32 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
         filters=filters,
         built=np.array(built, dtype=bool).reshape(len(specs), draws),
         combined=combined,
+        bound=_low_rank_bound(correlations[:, 0]) if type2_fixed else None,
     )
+
+
+def _low_rank_bound(correlations):
+    """What the low-rank nonconv certificate needs of one fixed (M, K, K) draw.
+
+    With the top r = _CERT_RANK eigenpairs (lambda_ij, u_ij) of each R_i and
+    c = max_i lambda_{r+1}(R_i), every R_i <= c I + sum_j (lambda_ij - c)^+
+    u_ij u_ij^T.  Returns (2 - margin - c, W), W the (M, r, K) stack of the
+    rows u_ij sqrt((lambda_ij - c)^+); see _unsettled.  None when the bound could
+    settle no trial (c >= 2 - margin), or when its Mr x Mr test would be no
+    smaller than the dense K x K one (Mr >= K).
+    """
+    subcarriers, users = correlations.shape[:2]
+    if subcarriers * _CERT_RANK >= users:
+        return None
+    lam, u = np.linalg.eigh(correlations)
+    c = lam[:, -_CERT_RANK - 1].max()
+    headroom = 2.0 - _CERT_MARGIN - c
+    if headroom <= 0:
+        return None
+    scale = np.sqrt(np.maximum(lam[:, -_CERT_RANK:] - c, 0.0))
+    weights = u[:, :, -_CERT_RANK:] * scale[:, None, :]
+    # C order, so that each chunk's product with it reshapes to V^H in place
+    return headroom, np.ascontiguousarray(weights.transpose(0, 2, 1))
 
 
 # --- block simulation -----------------------------------------------------
@@ -423,10 +458,13 @@ def _detect_combined(ctx: _Context, bits, h, y, errors, kept) -> int:
     """
     shared = ctx.correlations.shape[1] == 1
     wrong = bits[:, ctx.rows] < 0
+    dense = any(spec.kind in ("proposed", "decorrelator") for spec in ctx.combined)
+    proposed = {spec.stage: spec for spec in ctx.combined if spec.kind == "proposed"}
+    bound = ctx.bound
     nonconv = 0
 
-    # cache-sized chunks; one dense R_c per chunk serves the nonconv
-    # diagnostic and the detectors that need the matrix form
+    # cache-sized chunks; a dense R_c is formed only for the detectors that
+    # need the matrix form, or for the trials the low-rank bound leaves open
     for lo in range(0, len(y), _CHUNK_TRIALS):
         chunk = slice(lo, lo + _CHUNK_TRIALS)
         mats = ctx.correlations if shared else ctx.correlations[:, chunk]
@@ -434,8 +472,12 @@ def _detect_combined(ctx: _Context, bits, h, y, errors, kept) -> int:
         hc = np.conj(h_c)
         y_c = np.sum(hc * y[chunk], axis=1)
         power = np.sum(np.abs(h_c) ** 2, axis=1)                 # (B, K)
-        r_c = _combined_matrix(mats, h_c, hc)
-        nonconv += _count_nonconvergent(r_c, power)
+        r_c = _combined_matrix(mats, h_c, hc) if dense else None
+        open_rows = None if bound is None else _unsettled(bound, h_c, power)
+        if open_rows is not None and 2 * np.count_nonzero(open_rows) > len(open_rows):
+            bound = None  # settles too few trials of this draw to pay for itself
+        nonconv += _nonconvergent(open_rows, mats, h_c, hc, power, r_c)
+        stats = _proposed_stats(r_c, power, y_c, proposed) if proposed else {}
         for spec in ctx.combined:
             solved = None
             if spec.kind == "mf":
@@ -443,8 +485,7 @@ def _detect_combined(ctx: _Context, bits, h, y, errors, kept) -> int:
             elif spec.kind == "conventional":
                 stat = _conventional_type2(mats, h_c, hc, power, y_c, spec.stage)
             elif spec.kind == "proposed":
-                g = build_filter("proposed", r_c / power[:, None, :], spec.stage)
-                stat = (g @ y_c[..., None])[..., 0]
+                stat = stats[spec]
             else:
                 stat, solved = _decorrelate(r_c, power, y_c)
             bad = (stat[:, ctx.rows].real < 0) != wrong[chunk]
@@ -468,6 +509,66 @@ def _combined_matrix(correlations, h, hc):
         term *= h[:, i, None, :]
         r_c += term
     return r_c
+
+
+def _nonconvergent(open_rows, mats, h, hc, power, r_c) -> int:
+    """nonconv of one chunk whose other trials the low-rank bound settled.
+
+    open_rows masks the trials it left open (None: all of them, as without
+    a bound).  Only those go to _count_nonconvergent, on their rows of r_c,
+    which is formed here for those rows alone when the chunk has none.
+    """
+    if open_rows is not None:
+        if not open_rows.any():
+            return 0
+        h, hc, power = h[open_rows], hc[open_rows], power[open_rows]
+        r_c = None if r_c is None else r_c[open_rows]
+    if r_c is None:
+        r_c = _combined_matrix(mats, h, hc)
+    return _count_nonconvergent(r_c, power)
+
+
+def _unsettled(bound, h, power):
+    """Mask of the trials that the low-rank bound does not prove convergent.
+
+    With D_i = diag(h_i / sqrt(p)), H = P^-1/2 R_c P^-1/2 = sum_i D_i^H R_i D_i
+    and sum_i D_i^H D_i = I, so the bound on each R_i (see _low_rank_bound)
+    gives H <= c I + V V^H, V = [conj(h_i) / sqrt(p) * w_ij], K x Mr per
+    trial.  Hence lambda_max(H) <= c + lambda_max(V^H V), and a Cholesky
+    factor of (2 - margin - c) I - V^H V proves lambda_max(H) < 2 - margin.
+    One batched factorisation settles a whole chunk.  A chunk where it fails
+    is split per trial by lambda_max(G) <= ||G^2||_F^(1/2), G = V^H V, which
+    settles all but a few of its trials at a fraction of eigvalsh's cost.
+    Rounding in eigh of R_i and in these Mr x Mr products and factorisations
+    moves the bound by O(K eps), a few 1e-15 at lambda ~ 1: six orders
+    inside the 1e-9 margin.  So a settled trial's lambda_max(H) is below 2
+    by far more than eigvalsh's own error: the dense test would count none
+    of them, and the chunk's count stays exact.
+    """
+    headroom, weights = bound                                 # weights (M, r, K)
+    vh = (h / np.sqrt(power)[:, None, :])[:, :, None, :] * weights
+    vh = vh.reshape(len(h), -1, weights.shape[-1])            # V^H, (B, Mr, K)
+    gram = vh @ np.conj(vh).transpose(0, 2, 1)
+    if _factorizes(-gram, headroom):
+        return np.zeros(len(h), dtype=bool)
+    return np.sqrt(np.linalg.norm(gram @ gram, axis=(1, 2))) >= headroom
+
+
+def _proposed_stats(r_c, power, y_c, proposed) -> dict:
+    """Type2 proposed statistics G_m y_c of every configured stage m, one series pass.
+
+    proposed maps stage to spec.  The filters are the partial sums of the
+    build_filter("proposed", R_eff, m) series, so each equals that build.
+    """
+    r_eff = r_c / power[:, None, :]
+    eye = np.eye(r_eff.shape[-1], dtype=r_eff.dtype)
+    steps = [eye - r_eff] * (max(proposed) - 1)
+    series = cancellation_partials(np.broadcast_to(eye, r_eff.shape), steps, hollow=True)
+    return {
+        proposed[stage]: (g @ y_c[..., None])[..., 0]
+        for stage, g in enumerate(series, 1)
+        if stage in proposed
+    }
 
 
 def _count_nonconvergent(r_c, power) -> int:

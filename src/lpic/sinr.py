@@ -19,7 +19,7 @@ from math import sqrt
 
 import numpy as np
 
-from .filters import WeightSchedule, cancellation_series
+from .filters import WeightSchedule, _real_correlation, cancellation_series
 
 # relative threshold below which the optimum denominator counts as degenerate
 _DEGENERATE_RTOL = 1e-13
@@ -81,7 +81,7 @@ def q_matrix(
     stack of correlations, with a schedule of the same leading axes, gives
     a stack of Q matrices.
     """
-    r = np.asarray(correlation, dtype=float)
+    r = _real_correlation(correlation, "q_matrix")
     k = r.shape[-1]
     if r.ndim < 2 or r.shape[-2] != k:
         raise ValueError("correlation must be square")
@@ -150,7 +150,7 @@ def sinr_breakdown(
     stationary point of sinr(w); for K = 2 and equal amplitudes it reduces to
     A^2 / (A^2 + sigma2) independent of the cross-correlation.
     """
-    r = np.asarray(correlation, dtype=float)
+    r = _real_correlation(correlation, "sinr_breakdown")
     amps = np.asarray(amplitudes, dtype=float)
     k = r.shape[0]
     if amps.shape != (k,):
@@ -210,7 +210,7 @@ def compute_weight_schedule(
     weights (..., max_stage-1, K); it fails if any draw's weights are not
     finite.
     """
-    r = np.asarray(correlation, dtype=float)
+    r = _real_correlation(correlation, "compute_weight_schedule")
     amps = np.asarray(amplitudes, dtype=float)
     if max_stage < 2:
         raise ValueError("max_stage must be >= 2")

@@ -3,14 +3,17 @@
 ``perfbench/spans.py`` wraps callees that ``lpic.cli`` and ``lpic.simulate``
 look up at call time.  A refactor that renames or removes one of them would
 leave the traced benchmark timing nothing, so the names are checked here.
-The file is loaded by path and only read.
+The file is loaded by path and only read.  The counts the smoke run pins for
+type2_m4 are checked here too, on the same config.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import lpic.cli
 import lpic.simulate
+from lpic.config import parse_config
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 MODULES = {"cli": lpic.cli, "simulate": lpic.simulate}
@@ -28,3 +31,26 @@ def test_every_patched_name_exists():
     assert patches
     for module, name, _span, _attr in patches:
         assert callable(getattr(MODULES[module], name, None)), f"{module}.{name}"
+
+
+def test_type2_m4_builds_nothing_and_draws_m_sequences(monkeypatch):
+    # perfbench/test_smoke.py pins the traced (schedules, builds, spreading
+    # draws) of its 200-trial type2_m4 run at (0, 0, 4).  Anything the type2
+    # harness adds on the way, such as the nonconv bound's eigendecomposition,
+    # must not pass through these names, or only that smoke run would notice.
+    counts = Counter()
+    for name in ("compute_weight_schedule", "build_filter", "generate_spreading_set"):
+        original = getattr(lpic.simulate, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lpic.simulate, name, counted)
+    cfg = parse_config(
+        "K = 20\nP = 64\nM = 4\nnear_far = tenfold\nsnr_db = 14\n"
+        "detectors = conventional:4\nreceiver = type2\nsequence_mode = fixed\n"
+        "trials = 200\nseed = 1\n"
+    )
+    lpic.simulate.run_ber_experiment(cfg)
+    assert counts == {"generate_spreading_set": 4}

@@ -10,6 +10,7 @@ from lpic.filters import (
     SingularMatrixError,
     WeightSchedule,
     build_filter,
+    cancellation_partials,
     limit_scaling_matrix,
     mmse_stage_weights,
     zero_diagonal,
@@ -75,6 +76,23 @@ class TestProposed:
         for stage in (3, 4, 5):
             diff = build_filter("proposed", r, stage) - build_filter("proposed", r, stage - 1)
             assert np.allclose(np.diag(diff), 0.0, atol=0)
+
+    def test_one_series_pass_gives_every_stage(self, rng):
+        # the type2 harness takes the filters of all configured stages from
+        # one pass; each partial sum is the build of its stage, bit for bit
+        rs = np.stack([random_correlation(rng, 6, 24) for _ in range(2)])
+        h = np.sqrt(0.5) * (rng.standard_normal((16, 2, 6)) + 1j * rng.standard_normal((16, 2, 6)))
+        r_c = np.einsum("bik,ikl,bil->bkl", np.conj(h), rs, h)
+        r_eff = r_c / np.sum(np.abs(h) ** 2, axis=1)[:, None, :]
+        eye = np.eye(6, dtype=complex)
+        series = cancellation_partials(
+            np.broadcast_to(eye, r_eff.shape), [eye - r_eff] * 5, hollow=True
+        )
+        stages = 0
+        for stage, got in enumerate(series, 1):
+            assert np.array_equal(got, build_filter("proposed", r_eff, stage)), stage
+            stages += 1
+        assert stages == 6
 
 
 class TestMmseFamily:
@@ -283,6 +301,12 @@ class TestLimitScaling:
     def test_identity_settles_immediately(self):
         scaling = limit_scaling_matrix(np.eye(4))
         assert np.allclose(scaling, 1.0)
+
+    def test_rejects_a_complex_correlation(self):
+        # a cast would drop the imaginary part and scale the real part alone
+        antisym = np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1)
+        with pytest.raises(ValueError, match="limit_scaling_matrix needs a real"):
+            limit_scaling_matrix(np.eye(3) + 0.1j * antisym)
 
 
 class TestDispatchAndTypes:

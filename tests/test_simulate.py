@@ -601,6 +601,152 @@ class TestNonconvCertificate:
         self._forbid_eigvalsh(monkeypatch)
         assert simulate._count_nonconvergent(r_c[:1], power[:1]) == 0
 
+    # the low-rank bound (fixed mode) settles trials before the dense test
+
+    def _dense_rows(self, monkeypatch):
+        """Row counts of every dense R_c the harness forms from here on."""
+        rows = []
+        dense = simulate._combined_matrix
+
+        def record(correlations, h, hc):
+            rows.append(len(h))
+            return dense(correlations, h, hc)
+
+        monkeypatch.setattr(simulate, "_combined_matrix", record)
+        return rows
+
+    @staticmethod
+    def _two_tier(correlations, h):
+        """nonconv of one chunk on fixed (M, K, K) correlations, bound first."""
+        power = np.sum(np.abs(h) ** 2, axis=1)
+        bound = simulate._low_rank_bound(correlations)
+        open_rows = None if bound is None else simulate._unsettled(bound, h, power)
+        return simulate._nonconvergent(
+            open_rows, correlations[:, None], h, np.conj(h), power, None
+        )
+
+    def test_unsettled_chunk_falls_back_and_counts_zero(self, rng, monkeypatch):
+        # R_1 and R_2 share eigenvectors.  Each has eigenvalue 2.8 on three
+        # directions of its own, and R_1 a fourth eigenvalue 1.5, which is c
+        # for both.  With h_1 = h_2 of unit modulus, H is similar to
+        # (R_1 + R_2) / 2, lambda_max 1.45, but the bound is
+        # c + (2.8 - c) / 2 = 2.15: every trial goes to the dense test.
+        users = 8
+        q, _ = np.linalg.qr(rng.standard_normal((users, users)))
+        spectra = [[2.8] * 3 + [1.5] + [0.1] * 4, [0.1] * 5 + [2.8] * 3]
+        rs = np.stack([(q * np.array(lam)) @ q.T for lam in spectra])
+        h = np.repeat(np.exp(2j * np.pi * rng.uniform(size=(64, 1, users))), 2, axis=1)
+        r_c, power = _combined(rs, h)
+        assert _eigvalsh_count(r_c, power) == 0
+        assert simulate._unsettled(simulate._low_rank_bound(rs), h, power).all()
+        rows = self._dense_rows(monkeypatch)
+        assert self._two_tier(rs, h) == 0
+        assert rows == [64]
+
+    def test_only_unsettled_rows_reach_the_dense_path(self, rng, monkeypatch):
+        rs = np.stack([random_correlation(rng, 20, 64) for _ in range(4)])
+        h = _fading(rng, 256, 4, 20)
+        # fading on one subcarrier alone makes H similar to its R, whose
+        # lambda_max the bound cannot put below 2; those trials are nonconv
+        top = int(np.argmax(np.linalg.eigvalsh(rs)[:, -1]))
+        assert np.linalg.eigvalsh(rs[top])[-1] > 2.0
+        h[:8, np.arange(4) != top] *= 1e-3
+        r_c, power = _combined(rs, h)
+        open_rows = simulate._unsettled(simulate._low_rank_bound(rs), h, power)
+        assert open_rows[:8].all() and np.count_nonzero(open_rows) < 16
+        rows = self._dense_rows(monkeypatch)
+        assert self._two_tier(rs, h) == _eigvalsh_count(r_c, power) >= 8
+        assert rows == [np.count_nonzero(open_rows)]
+
+    @pytest.mark.parametrize(
+        "offset", (-2e-9, -1e-9, -5e-10, -1e-12, 0.0, 1e-12, 5e-10, 1e-9, 2e-9)
+    )
+    def test_bound_near_lambda_max_two(self, rng, monkeypatch, offset):
+        # M = 1 and unit-modulus h: H is unitarily similar to R and the bound
+        # c + lambda_max(V^H V) is lambda_max(R) itself.  It settles a draw
+        # more than the margin below 2; the dense test decides the others.
+        users, trials = 8, 32
+        q, _ = np.linalg.qr(rng.standard_normal((users, users)))
+        lam = np.concatenate([rng.uniform(0.1, 1.5, users - 1), [2.0 + offset]])
+        rs = ((q * lam) @ q.T)[None]
+        h = np.exp(2j * np.pi * rng.uniform(size=(trials, 1, users)))
+        want = _eigvalsh_count(*_combined(rs, h))
+        if offset:
+            assert want == trials * (offset > 0)
+        rows = self._dense_rows(monkeypatch)
+        assert self._two_tier(rs, h) == want
+        if offset < -1e-9:
+            assert rows == []
+        elif offset > -1e-9:
+            assert rows == [trials]
+
+    def test_bound_is_skipped_when_it_cannot_settle(self, rng, monkeypatch):
+        users = 8
+        q, _ = np.linalg.qr(rng.standard_normal((users, users)))
+        # c = lambda_4 = 2: no trial could be proved convergent
+        rs = ((q * np.array([0.1] * 4 + [2.0, 2.1, 2.2, 2.3])) @ q.T)[None]
+        assert simulate._low_rank_bound(rs) is None
+        # M r >= K: the bound's test would be no smaller than the dense one
+        assert simulate._low_rank_bound(np.stack([np.eye(9)] * 3)) is None
+        h = _fading(rng, 64, 1, users)
+        rows = self._dense_rows(monkeypatch)
+        assert self._two_tier(rs, h) == _eigvalsh_count(*_combined(rs, h))
+        assert rows == [64]
+
+    @pytest.mark.parametrize(
+        "chips, chunks_bounded",
+        [(64, 36), (48, 2)],  # P = 48: the first chunk of each block drops the bound
+        ids=["settles", "dropped"],
+    )
+    def test_bound_changes_no_record(self, monkeypatch, chips, chunks_bounded):
+        text = (
+            f"K = 20\nP = {chips}\nM = 4\nsnr_db = 12\nreceiver = type2\ntrials = 9000\n"
+            "seed = 1\ndetectors = mf, conventional:3, proposed:3, decorrelator\n"
+        )
+        calls = []
+        unsettled = simulate._unsettled
+
+        def record(*args):
+            calls.append(1)
+            return unsettled(*args)
+
+        monkeypatch.setattr(simulate, "_unsettled", record)
+        records = _run(text)
+        assert len(calls) == chunks_bounded
+        monkeypatch.setattr(simulate, "_low_rank_bound", lambda correlations: None)
+        assert _run(text) == records
+        assert not calls[chunks_bounded:]
+
+    CONVENTIONAL_ONLY = (
+        "K = 20\nP = 64\nM = 4\nsnr_db = 8\nnear_far = tenfold\nreceiver = type2\n"
+        "trials = 12000\ndetectors = mf, conventional:4, mmse\n"
+    )
+
+    def test_conventional_only_run_never_forms_r_c(self, monkeypatch):
+        # the bound settles every trial at this seed; the counts come from
+        # the harness that formed R_c for every trial
+        def fail(*args):
+            raise AssertionError("formed R_c")
+
+        monkeypatch.setattr(simulate, "_combined_matrix", fail)
+        records = _run(self.CONVENTIONAL_ONLY + "seed = 5\n")
+        assert {r.detector: r.bit_errors for r in records} == {
+            "mf": 2558, "conventional": 63, "mmse": 918,
+        }
+        assert all(r.trials == 12000 and r.nonconv == 0 for r in records)
+        assert _run(self.CONVENTIONAL_ONLY + "seed = 5\n", threads=2) == records
+
+    def test_golden_run_forms_r_c_for_the_open_trials_alone(self, monkeypatch):
+        # TestGoldenCounts' type2_k20p64m4 config, conventional-only: R_c is
+        # formed for the few trials the bound leaves open, never a chunk
+        rows = self._dense_rows(monkeypatch)
+        records = _run(self.CONVENTIONAL_ONLY + "seed = 1\n")
+        assert {r.detector: r.bit_errors for r in records} == {
+            "mf": 2980, "conventional": 71, "mmse": 1133,
+        }
+        assert all(r.trials == 12000 and r.nonconv == 0 for r in records)
+        assert 0 < sum(rows) < 16
+
 
 class TestGoldenCounts:
     """Fixed-mode bit_errors and nonconv, pinned bit for bit.
