@@ -12,14 +12,12 @@ from .config import ConfigError, DetectorSpec, ExperimentConfig, load_config, pa
 from .filters import (
     FILTER_KINDS,
     SingularMatrixError,
-    WeightSchedule,
     build_filter,
     limit_scaling_matrix,
     zero_diagonal,
 )
 from .model import (
     NotPositiveSemidefiniteError,
-    SpreadingSet,
     convergence_check,
     correlation_matrix,
     equicorrelated_matrix,
@@ -29,7 +27,6 @@ from .model import (
 from .simulate import (
     BerRecord,
     SinrPoint,
-    emit_csv,
     parse_records,
     render_ber_csv,
     render_sinr_csv,

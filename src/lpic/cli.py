@@ -56,7 +56,7 @@ def _cmd_filter_dump(args) -> int:
     if args.kind == "weighted_proposed" and args.stage > 1:
         if args.sigma2 is None:
             raise ConfigError("weighted_proposed needs --sigma2 (for the optimal schedule)")
-        schedule = compute_weight_schedule(
+        schedule, _degenerate = compute_weight_schedule(
             correlation, np.ones(args.K), args.sigma2, max(args.stage, 2)
         )
     filt = build_filter(

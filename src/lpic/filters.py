@@ -25,11 +25,11 @@ recursion, cancellation_series:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
-from .model import convergence_check
+from .model import _real_correlation, convergence_check
 
 FILTER_KINDS = (
     "mf",
@@ -59,60 +59,6 @@ class SingularMatrixError(ValueError):
     """Raised when an inversion-based filter meets an effectively singular matrix."""
 
 
-@dataclass(frozen=True)
-class WeightSchedule:
-    """Per-stage, per-user cancellation weights.
-
-    Row j holds the weights applied at stage j+2; the first stage always has
-    weight zero (nothing to cancel yet), so a schedule covering stages up to m
-    has m-1 rows.  The optional degenerate mask marks entries where a weight
-    optimizer found no unique optimum and fell back to 1.  A schedule for a
-    stack of draws has leading axes, weights (..., stages-1, K), and
-    schedule[i] selects draw i.
-    """
-
-    weights: np.ndarray
-    degenerate: np.ndarray | None = None
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim < 2:
-            raise ValueError("weights must be a (..., stages-1, K) array")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        object.__setattr__(self, "weights", w)
-        if self.degenerate is not None:
-            d = np.asarray(self.degenerate, dtype=bool)
-            if d.shape != w.shape:
-                raise ValueError("degenerate mask must match the weights shape")
-            object.__setattr__(self, "degenerate", d)
-
-    @property
-    def users(self) -> int:
-        return self.weights.shape[-1]
-
-    @property
-    def max_stage(self) -> int:
-        return self.weights.shape[-2] + 1
-
-    def stage(self, m: int) -> np.ndarray:
-        """Weight vector for stage m (2 <= m <= max_stage), shape (..., K)."""
-        if not 2 <= m <= self.max_stage:
-            raise ValueError(f"stage {m} outside schedule range 2..{self.max_stage}")
-        return self.weights[..., m - 2, :]
-
-    def __getitem__(self, index) -> "WeightSchedule":
-        """The schedule of one draw (or sub-stack) of a stacked schedule."""
-        if self.weights.ndim == 2:
-            raise IndexError("schedule has no draw axis")
-        degenerate = None if self.degenerate is None else self.degenerate[index]
-        return WeightSchedule(self.weights[index], degenerate)
-
-    @classmethod
-    def unit(cls, users: int, max_stage: int) -> "WeightSchedule":
-        return cls(np.ones((max_stage - 1, users)))
-
-
 def zero_diagonal(matrix: np.ndarray) -> np.ndarray:
     """Copy of a square matrix (or a stack of them) with the diagonal forced to zero."""
     m = np.array(matrix)
@@ -135,15 +81,31 @@ def _check_square(correlation: np.ndarray) -> np.ndarray:
     return r
 
 
-def _real_correlation(correlation: np.ndarray, what: str) -> np.ndarray:
-    """The correlation as a float array; a complex one is refused, not cast.
+def _checked_schedule(schedule, users: int, stage: int) -> np.ndarray:
+    """A weight schedule as a float array, checked to serve stages 2..stage.
 
-    Casting would silently drop the imaginary part of a complex Hermitian R.
+    A schedule is a (..., stages-1, K) array whose row m-2 holds stage m's
+    per-user weights.
     """
-    r = np.asarray(correlation)
-    if np.iscomplexobj(r):
-        raise ValueError(f"{what} needs a real correlation matrix")
-    return r.astype(float, copy=False)
+    w = np.asarray(schedule, dtype=float)
+    if w.ndim < 2 or w.shape[-1] != users:
+        raise ValueError(f"schedule must be a (..., stages-1, K={users}) array, got {w.shape}")
+    if w.shape[-2] < stage - 1:
+        raise ValueError(f"schedule covers stages up to {w.shape[-2] + 1}, need {stage}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("schedule weights must be finite")
+    return w
+
+
+def _weighted_steps(step: np.ndarray, schedule: np.ndarray | None, stage: int):
+    """The steps diag(w_s) (I - R) for s = stage, stage-1, ..., 2 (None: unit weights).
+
+    diag(w) (I - R) is a row scaling; the steps come in the order the
+    zero-diagonal recursion consumes them.
+    """
+    if schedule is None:
+        return [step] * (stage - 1)
+    return (schedule[..., s - 2, :, None] * step for s in range(stage, 1, -1))
 
 
 def _identities(r: np.ndarray) -> np.ndarray:
@@ -260,20 +222,16 @@ def limit_scaling_matrix(correlation: np.ndarray, tol: float = 1e-12) -> np.ndar
         raise ValueError(
             f"series does not converge (lambda_max = {report.max_eigenvalue:.6f} >= 2)"
         )
-    k = r.shape[0]
-    eye = np.eye(k)
-    part = eye.copy()
-    values = np.ones(k)
-    prev_norm = np.inf
-    for _ in range(_LIMIT_MAX_STAGES):
-        step = part @ (eye - r)
-        diag = np.diagonal(step).copy()
-        values -= diag
-        norm = float(np.abs(diag).max())
+    # with S_n = B_0 + ... + B_n, diag(S_n) = 1 gives I - D_1 - ... - D_{n+1} = diag(S_n R)
+    eye = np.eye(r.shape[0])
+    steps = itertools.repeat(eye - r, _LIMIT_MAX_STAGES - 1)
+    values, prev_norm = np.ones(r.shape[0]), np.inf
+    for total in cancellation_partials(eye, steps, hollow=True):
+        values, prev = np.einsum("ij,ji->i", total, r), values
+        norm = float(np.abs(values - prev).max())
         if norm < tol and prev_norm < tol:
             return values
         prev_norm = norm
-        part = zero_diagonal(step)
     raise ValueError(f"limit scaling did not settle below tol={tol} in {_LIMIT_MAX_STAGES} stages")
 
 
@@ -288,20 +246,17 @@ def _conventional(r: np.ndarray, stage: int) -> np.ndarray:
     return g
 
 
-def _zero_diagonal_series(r: np.ndarray, stage: int, schedule: WeightSchedule | None):
+def _zero_diagonal_series(r: np.ndarray, stage: int, schedule: np.ndarray | None):
     """Sum of B_j with B_0 = I and B_n = zero_diagonal(B_{n-1} W_{m-n+1} (I-R)).
 
-    W_s = diag(schedule.stage(s)); no schedule means unit weights (proposed).
-    Zeroing the running product's diagonal keeps each stage from re-cancelling
-    the desired-signal and noise terms the previous one restored.  A stacked
-    schedule pairs draw by draw with a stack of correlations.
+    W_s = diag(schedule[..., s-2, :]); no schedule means unit weights
+    (proposed).  Zeroing the running product's diagonal keeps each stage
+    from re-cancelling the desired-signal and noise terms the previous one
+    restored.  A stacked schedule pairs draw by draw with a stack of
+    correlations.
     """
     step = np.eye(r.shape[-1], dtype=r.dtype) - r
-    if schedule is None:
-        steps = [step] * (stage - 1)
-    else:  # diag(w) @ (I - R) is a row scaling
-        steps = (schedule.stage(stage - n + 1)[..., :, None] * step for n in range(1, stage))
-    return cancellation_series(_identities(r), steps, hollow=True)
+    return cancellation_series(_identities(r), _weighted_steps(step, schedule, stage), hollow=True)
 
 
 def _mmse_series(r, sigma2, stage, hollow, eigenvalues) -> np.ndarray:
@@ -333,7 +288,7 @@ def build_filter(
     correlation: np.ndarray,
     stage: int,
     sigma2: float | None = None,
-    schedule: WeightSchedule | None = None,
+    schedule: np.ndarray | None = None,
     eigenvalues: np.ndarray | None = None,
 ) -> np.ndarray:
     """The K x K filter matrix of any detector kind, by name.
@@ -342,7 +297,8 @@ def build_filter(
     filters.  The stage is ignored by the kinds outside STAGED_KINDS.
     sigma2 >= 0 is required for the mmse family, and mmse_converging and
     modified_mmse need stage <= K.  weighted_proposed at stage >= 2 needs a
-    weight schedule covering the stage.  Only the combined-domain kinds (mf,
+    (..., stages-1, K) weight schedule covering the stage (row m-2 holds
+    stage m's weights).  Only the combined-domain kinds (mf,
     conventional, proposed) take a complex correlation.  eigenvalues, if
     given, must be np.linalg.eigvalsh(correlation): the SPECTRAL_KINDS
     builds use it instead of decomposing R again, the others ignore it.
@@ -365,10 +321,8 @@ def build_filter(
     if kind == "weighted_proposed":
         if schedule is None and stage > 1:
             raise ValueError("weighted_proposed requires a weight schedule")
-        if schedule is not None and schedule.users != k:
-            raise ValueError("schedule user count does not match correlation size")
-        if stage > 1 and schedule.max_stage < stage:
-            raise ValueError(f"schedule covers stages up to {schedule.max_stage}, need {stage}")
+        if schedule is not None:
+            schedule = _checked_schedule(schedule, k, stage)
 
     if kind == "mf":
         return np.broadcast_to(np.eye(k), r.shape)

@@ -15,7 +15,6 @@ and noise and forms y by them):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,27 +24,15 @@ class NotPositiveSemidefiniteError(ValueError):
     """Raised when a correlation matrix admits no real noise-shaping factor."""
 
 
-@dataclass(frozen=True)
-class SpreadingSet:
-    """A set of K binary spreading sequences, P chips each, values +/-1."""
+def _real_correlation(correlation: np.ndarray, what: str) -> np.ndarray:
+    """The correlation as a float array; a complex one is refused, not cast.
 
-    chips: np.ndarray
-
-    def __post_init__(self):
-        chips = np.asarray(self.chips)
-        if chips.ndim != 2:
-            raise ValueError(f"chips must be a (K, P) array, got shape {chips.shape}")
-        if not np.all(np.abs(chips) == 1):
-            raise ValueError("chips must be +/-1 valued")
-        object.__setattr__(self, "chips", chips.astype(np.int8))
-
-    @property
-    def users(self) -> int:
-        return self.chips.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.chips.shape[1]
+    Casting would silently drop the imaginary part of a complex Hermitian R.
+    """
+    r = np.asarray(correlation)
+    if np.iscomplexobj(r):
+        raise ValueError(f"{what} needs a real correlation matrix")
+    return r.astype(float, copy=False)
 
 
 class ConvergenceReport(NamedTuple):
@@ -53,18 +40,22 @@ class ConvergenceReport(NamedTuple):
     converges: bool
 
 
-def generate_spreading_set(users: int, length: int, rng: np.random.Generator) -> SpreadingSet:
-    """Draw K random binary spreading sequences of P chips."""
+def generate_spreading_set(users: int, length: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw K random binary spreading sequences of P chips: a (K, P) int8 +/-1 array."""
     if users < 1 or length < 1:
         raise ValueError("users and length must be positive")
-    chips = rng.integers(0, 2, size=(users, length)).astype(np.int8) * 2 - 1
-    return SpreadingSet(chips)
+    return rng.integers(0, 2, size=(users, length)).astype(np.int8) * 2 - 1
 
 
-def correlation_matrix(spreading: SpreadingSet) -> np.ndarray:
-    """Normalized cross-correlation matrix R = C C^T / P (unit diagonal)."""
-    chips = spreading.chips.astype(np.float64)
-    return chips @ chips.T / spreading.length
+def correlation_matrix(chips: np.ndarray) -> np.ndarray:
+    """Normalized cross-correlation matrix R = C C^T / P (unit diagonal) of (K, P) +/-1 chips."""
+    c = np.asarray(chips)
+    if c.ndim != 2:
+        raise ValueError(f"chips must be a (K, P) array, got shape {c.shape}")
+    if not np.all((c == 1) | (c == -1)):
+        raise ValueError("chips must be +/-1 valued")
+    c = c.astype(np.float64)
+    return c @ c.T / c.shape[1]
 
 
 def equicorrelated_matrix(users: int, rho: float) -> np.ndarray:
@@ -94,7 +85,7 @@ def noise_transform(correlation: np.ndarray) -> np.ndarray:
     (tiny negative eigenvalues from roundoff are clipped).  Raises
     NotPositiveSemidefiniteError for genuinely indefinite input.
     """
-    r = np.asarray(correlation, dtype=float)
+    r = _real_correlation(correlation, "noise_transform")
     try:
         return np.linalg.cholesky(r)
     except np.linalg.LinAlgError:
@@ -114,7 +105,7 @@ def convergence_check(correlation: np.ndarray) -> ConvergenceReport:
     lambda_max(R) < 2 (eigenvalues of I - R inside the unit circle; R is PSD
     so the lower edge is free).
     """
-    r = np.asarray(correlation, dtype=float)
+    r = _real_correlation(correlation, "convergence_check")
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError("correlation must be square")
     if not np.allclose(r, r.T, rtol=0.0, atol=1e-10):

@@ -130,11 +130,6 @@ def render_ber_csv(records: list[BerRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(records: list[BerRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_ber_csv(records))
-
-
 def parse_records(text: str) -> list[BerRecord]:
     """Inverse of render_ber_csv; floats round-trip exactly at 17 digits."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -260,7 +255,7 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
         if not top:
             return None
         try:
-            return compute_weight_schedule(mats, amplitudes, sigma2, top)
+            return compute_weight_schedule(mats, amplitudes, sigma2, top)[0]
         except _BUILD_ERRORS as exc:  # schedule failure downs only the weighted detectors
             return exc
 
@@ -717,39 +712,27 @@ def run_ber_experiment(cfg: ExperimentConfig, threads: int | None = None) -> lis
     per_trial_bits = cfg.users if cfg.count_all_users else 1
     records = []
     for spec in cfg.detectors:
-        label = spec.kind + suffix
         trials = kept[spec]
-        if trials == 0 or (fixed and trials < cfg.trials):
-            records.append(
-                BerRecord(
-                    detector=label,
-                    stage=spec.stage,
-                    receiver=cfg.receiver,
-                    snr_db=cfg.snr_db,
-                    trials=0,
-                    bit_errors=0,
-                    ber=float("nan"),
-                    ci_low=float("nan"),
-                    ci_high=float("nan"),
-                    nonconv=0,
-                )
-            )
-            continue
-        bits_counted = trials * per_trial_bits
-        errs = errors[spec]
-        lo, hi = wilson_interval(errs, bits_counted)
+        if trials == 0 or (fixed and trials < cfg.trials):  # flagged: the detector failed
+            trials = errs = nonconv = 0
+            ber = lo = hi = float("nan")
+        else:
+            trials *= per_trial_bits
+            errs = errors[spec]
+            ber, (lo, hi) = errs / trials, wilson_interval(errs, trials)
+            nonconv = nonconv_total if cfg.receiver == "type2" else 0
         records.append(
             BerRecord(
-                detector=label,
+                detector=spec.kind + suffix,
                 stage=spec.stage,
                 receiver=cfg.receiver,
                 snr_db=cfg.snr_db,
-                trials=bits_counted,
+                trials=trials,
                 bit_errors=errs,
-                ber=errs / bits_counted,
+                ber=ber,
                 ci_low=lo,
                 ci_high=hi,
-                nonconv=nonconv_total if cfg.receiver == "type2" else 0,
+                nonconv=nonconv,
             )
         )
     return records
@@ -770,7 +753,7 @@ def run_sinr_experiment(cfg: ExperimentConfig) -> list[SinrPoint]:
     r = correlations[0]
     amplitudes = cfg.amplitudes()
     sigma2 = cfg.sigma2()
-    schedule = compute_weight_schedule(r, amplitudes, sigma2, max(cfg.sweep_stages))
+    schedule, _degenerate = compute_weight_schedule(r, amplitudes, sigma2, max(cfg.sweep_stages))
     grid = cfg.weight_grid()
     points = []
     for stage in cfg.sweep_stages:

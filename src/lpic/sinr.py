@@ -19,7 +19,8 @@ from math import sqrt
 
 import numpy as np
 
-from .filters import WeightSchedule, _real_correlation, cancellation_series
+from .filters import _checked_schedule, _weighted_steps, cancellation_series
+from .model import _real_correlation
 
 # relative threshold below which the optimum denominator counts as degenerate
 _DEGENERATE_RTOL = 1e-13
@@ -65,7 +66,7 @@ class SinrBreakdown:
 
 def q_matrix(
     correlation: np.ndarray,
-    prior_weights: WeightSchedule | None,
+    prior_weights: np.ndarray | None,
     stage: int,
 ) -> np.ndarray:
     """Full K x K matrix of combining coefficients q_ki at a given stage.
@@ -76,10 +77,10 @@ def q_matrix(
     C_n = zero_diagonal(C_{n-1} W_{m-n+1} (I - R)), which costs O(K^3) per
     stage instead of the nested interference sums' O(K^m).
 
-    prior_weights must cover stages 2..m-1 (None means unit weights).  At
-    m = 2 the coefficients are just the cross-correlations.  A (..., K, K)
-    stack of correlations, with a schedule of the same leading axes, gives
-    a stack of Q matrices.
+    prior_weights, a (..., stages-1, K) schedule, must cover stages 2..m-1
+    (None means unit weights).  At m = 2 the coefficients are just the
+    cross-correlations.  A (..., K, K) stack of correlations, with a
+    schedule of the same leading axes, gives a stack of Q matrices.
     """
     r = _real_correlation(correlation, "q_matrix")
     k = r.shape[-1]
@@ -87,15 +88,10 @@ def q_matrix(
         raise ValueError("correlation must be square")
     if stage < 2:
         raise ValueError("combining coefficients are defined for stages >= 2")
-    if prior_weights is None:
-        prior_weights = WeightSchedule.unit(k, max(stage - 1, 1))
-    if stage > 2 and prior_weights.max_stage < stage - 1:
-        raise ValueError(
-            f"prior weights cover stages up to {prior_weights.max_stage}, "
-            f"stage {stage} needs 2..{stage - 1}"
-        )
+    if prior_weights is not None:
+        prior_weights = _checked_schedule(prior_weights, k, stage - 1)
     step = np.eye(k) - r
-    steps = (prior_weights.stage(stage - n + 1)[..., :, None] * step for n in range(2, stage))
+    steps = _weighted_steps(step, prior_weights, stage - 1)
     return -cancellation_series(step, steps, hollow=True)
 
 
@@ -140,7 +136,7 @@ def sinr_breakdown(
     correlation: np.ndarray,
     amplitudes: np.ndarray,
     sigma2: float,
-    prior_weights: WeightSchedule | None,
+    prior_weights: np.ndarray | None,
     user: int,
     stage: int,
 ) -> SinrBreakdown:
@@ -180,7 +176,7 @@ def sinr_sweep(
     correlation: np.ndarray,
     amplitudes: np.ndarray,
     sigma2: float,
-    prior_weights: WeightSchedule | None,
+    prior_weights: np.ndarray | None,
     user: int,
     stage: int,
     weights: np.ndarray,
@@ -199,16 +195,16 @@ def compute_weight_schedule(
     amplitudes: np.ndarray,
     sigma2: float,
     max_stage: int,
-) -> WeightSchedule:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-stage optimal weights for all users, stages 2..max_stage.
 
+    Returns (weights, degenerate): the (max_stage-1, K) schedule, row m-2
+    holding stage m's weights, and the mask of its entries where the optimum
+    is degenerate (flat SINR, e.g. R = I) and the weight falls back to 1.
     Stage m's coefficients are computed with all lower stages already at
     their optimal weights, so the schedule is built bottom-up and is
-    deterministic.  A degenerate optimum (flat SINR, e.g. R = I) falls back
-    to weight 1 for that user and is marked in the schedule's degenerate
-    mask.  A (..., K, K) stack of correlations gives a stacked schedule,
-    weights (..., max_stage-1, K); it fails if any draw's weights are not
-    finite.
+    deterministic.  A (..., K, K) stack of correlations gives both with the
+    same leading axes; it fails if any draw's weights are not finite.
     """
     r = _real_correlation(correlation, "compute_weight_schedule")
     amps = np.asarray(amplitudes, dtype=float)
@@ -217,11 +213,11 @@ def compute_weight_schedule(
     rows = np.zeros(r.shape[:-2] + (0, r.shape[-1]))
     degen = np.zeros(rows.shape, dtype=bool)
     for m in range(2, max_stage + 1):
-        prior = WeightSchedule(rows) if m > 2 else None
+        prior = rows if m > 2 else None
         *_, w_row, d_row = _breakdown_terms(r, q_matrix(r, prior, m), amps, sigma2)
         rows = np.concatenate([rows, w_row[..., None, :]], axis=-2)
         degen = np.concatenate([degen, d_row[..., None, :]], axis=-2)
-    return WeightSchedule(rows, degenerate=degen)
+    return _checked_schedule(rows, r.shape[-1], max_stage), degen
 
 
 @dataclass(frozen=True)

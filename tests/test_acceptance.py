@@ -214,7 +214,7 @@ def test_criterion_06_weight_optimality_and_late_stage_flattening():
         amps = rng.uniform(0.5, 2.0, users)
         sigma2 = float(rng.uniform(0.05, 0.8))
         stage = int(rng.integers(2, 5))
-        prior = compute_weight_schedule(r, amps, sigma2, stage - 1) if stage > 2 else None
+        prior = compute_weight_schedule(r, amps, sigma2, stage - 1)[0] if stage > 2 else None
         bd = sinr_breakdown(r, amps, sigma2, prior, 0, stage)
         if bd.degenerate:
             continue
@@ -241,8 +241,8 @@ def test_criterion_06_weight_optimality_and_late_stage_flattening():
         r = correlation_matrix(generate_spreading_set(20, 64, draw_rng))
         if convergence_check(r).converges:
             break
-    sched = compute_weight_schedule(r, np.ones(20), 10 ** (-2.0), 12)
-    late_gap = max(float(np.max(np.abs(sched.stage(m) - 1.0))) for m in range(8, 13))
+    sched, _degenerate = compute_weight_schedule(r, np.ones(20), 10 ** (-2.0), 12)
+    late_gap = float(np.max(np.abs(sched[8 - 2 :] - 1.0)))  # stages 8..12
 
     _verdict(
         6,

@@ -8,7 +8,6 @@ from lpic.filters import (
     SPECTRAL_KINDS,
     STAGED_KINDS,
     SingularMatrixError,
-    WeightSchedule,
     build_filter,
     cancellation_partials,
     limit_scaling_matrix,
@@ -16,6 +15,7 @@ from lpic.filters import (
     zero_diagonal,
 )
 from lpic.model import equicorrelated_matrix
+from lpic.sinr import q_matrix
 
 from oracles import explicit_power_series, mmse_series, random_correlation
 
@@ -197,7 +197,7 @@ class TestMmseFamily:
 class TestWeightedProposed:
     def test_unit_weights_reproduce_proposed(self, rng):
         r = random_correlation(rng, 5, 32)
-        sched = WeightSchedule.unit(5, 6)
+        sched = np.ones((5, 5))
         for stage in (2, 4, 6):
             got = build_filter("weighted_proposed", r, stage, schedule=sched)
             want = build_filter("proposed", r, stage)
@@ -205,7 +205,7 @@ class TestWeightedProposed:
 
     def test_zero_weights_collapse_to_identity(self, rng):
         r = random_correlation(rng, 4, 16)
-        sched = WeightSchedule(np.zeros((4, 4)))
+        sched = np.zeros((4, 4))
         for stage in (2, 3, 5):
             assert np.allclose(
                 build_filter("weighted_proposed", r, stage, schedule=sched), np.eye(4)
@@ -214,32 +214,33 @@ class TestWeightedProposed:
     def test_scalar_weight_hand_value(self):
         # K=2, rho=0.5, m=2, w=0.5 everywhere: I + 0.5 zero_diag(I-R)
         r = equicorrelated_matrix(2, 0.5)
-        sched = WeightSchedule(np.full((1, 2), 0.5))
+        sched = np.full((1, 2), 0.5)
         got = build_filter("weighted_proposed", r, 2, schedule=sched)
         assert np.allclose(got, [[1.0, -0.25], [-0.25, 1.0]], atol=1e-15)
 
     def test_schedule_coverage_enforced(self, rng):
         r = random_correlation(rng, 3, 16)
-        sched = WeightSchedule.unit(3, 3)
+        sched = np.ones((2, 3))
         with pytest.raises(ValueError, match="covers stages up to 3"):
             build_filter("weighted_proposed", r, 4, schedule=sched)
-        with pytest.raises(ValueError, match="user count"):
-            build_filter("weighted_proposed", r, 3, schedule=WeightSchedule.unit(4, 5))
+        with pytest.raises(ValueError, match="K=3"):
+            build_filter("weighted_proposed", r, 3, schedule=np.ones((4, 4)))
 
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            WeightSchedule(np.ones(3))  # not 2-D
-        with pytest.raises(ValueError):
-            WeightSchedule(np.array([[np.inf, 1.0]]))
-        with pytest.raises(ValueError):
-            WeightSchedule(np.ones((2, 3)), degenerate=np.zeros((1, 3), dtype=bool))
-        sched = WeightSchedule.unit(4, 5)
-        assert sched.users == 4
-        assert sched.max_stage == 5
-        with pytest.raises(ValueError):
-            sched.stage(6)
-        with pytest.raises(ValueError):
-            sched.stage(1)
+    def test_schedule_validation(self, rng):
+        # a schedule is a (..., stages-1, K) finite array covering the stage
+        r = random_correlation(rng, 3, 16)
+        cases = [
+            (np.ones(3), "K=3"),                         # 1-D
+            (np.ones((2, 4)), "K=3"),                    # wrong K
+            (np.ones((1, 3)), "covers stages up to 2"),  # too few stages for stage 3
+            (np.array([[1.0, np.inf, 1.0], [1.0, 1.0, 1.0]]), "finite"),
+            (np.array([[1.0, 1.0, 1.0], [np.nan, 1.0, 1.0]]), "finite"),
+        ]
+        for schedule, match in cases:
+            with pytest.raises(ValueError, match=match):
+                build_filter("weighted_proposed", r, 3, schedule=schedule)
+            with pytest.raises(ValueError, match=match):
+                q_matrix(r, schedule, 4)  # needs the prior stages 2..3
 
 
 class TestInverseFilters:
@@ -370,7 +371,7 @@ class TestDispatchAndTypes:
         # inside numpy (mmse_converging)
         r = random_correlation(rng, 4, 16)
         herm = r + 0.1j * (np.triu(r, 1) - np.tril(r, -1))
-        args = dict(sigma2=0.1, schedule=WeightSchedule.unit(4, 2))
+        args = dict(sigma2=0.1, schedule=np.ones((1, 4)))
         if kind == "mf":
             assert np.array_equal(build_filter(kind, herm, 2, **args), np.eye(4))
         elif kind in ("conventional", "proposed"):
@@ -404,7 +405,7 @@ class TestStackedBuilds:
 
         rs = self._draws(rng)
         amps = np.where(np.arange(6) % 2, 10.0, 1.0)
-        schedule = compute_weight_schedule(rs, amps, self.SIGMA2, 6)
+        schedule, _degenerate = compute_weight_schedule(rs, amps, self.SIGMA2, 6)
         for stage in (1, 2, 4, 6) if kind in STAGED_KINDS else (1,):
             got = build_filter(kind, rs, stage, sigma2=self.SIGMA2, schedule=schedule)
             want = np.stack(
@@ -424,7 +425,7 @@ class TestStackedBuilds:
             # two leading axes (subcarrier, draw) give the same filters
             grid = build_filter(
                 kind, rs.reshape(3, 4, 6, 6), stage, sigma2=self.SIGMA2,
-                schedule=WeightSchedule(schedule.weights.reshape(3, 4, 5, 6)),
+                schedule=schedule.reshape(3, 4, 5, 6),
             )
             assert np.array_equal(grid.reshape(want.shape), want)
 
@@ -485,14 +486,3 @@ class TestStackedBuilds:
         mf = build_filter("mf", rs, 1)
         assert mf.shape == rs.shape
         assert np.array_equal(mf, np.broadcast_to(np.eye(6), rs.shape))
-
-    def test_schedule_draw_selection(self):
-        weights = np.arange(24.0).reshape(2, 3, 4)
-        schedule = WeightSchedule(weights, degenerate=weights > 20)
-        assert (schedule.users, schedule.max_stage) == (4, 4)
-        assert np.array_equal(schedule.stage(3), weights[:, 1])
-        one = schedule[1]
-        assert np.array_equal(one.weights, weights[1])
-        assert np.array_equal(one.degenerate, weights[1] > 20)
-        with pytest.raises(IndexError):
-            one[0]

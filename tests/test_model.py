@@ -15,7 +15,6 @@ from lpic.config import parse_config
 from lpic.model import (
     ConvergenceReport,
     NotPositiveSemidefiniteError,
-    SpreadingSet,
     convergence_check,
     correlation_matrix,
     equicorrelated_matrix,
@@ -35,15 +34,14 @@ def _cfg(users, subcarriers=1):
 class TestSpreading:
     def test_generate_shapes_and_values(self, rng):
         s = generate_spreading_set(5, 31, rng)
-        assert s.users == 5
-        assert s.length == 31
-        assert s.chips.dtype == np.int8
-        assert set(np.unique(s.chips)) <= {-1, 1}
+        assert s.shape == (5, 31)
+        assert s.dtype == np.int8
+        assert set(np.unique(s)) <= {-1, 1}
 
     def test_generate_is_deterministic(self):
         a = generate_spreading_set(4, 16, np.random.default_rng(9))
         b = generate_spreading_set(4, 16, np.random.default_rng(9))
-        assert np.array_equal(a.chips, b.chips)
+        assert np.array_equal(a, b)
 
     def test_rejects_bad_sizes(self, rng):
         with pytest.raises(ValueError):
@@ -52,10 +50,12 @@ class TestSpreading:
             generate_spreading_set(3, 0, rng)
 
     def test_spreading_set_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            SpreadingSet(np.array([[1, 0], [1, -1]]))
-        with pytest.raises(ValueError):
-            SpreadingSet(np.ones(4))
+        # correlation_matrix takes a (K, P) array of +/-1 chips and nothing else
+        for chips in ([[1, 0], [1, -1]], [[1, 1j], [1, -1]], [[1, -2], [1, 1]]):
+            with pytest.raises(ValueError, match="chips must be"):
+                correlation_matrix(np.array(chips))
+        with pytest.raises(ValueError, match="chips must be"):
+            correlation_matrix(np.ones(4))
 
     def test_chip_statistics(self):
         # means ~0 and pairwise correlations ~1/P across many draws
@@ -71,7 +71,7 @@ class TestCorrelation:
     def test_matches_direct_product(self, rng):
         s = generate_spreading_set(6, 32, rng)
         r = correlation_matrix(s)
-        c = s.chips.astype(float)
+        c = s.astype(float)
         assert np.allclose(r, c @ c.T / 32, atol=0, rtol=0)
 
     def test_unit_diagonal_symmetric_psd(self, rng):
@@ -146,6 +146,12 @@ class TestNoise:
         r = equicorrelated_matrix(4, -1.0 / 3)
         ell = noise_transform(r)
         assert np.allclose(ell @ ell.T, r, atol=1e-10)
+
+    def test_transform_rejects_a_complex_correlation(self):
+        # a cast to real would factor I and drop the imaginary part
+        antisym = np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1)
+        with pytest.raises(ValueError, match="noise_transform needs a real"):
+            noise_transform(np.eye(3) + 0.5j * antisym)
 
     def test_transform_rejects_indefinite(self):
         with pytest.raises(NotPositiveSemidefiniteError):
@@ -235,6 +241,12 @@ class TestConvergence:
     def test_identity_converges(self):
         rep = convergence_check(np.eye(6))
         assert rep == ConvergenceReport(1.0, True)
+
+    def test_rejects_a_complex_correlation(self):
+        # Hermitian with lambda_max = 1.866; a cast to real would report I (1.0)
+        antisym = np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1)
+        with pytest.raises(ValueError, match="convergence_check needs a real"):
+            convergence_check(np.eye(3) + 0.5j * antisym)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

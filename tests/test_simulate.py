@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from lpic import simulate
+from lpic import cli, simulate
 from lpic.config import ConfigError, parse_config
 from lpic.filters import SingularMatrixError, build_filter, zero_diagonal
 from lpic.model import correlation_matrix, generate_spreading_set, noise_transform
@@ -19,7 +19,6 @@ from lpic.simulate import (
     BER_CSV_HEADER,
     BerRecord,
     default_threads,
-    emit_csv,
     parse_records,
     render_ber_csv,
     run_ber_experiment,
@@ -87,10 +86,13 @@ class TestCsv:
             parse_records(BER_CSV_HEADER + "\nonly,three,fields\n")
 
     def test_emit_writes_rendered_text(self, tmp_path):
-        recs = self._records()
+        # `lpic ber --output FILE` writes the rendered records, LF line ends on every OS
+        text = "K = 4\nP = 16\nsnr_db = 6\ntrials = 300\nseed = 2\ndetectors = mf, proposed:2\n"
+        (tmp_path / "run.cfg").write_text(text)
         path = tmp_path / "out.csv"
-        emit_csv(recs, str(path))
-        assert path.read_text(encoding="utf-8") == render_ber_csv(recs)
+        assert cli.main(["ber", str(tmp_path / "run.cfg"), "--output", str(path)]) == 0
+        want = render_ber_csv(run_ber_experiment(parse_config(text)))
+        assert path.read_bytes() == want.encode("utf-8")
 
 
 class TestDefaultThreads:
@@ -360,7 +362,7 @@ class TestReferenceRecomputation:
         ells = [noise_transform(m) for m in rs]
         sigma2 = subs / 10 ** (snr_db / 10.0)
         amps = np.ones(users)
-        schedules = [compute_weight_schedule(m, amps, sigma2, 3) for m in rs]
+        schedules = [compute_weight_schedule(m, amps, sigma2, 3)[0] for m in rs]
         mats = {
             (kind, stage): [
                 build_filter(kind, rs[i], stage, sigma2=sigma2, schedule=schedules[i])
@@ -514,7 +516,7 @@ def _per_trial_plain_loop(cfg):
             + 1j * rng.standard_normal((1, subs, users))
         )[0]
         ys = [rs[i] @ (amps * bits * h[i]) + ells[i] @ w[i] for i in range(subs)]
-        schedules = [compute_weight_schedule(m, amps, sigma2, top) for m in rs]
+        schedules = [compute_weight_schedule(m, amps, sigma2, top)[0] for m in rs]
         for kind, stage in errors:
             try:
                 mats = [

@@ -10,7 +10,7 @@ against the package's (a, b, c, d, e) quadratics.
 import numpy as np
 import pytest
 
-from lpic.filters import WeightSchedule, build_filter
+from lpic.filters import build_filter
 from lpic.model import equicorrelated_matrix
 from lpic.sinr import (
     EquicorrSirReport,
@@ -70,7 +70,7 @@ class TestQMatrix:
 
     def test_diagonal_is_always_zero(self, rng):
         r = random_correlation(rng, 6, 32)
-        sched = compute_weight_schedule(r, np.ones(6), 0.2, 5)
+        sched, _degenerate = compute_weight_schedule(r, np.ones(6), 0.2, 5)
         for stage in (2, 3, 4, 5):
             q = q_matrix(r, sched, stage)
             assert np.allclose(np.diag(q), 0.0, atol=0)
@@ -80,15 +80,15 @@ class TestQMatrix:
         with pytest.raises(ValueError):
             q_matrix(r, None, 1)
         with pytest.raises(ValueError):
-            q_matrix(r, WeightSchedule.unit(3, 2), 5)  # covers only up to 2
+            q_matrix(r, np.ones((1, 3)), 5)  # covers only up to 2
 
     def test_weighted_filter_identity(self, rng):
         # the stage-m weighted filter is exactly I - diag(W_m) Q_m
         for users, stage in [(3, 2), (4, 3), (5, 5)]:
             r = random_correlation(rng, users, 32)
-            sched = WeightSchedule(rng.uniform(-0.5, 1.5, (stage - 1, users)))
+            sched = rng.uniform(-0.5, 1.5, (stage - 1, users))
             q = q_matrix(r, sched, stage)
-            want = np.eye(users) - sched.stage(stage)[:, None] * q
+            want = np.eye(users) - sched[stage - 2][:, None] * q
             got = build_filter("weighted_proposed", r, stage, schedule=sched)
             assert np.allclose(got, want, atol=1e-12)
 
@@ -102,7 +102,7 @@ class TestSinrBreakdown:
             sigma2 = float(rng.uniform(0.05, 1.0))
             user = int(rng.integers(0, users))
             for stage, prior in ((2, None), (3, None),
-                                 (3, compute_weight_schedule(r, amps, sigma2, 2))):
+                                 (3, compute_weight_schedule(r, amps, sigma2, 2)[0])):
                 bd = sinr_breakdown(r, amps, sigma2, prior, user, stage)
                 q_row = q_matrix(r, prior, stage)[user]
                 for w in (-0.5, 0.0, 0.7, 1.0, 1.9):
@@ -178,24 +178,22 @@ class TestWeightSchedules:
     def test_shape_and_prefix_property(self, rng):
         r = random_correlation(rng, 5, 32)
         amps = np.ones(5)
-        full = compute_weight_schedule(r, amps, 0.2, 5)
-        assert full.weights.shape == (4, 5)
-        short = compute_weight_schedule(r, amps, 0.2, 3)
+        full, full_degenerate = compute_weight_schedule(r, amps, 0.2, 5)
+        assert full.shape == full_degenerate.shape == (4, 5)
+        assert full.dtype == float and full_degenerate.dtype == bool
+        short, _degenerate = compute_weight_schedule(r, amps, 0.2, 3)
         # lower stages are computed bottom-up, so they agree between schedules
-        assert np.allclose(full.stage(2), short.stage(2), atol=0)
-        assert np.allclose(full.stage(3), short.stage(3), atol=0)
+        assert np.array_equal(full[:2], short)
 
     def test_identity_falls_back_to_unit_weights(self):
-        sched = compute_weight_schedule(np.eye(4), np.ones(4), 0.3, 4)
-        assert np.allclose(sched.weights, 1.0)
-        assert sched.degenerate is not None
-        assert np.all(sched.degenerate)
+        weights, degenerate = compute_weight_schedule(np.eye(4), np.ones(4), 0.3, 4)
+        assert np.allclose(weights, 1.0)
+        assert np.all(degenerate)
 
     def test_random_schedule_not_degenerate(self, rng):
         r = random_correlation(rng, 4, 16)
-        sched = compute_weight_schedule(r, np.ones(4), 0.2, 4)
-        assert sched.degenerate is not None
-        assert not np.all(sched.degenerate)
+        _weights, degenerate = compute_weight_schedule(r, np.ones(4), 0.2, 4)
+        assert not np.all(degenerate)
 
     def test_max_stage_validation(self, rng):
         with pytest.raises(ValueError):
@@ -258,18 +256,18 @@ class TestStackedSchedule:
         rs = [random_correlation(rng, users, 16) for _ in range(7)]
         rs.insert(3, np.eye(users))  # orthogonal draw: every optimum degenerate
         amps = np.where(np.arange(users) % 2, 10.0, 1.0)
-        got = compute_weight_schedule(np.stack(rs), amps, 0.05, 5)
-        assert got.weights.shape == (8, 4, users)
+        weights, degenerate = compute_weight_schedule(np.stack(rs), amps, 0.05, 5)
+        assert weights.shape == degenerate.shape == (8, 4, users)
         for b, r in enumerate(rs):
-            want = compute_weight_schedule(r, amps, 0.05, 5)
-            assert np.array_equal(got[b].weights, want.weights)
-            assert np.array_equal(got[b].degenerate, want.degenerate)
-        assert got.degenerate[3].all()
-        assert not got.degenerate[np.arange(8) != 3].any()
+            want_weights, want_degenerate = compute_weight_schedule(r, amps, 0.05, 5)
+            assert np.array_equal(weights[b], want_weights)
+            assert np.array_equal(degenerate[b], want_degenerate)
+        assert degenerate[3].all()
+        assert not degenerate[np.arange(8) != 3].any()
 
     def test_q_matrix_stack_equals_per_draw(self, rng):
         rs = np.stack([random_correlation(rng, 5, 16) for _ in range(4)])
-        prior = compute_weight_schedule(rs, np.ones(5), 0.1, 3)
+        prior, _degenerate = compute_weight_schedule(rs, np.ones(5), 0.1, 3)
         got = q_matrix(rs, prior, 4)
         for b in range(4):
             assert np.array_equal(got[b], q_matrix(rs[b], prior[b], 4))
