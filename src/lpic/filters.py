@@ -46,7 +46,7 @@ FILTER_KINDS = (
 STAGED_KINDS = ("conventional", "proposed", "mmse_converging", "modified_mmse", "weighted_proposed")
 
 # kinds whose build takes the spectrum of R (and can be handed it precomputed)
-SPECTRAL_KINDS = ("mmse_converging", "modified_mmse", "decorrelator")
+SPECTRAL_KINDS = ("mmse_converging", "modified_mmse", "decorrelator", "mmse")
 
 # kinds built on the complex R_eff of the combined domain as well
 _COMPLEX_KINDS = ("mf", "conventional", "proposed")
@@ -302,6 +302,8 @@ def build_filter(
     conventional, proposed) take a complex correlation.  eigenvalues, if
     given, must be np.linalg.eigvalsh(correlation): the SPECTRAL_KINDS
     builds use it instead of decomposing R again, the others ignore it.
+    mmse takes eigenvalues + sigma2 as the spectrum of R + sigma2 I for its
+    singularity test only; its filter comes from the same solve either way.
     """
     r = _check_square(correlation)
     k = r.shape[-1]
@@ -333,5 +335,6 @@ def build_filter(
     if kind == "decorrelator":
         return _guarded_inverse(r, "correlation matrix", eigenvalues)
     if kind == "mmse":
-        return _guarded_inverse(r + sigma2 * np.eye(k), "R + sigma2 I")
+        shifted = None if eigenvalues is None else _spectrum(r, eigenvalues) + sigma2
+        return _guarded_inverse(r + sigma2 * np.eye(k), "R + sigma2 I", shifted)
     return _mmse_series(r, sigma2, stage, kind == "modified_mmse", eigenvalues)

@@ -48,14 +48,19 @@ def generate_spreading_set(users: int, length: int, rng: np.random.Generator) ->
 
 
 def correlation_matrix(chips: np.ndarray) -> np.ndarray:
-    """Normalized cross-correlation matrix R = C C^T / P (unit diagonal) of (K, P) +/-1 chips."""
+    """Normalized cross-correlation R = C C^T / P (unit diagonal) of (..., K, P) +/-1 chips.
+
+    A stack of chip sets gives the (..., K, K) stack of matrices.  Every entry
+    is an integer sum of +/-1 products divided by P, so a stacked product
+    equals the per-set ones bit for bit.
+    """
     c = np.asarray(chips)
-    if c.ndim != 2:
-        raise ValueError(f"chips must be a (K, P) array, got shape {c.shape}")
+    if c.ndim < 2:
+        raise ValueError(f"chips must be a (..., K, P) array, got shape {c.shape}")
     if not np.all((c == 1) | (c == -1)):
         raise ValueError("chips must be +/-1 valued")
     c = c.astype(np.float64)
-    return c @ c.T / c.shape[1]
+    return c @ c.swapaxes(-1, -2) / c.shape[-1]
 
 
 def equicorrelated_matrix(users: int, rho: float) -> np.ndarray:
@@ -82,18 +87,32 @@ def noise_transform(correlation: np.ndarray) -> np.ndarray:
     """Real factor L with L L^T = R, used to shape white noise.
 
     Cholesky when R is positive definite; an eigenvalue square root otherwise
-    (tiny negative eigenvalues from roundoff are clipped).  Raises
+    (tiny negative eigenvalues from roundoff are clipped).  A (..., K, K)
+    stack gives the stack of the per-matrix factors: one batched Cholesky,
+    or, if any draw fails it, the rule above draw by draw.  Raises
     NotPositiveSemidefiniteError for genuinely indefinite input.
     """
     r = _real_correlation(correlation, "noise_transform")
     try:
         return np.linalg.cholesky(r)
     except np.linalg.LinAlgError:
-        pass
+        if r.ndim <= 2:
+            return _eigen_factor(r, "")
+    out = np.empty_like(r)
+    for at in np.ndindex(r.shape[:-2]):
+        try:
+            out[at] = np.linalg.cholesky(r[at])
+        except np.linalg.LinAlgError:
+            out[at] = _eigen_factor(r[at], f" at draw {','.join(map(str, at))}")
+    return out
+
+
+def _eigen_factor(r: np.ndarray, where: str) -> np.ndarray:
+    """The clipped eigenvalue square root of one PSD matrix that Cholesky refused."""
     vals, vecs = np.linalg.eigh(r)
     if vals[0] < -1e-10 * max(vals[-1], 1.0):
         raise NotPositiveSemidefiniteError(
-            f"correlation matrix is not PSD (min eigenvalue {vals[0]:.3e})"
+            f"correlation matrix is not PSD{where} (min eigenvalue {vals[0]:.3e})"
         )
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 

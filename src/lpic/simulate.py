@@ -193,26 +193,41 @@ def _draw_correlations(cfg: ExperimentConfig, rng: np.random.Generator):
 
     Redraws on a non-factorizable correlation matrix, and (when
     require_convergent is set) until every subcarrier satisfies
-    lambda_max < 2.  Deterministic given the rng state.
+    lambda_max < 2.  Deterministic given the rng state.  Returns the (M, K, K)
+    correlations and noise factors.
     """
-    draws = 1 if cfg.subcarrier_sequences == "identical" else cfg.subcarriers
     for _ in range(_MAX_REDRAWS):
-        mats = [
-            correlation_matrix(generate_spreading_set(cfg.users, cfg.chips, rng))
-            for _ in range(draws)
-        ]
-        if draws == 1 and cfg.subcarriers > 1:
-            mats = mats * cfg.subcarriers
+        chips = np.stack([_spreading_sets(cfg, rng)])
         try:
-            factors = [noise_transform(r) for r in mats]
+            mats, factors = _correlate(cfg, chips)
         except NotPositiveSemidefiniteError:
             continue
         if cfg.require_convergent and not all(
-            convergence_check(r).converges for r in mats
+            convergence_check(r).converges for r in mats[:, 0]
         ):
             continue
-        return np.stack(mats), np.stack(factors)
+        return mats[:, 0], factors[:, 0]
     raise RuntimeError(f"no acceptable spreading draw in {_MAX_REDRAWS} attempts")
+
+
+def _spreading_sets(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
+    """One trial's spreading sets: one per subcarrier, or one for all (identical)."""
+    sets = 1 if cfg.subcarrier_sequences == "identical" else cfg.subcarriers
+    return [generate_spreading_set(cfg.users, cfg.chips, rng) for _ in range(sets)]
+
+
+def _correlate(cfg: ExperimentConfig, chips: np.ndarray):
+    """(M, G, K, K) correlations and noise factors of G trials' (G, sets, K, P) chips.
+
+    Each distinct set is factored once; identical sequences repeat theirs
+    over the M subcarriers.  Raises NotPositiveSemidefiniteError if a draw
+    admits no factor.
+    """
+    mats = correlation_matrix(chips.swapaxes(0, 1))
+    factors = noise_transform(mats)
+    if len(mats) < cfg.subcarriers:
+        mats, factors = (np.repeat(a, cfg.subcarriers, axis=0) for a in (mats, factors))
+    return mats, factors
 
 
 def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
@@ -356,21 +371,40 @@ def _draw_trials(cfg: ExperimentConfig, rng: np.random.Generator, sigma2: float,
 
     Every trial reads the stream of a one-trial block: its sequences (with
     the redraw policy), then what _draw_symbols(rng, cfg, sigma2, 1) reads,
-    taking the four normal arrays in one call.  Returns (M, count, K, K)
+    taking the four normal arrays in one call.  The chunk's sequences are
+    correlated and factored as one stack.  A draw that stack cannot factor
+    would have been redrawn at once: the chunk is then read again from its
+    start, trial by trial through _draw_correlations.  Returns (M, count, K, K)
     correlations and factors, then bits, fading and noise.
     """
-    mats, raw_bits, normals = [], [], []
-    for _ in range(count):
-        mats.append(_draw_correlations(cfg, rng))
-        raw_bits.append(rng.integers(0, 2, size=(1, cfg.users)))
-        normals.append(rng.standard_normal((4, 1, cfg.subcarriers, cfg.users)))
-    correlations, factors = (np.stack(part, axis=1) for part in zip(*mats))
+    start = rng.bit_generator.state
+    chips, raw_bits, normals = _read_trials(cfg, rng, count, lambda: _spreading_sets(cfg, rng))
+    try:
+        correlations, factors = _correlate(cfg, np.array(chips))
+    except NotPositiveSemidefiniteError:
+        rng.bit_generator.state = start
+        mats, raw_bits, normals = _read_trials(cfg, rng, count, lambda: _draw_correlations(cfg, rng))
+        correlations, factors = (np.stack(part, axis=1) for part in zip(*mats))
     normals = np.concatenate(normals, axis=1)
     # the arithmetic of _draw_symbols on the stacked draws
     bits = (np.concatenate(raw_bits) * 2 - 1).astype(np.float64)
     h = sqrt(0.5) * (normals[0] + 1j * normals[1])
     w = sqrt(sigma2 / 2.0) * (normals[2] + 1j * normals[3])
     return correlations, factors, bits, h, w
+
+
+def _read_trials(cfg: ExperimentConfig, rng: np.random.Generator, count: int, draw):
+    """The rng reads of count trials in stream order: draw(), then the bits and normals.
+
+    draw() reads one trial's spreading draw.  Returns the lists of the draws,
+    the raw bits and the (4, 1, M, K) normals.
+    """
+    draws, raw_bits, normals = [], [], []
+    for _ in range(count):
+        draws.append(draw())
+        raw_bits.append(rng.integers(0, 2, size=(1, cfg.users)))
+        normals.append(rng.standard_normal((4, 1, cfg.subcarriers, cfg.users)))
+    return draws, raw_bits, normals
 
 
 def _apply(mats, v):

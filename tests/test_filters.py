@@ -463,6 +463,30 @@ class TestStackedBuilds:
         with pytest.raises(ValueError, match="PSD"):
             build_filter("mmse_converging", rs, 2, sigma2=self.SIGMA2)
 
+    @pytest.mark.parametrize("sigma2", [0.0, 1e-3, 0.5])
+    def test_mmse_takes_the_shared_spectrum(self, rng, sigma2):
+        # eigvalsh(R) + sigma2 stands in for the spectrum of R + sigma2 I in
+        # the singularity test only: the filter is the same solve
+        rs = self._draws(rng).reshape(3, 4, 6, 6)
+        shared = build_filter("mmse", rs, 1, sigma2=sigma2, eigenvalues=np.linalg.eigvalsh(rs))
+        assert np.array_equal(shared, build_filter("mmse", rs, 1, sigma2=sigma2))
+        with pytest.raises(ValueError, match="eigenvalues"):
+            build_filter("mmse", rs, 1, sigma2=sigma2, eigenvalues=np.ones((3, 4, 5)))
+
+    def test_mmse_guard_on_a_singular_draw(self, rng):
+        # noise makes a singular R invertible; without it both builds refuse
+        rs = self._draws(rng)
+        rs[7] = equicorrelated_matrix(6, 1.0)  # rank one
+        spectrum = np.linalg.eigvalsh(rs)
+        assert np.array_equal(
+            build_filter("mmse", rs, 1, sigma2=0.5, eigenvalues=spectrum),
+            build_filter("mmse", rs, 1, sigma2=0.5),
+        )
+        with pytest.raises(SingularMatrixError, match="at draw 7 "):
+            build_filter("mmse", rs, 1, sigma2=0.0)
+        with pytest.raises(SingularMatrixError, match="at draw 7 "):
+            build_filter("mmse", rs, 1, sigma2=0.0, eigenvalues=spectrum)
+
     def test_stage_bounds_and_shape_checks_hold_for_stacks(self, rng):
         rs = self._draws(rng)
         with pytest.raises(ValueError, match="eigenvalues"):

@@ -94,6 +94,19 @@ class TestCorrelation:
         assert abs(vals.mean()) < 5 * se_mean
         assert abs(vals.var() - 1.0 / chips) < 5 * (1.0 / chips) * np.sqrt(2.0 / len(vals))
 
+    def test_stack_equals_per_set_matrices(self, rng):
+        # integer sums of +-1 over P: the stacked GEMM is exact, like the 2-D one
+        chips = np.stack(
+            [[generate_spreading_set(6, 24, rng) for _ in range(5)] for _ in range(3)]
+        )
+        got = correlation_matrix(chips)
+        want = np.stack([[correlation_matrix(c) for c in row] for row in chips])
+        assert got.shape == want.shape == (3, 5, 6, 6)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="chips must be"):
+            correlation_matrix(np.stack([chips[0, 0], np.zeros((6, 24))]))
+
     def test_equicorrelated_values(self):
         r = equicorrelated_matrix(4, 0.3)
         assert np.allclose(np.diag(r), 1.0)
@@ -156,6 +169,37 @@ class TestNoise:
     def test_transform_rejects_indefinite(self):
         with pytest.raises(NotPositiveSemidefiniteError):
             noise_transform(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("users, chips", [(5, 24), (6, 4)], ids=["definite", "singular"])
+    def test_stack_equals_per_matrix_factors(self, rng, users, chips):
+        # K > P: every draw is singular, the batched Cholesky fails and each
+        # draw takes the eigh square root, as a 2-D call does
+        rs = np.stack(
+            [
+                [correlation_matrix(generate_spreading_set(users, chips, rng)) for _ in range(7)]
+                for _ in range(2)
+            ]
+        )
+        got = noise_transform(rs)
+        want = np.stack([[noise_transform(r) for r in row] for row in rs])
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_stack_mixing_definite_and_singular_draws(self, rng):
+        rs = np.stack([correlation_matrix(generate_spreading_set(4, 16, rng)) for _ in range(6)])
+        rs[2] = equicorrelated_matrix(4, -1.0 / 3)  # exact zero eigenvalue
+        got = noise_transform(rs)
+        assert np.array_equal(got, np.stack([noise_transform(r) for r in rs]))
+        assert np.array_equal(got[0], np.linalg.cholesky(rs[0]))
+
+    def test_stack_names_the_indefinite_draw(self, rng):
+        rs = np.stack([correlation_matrix(generate_spreading_set(2, 16, rng)) for _ in range(6)])
+        rs = rs.reshape(2, 3, 2, 2)
+        rs[1, 2] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(NotPositiveSemidefiniteError, match="at draw 1,2 "):
+            noise_transform(rs)
+        with pytest.raises(ValueError, match="noise_transform needs a real"):
+            noise_transform(rs + 0j)
 
     def test_sample_shapes_and_zero_variance(self, rng):
         r = equicorrelated_matrix(3, 0.4)

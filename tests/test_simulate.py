@@ -6,6 +6,7 @@ per-trial loops and compare error counts exactly.
 """
 
 import math
+from collections import Counter
 import threading
 
 import numpy as np
@@ -14,7 +15,12 @@ import pytest
 from lpic import cli, simulate
 from lpic.config import ConfigError, parse_config
 from lpic.filters import SingularMatrixError, build_filter, zero_diagonal
-from lpic.model import correlation_matrix, generate_spreading_set, noise_transform
+from lpic.model import (
+    NotPositiveSemidefiniteError,
+    correlation_matrix,
+    generate_spreading_set,
+    noise_transform,
+)
 from lpic.simulate import (
     BER_CSV_HEADER,
     BerRecord,
@@ -552,6 +558,193 @@ def _fading(rng, trials, subs, users):
         rng.standard_normal((trials, subs, users))
         + 1j * rng.standard_normal((trials, subs, users))
     )
+
+
+def _sequential_trials(cfg, rng, sigma2, count, refused=()):
+    """The per_trial draw of count trials with public functions, one trial at a time.
+
+    Each trial draws its spreading sets (one set repeated over the M
+    subcarriers when they are identical) and factors every subcarrier's
+    matrix, redrawing them all if a factor is refused; a trial listed in
+    refused has its first draw refused too.  Then it reads its bits and its
+    four normal arrays.  Returns what simulate._draw_trials returns.
+    """
+    users, chips, subs = cfg.users, cfg.chips, cfg.subcarriers
+    sets = 1 if cfg.subcarrier_sequences == "identical" else subs
+    refused = set(refused)
+    mats, factors, raw_bits, normals = [], [], [], []
+    for t in range(count):
+        while True:
+            rs = [correlation_matrix(generate_spreading_set(users, chips, rng)) for _ in range(sets)]
+            rs = rs * (subs // sets)
+            try:
+                if t in refused:
+                    refused.discard(t)
+                    raise NotPositiveSemidefiniteError
+                ells = [noise_transform(r) for r in rs]
+            except NotPositiveSemidefiniteError:
+                continue
+            break
+        mats.append(np.stack(rs))
+        factors.append(np.stack(ells))
+        raw_bits.append(rng.integers(0, 2, size=(1, users)))
+        normals.append(rng.standard_normal((4, 1, subs, users)))
+    normals = np.concatenate(normals, axis=1)
+    return (
+        np.stack(mats, axis=1),
+        np.stack(factors, axis=1),
+        (np.concatenate(raw_bits) * 2 - 1).astype(np.float64),
+        math.sqrt(0.5) * (normals[0] + 1j * normals[1]),
+        math.sqrt(sigma2 / 2.0) * (normals[2] + 1j * normals[3]),
+    )
+
+
+_DRAW_CONFIGS = {
+    "m1": "K = 6\nP = 16\nreceiver = single\n",
+    "m3_independent": "K = 6\nP = 16\nM = 3\nreceiver = type1\n",
+    "m3_identical": "K = 6\nP = 16\nM = 3\nreceiver = type1\nsubcarrier_sequences = identical\n",
+    "m2_singular": "K = 6\nP = 4\nM = 2\nreceiver = type2\n",
+}
+
+
+def _draw_cfg(name):
+    return parse_config(
+        _DRAW_CONFIGS[name] + "snr_db = 6\ndetectors = mf\nsequence_mode = per_trial\n"
+    )
+
+
+def _assert_same_draws(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+class TestPerTrialDraw:
+    """_draw_trials factors a chunk as one stack and reads the per-trial stream."""
+
+    @pytest.mark.parametrize("name", sorted(_DRAW_CONFIGS))
+    @pytest.mark.parametrize("count", [1, 32, 33])
+    def test_chunk_equals_the_trial_by_trial_draw(self, name, count):
+        cfg = _draw_cfg(name)
+        sigma2 = cfg.sigma2()
+        rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+        got = simulate._draw_trials(cfg, rng, sigma2, count)
+        want = _sequential_trials(cfg, ref_rng, sigma2, count)
+        _assert_same_draws(got, want)
+        assert got[0].shape == (cfg.subcarriers, count, cfg.users, cfg.users)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", ["m1", "m3_independent", "m3_identical"])
+    def test_one_factorisation_per_chunk(self, monkeypatch, name):
+        cfg = _draw_cfg(name)
+        calls = Counter()
+        for fn in ("generate_spreading_set", "correlation_matrix", "noise_transform"):
+            original = getattr(simulate, fn)
+
+            def counted(*args, _fn=fn, _original=original, **kwargs):
+                calls[_fn] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(simulate, fn, counted)
+        simulate._draw_trials(cfg, np.random.default_rng(3), cfg.sigma2(), 33)
+        sets = 1 if name == "m3_identical" else cfg.subcarriers
+        assert calls == {"generate_spreading_set": 33 * sets, "correlation_matrix": 1,
+                         "noise_transform": 1}
+
+    @pytest.mark.parametrize("name", ["m1", "m3_independent", "m3_identical"])
+    def test_a_refused_stack_replays_the_chunk_with_its_redraws(self, monkeypatch, name):
+        # call 0 is the chunk's stack; in the replay, call t + 1 is trial t's
+        # first draw, so refusing call 3 as well makes trial 2 redraw
+        cfg = _draw_cfg(name)
+        sigma2 = cfg.sigma2()
+        original, seen = simulate.noise_transform, []
+
+        def refusing(r):
+            seen.append(r.shape)
+            if len(seen) - 1 in (0, 3):
+                raise NotPositiveSemidefiniteError("refused")
+            return original(r)
+
+        monkeypatch.setattr(simulate, "noise_transform", refusing)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = simulate._draw_trials(cfg, rng, sigma2, 9)
+        want = _sequential_trials(cfg, ref_rng, sigma2, 9, refused={2})
+        _assert_same_draws(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        sets = 1 if name == "m3_identical" else cfg.subcarriers
+        assert seen[0] == (sets, 9, cfg.users, cfg.users)
+        assert len(seen) == 1 + 9 + 1
+
+    def test_records_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        text = (
+            "K = 6\nP = 8\nM = 2\nreceiver = type1\nsnr_db = 8\ntrials = 70\nseed = 2\n"
+            "sequence_mode = per_trial\ndetectors = mf, conventional:2, decorrelator, mmse\n"
+        )
+        records = render_ber_csv(_run(text))
+        monkeypatch.setattr(simulate, "_DRAW_CHUNK", 7)
+        assert render_ber_csv(_run(text)) == records
+
+
+class TestSpreadingStatistics:
+    """per_trial draws follow the law of generate_spreading_set.
+
+    lambda_max of K random +-1 sequences of P chips tends to the edge
+    (1 + sqrt(K/P))^2 of the random-spreading spectrum (Grant & Schlegel,
+    IEEE Trans. Commun. 49(10), 2001), so the rate of draws on which the
+    cancellation series diverges, lambda_max >= 2, rises with K/P: it is a
+    small finite-K fluctuation while the edge is below 2 and a majority well
+    above it.
+    """
+
+    USERS, DRAWS = 8, 2000
+
+    def _direct_rate(self, chips, seed):
+        rng = np.random.default_rng(seed)
+        sets = np.array([generate_spreading_set(self.USERS, chips, rng) for _ in range(self.DRAWS)])
+        return np.mean(np.linalg.eigvalsh(correlation_matrix(sets))[:, -1] >= 2.0)
+
+    def test_per_trial_rate_matches_direct_draws_and_the_edge(self):
+        rates = []
+        for chips in (64, 32, 16):  # edge 1.83, 2.25, 2.91
+            cfg = parse_config(
+                f"K = {self.USERS}\nP = {chips}\nsnr_db = 6\ndetectors = mf\n"
+                "sequence_mode = per_trial\n"
+            )
+            correlations = simulate._draw_trials(
+                cfg, np.random.default_rng(chips), cfg.sigma2(), self.DRAWS
+            )[0]
+            got = np.mean(np.linalg.eigvalsh(correlations[0])[:, -1] >= 2.0)
+            want = self._direct_rate(chips, 1000 + chips)
+            pooled = (got + want) / 2
+            assert abs(got - want) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / self.DRAWS)
+            rates.append(got)
+        assert rates[0] < rates[1] < rates[2]
+        assert rates[0] < 0.05
+        assert rates[2] > 0.5
+
+    def test_require_convergent_redraws_at_the_direct_rate(self, monkeypatch):
+        # attempts until a convergent draw are geometric: per seed, the
+        # redraws have mean p / (1 - p) and variance p / (1 - p)^2
+        chips, seeds = 24, 200
+        calls = Counter()
+        original = simulate.generate_spreading_set
+
+        def counted(*args, **kwargs):
+            calls["draws"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "generate_spreading_set", counted)
+        for seed in range(seeds):
+            run_ber_experiment(parse_config(
+                f"K = {self.USERS}\nP = {chips}\nsnr_db = 6\ndetectors = mf\n"
+                f"require_convergent = true\ntrials = 1\nseed = {seed}\n"
+            ))
+        redraws = calls["draws"] - seeds
+        p = self._direct_rate(chips, 77)
+        mean = seeds * p / (1 - p)
+        var = seeds * p / (1 - p) ** 2 + (seeds / (1 - p) ** 2) ** 2 * p * (1 - p) / self.DRAWS
+        assert abs(redraws - mean) <= 4 * math.sqrt(var)
+        assert redraws > 0
 
 
 class TestNonconvCertificate:
