@@ -9,13 +9,7 @@ and multicarrier Type I / II receivers.
 """
 
 from .config import ConfigError, DetectorSpec, ExperimentConfig, load_config, parse_config
-from .filters import (
-    FILTER_KINDS,
-    SingularMatrixError,
-    build_filter,
-    limit_scaling_matrix,
-    zero_diagonal,
-)
+from .filters import FILTER_KINDS, SingularMatrixError, build_filter
 from .model import (
     NotPositiveSemidefiniteError,
     convergence_check,
@@ -41,7 +35,6 @@ from .sinr import (
     equicorr_sir_report,
     q_matrix,
     sinr_breakdown,
-    sinr_sweep,
 )
 
 __version__ = "0.1.0"

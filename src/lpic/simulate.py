@@ -32,14 +32,8 @@ from .filters import (
     cancellation_partials,
     singular_draws,
 )
-from .model import (
-    NotPositiveSemidefiniteError,
-    convergence_check,
-    correlation_matrix,
-    generate_spreading_set,
-    noise_transform,
-)
-from .sinr import compute_weight_schedule, sinr_sweep
+from .model import convergence_check, correlation_matrix, generate_spreading_set, noise_transform
+from .sinr import compute_weight_schedule, sinr_breakdown
 
 THREADS_ENV = "LPIC_THREADS"
 
@@ -93,8 +87,8 @@ def default_threads() -> int:
     return threads
 
 
-def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default).
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     Always contains errors/trials; collapses sensibly at 0 and trials.
     """
@@ -103,10 +97,10 @@ def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, f
     if not 0 <= errors <= trials:
         raise ValueError("errors must be in 0..trials")
     p = errors / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = z * sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = _Z95 * sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     # the score endpoints are exactly 0 / 1 at the boundary counts; rounding
     # in center - half can leave ~1e-18 residue there, breaking containment
     lo = 0.0 if errors == 0 else max(0.0, center - half)
@@ -189,24 +183,19 @@ class _Context:
 
 
 def _draw_correlations(cfg: ExperimentConfig, rng: np.random.Generator):
-    """Spreading draw with the documented redraw policy.
+    """The fixed-mode spreading draw, with the documented redraw policy.
 
-    Redraws on a non-factorizable correlation matrix, and (when
-    require_convergent is set) until every subcarrier satisfies
-    lambda_max < 2.  Deterministic given the rng state.  Returns the (M, K, K)
-    correlations and noise factors.
+    When require_convergent is set, redraws until every subcarrier satisfies
+    lambda_max < 2.  Deterministic given the rng state.  Returns the
+    (M, 1, K, K) correlations and noise factors.
     """
     for _ in range(_MAX_REDRAWS):
-        chips = np.stack([_spreading_sets(cfg, rng)])
-        try:
-            mats, factors = _correlate(cfg, chips)
-        except NotPositiveSemidefiniteError:
-            continue
+        mats, factors = _correlate(cfg, np.stack([_spreading_sets(cfg, rng)]))
         if cfg.require_convergent and not all(
             convergence_check(r).converges for r in mats[:, 0]
         ):
             continue
-        return mats[:, 0], factors[:, 0]
+        return mats, factors
     raise RuntimeError(f"no acceptable spreading draw in {_MAX_REDRAWS} attempts")
 
 
@@ -220,8 +209,7 @@ def _correlate(cfg: ExperimentConfig, chips: np.ndarray):
     """(M, G, K, K) correlations and noise factors of G trials' (G, sets, K, P) chips.
 
     Each distinct set is factored once; identical sequences repeat theirs
-    over the M subcarriers.  Raises NotPositiveSemidefiniteError if a draw
-    admits no factor.
+    over the M subcarriers.
     """
     mats = correlation_matrix(chips.swapaxes(0, 1))
     factors = noise_transform(mats)
@@ -369,42 +357,24 @@ def _draw_symbols(rng: np.random.Generator, cfg: ExperimentConfig, sigma2: float
 def _draw_trials(cfg: ExperimentConfig, rng: np.random.Generator, sigma2: float, count: int):
     """count trials, each with its own spreading draw.
 
-    Every trial reads the stream of a one-trial block: its sequences (with
-    the redraw policy), then what _draw_symbols(rng, cfg, sigma2, 1) reads,
-    taking the four normal arrays in one call.  The chunk's sequences are
-    correlated and factored as one stack.  A draw that stack cannot factor
-    would have been redrawn at once: the chunk is then read again from its
-    start, trial by trial through _draw_correlations.  Returns (M, count, K, K)
-    correlations and factors, then bits, fading and noise.
+    Every trial reads the stream of a one-trial block: its sequences, then
+    what _draw_symbols(rng, cfg, sigma2, 1) reads, taking the four normal
+    arrays in one call.  The chunk's sequences are correlated and factored
+    as one stack.  Returns (M, count, K, K) correlations and factors, then
+    bits, fading and noise.
     """
-    start = rng.bit_generator.state
-    chips, raw_bits, normals = _read_trials(cfg, rng, count, lambda: _spreading_sets(cfg, rng))
-    try:
-        correlations, factors = _correlate(cfg, np.array(chips))
-    except NotPositiveSemidefiniteError:
-        rng.bit_generator.state = start
-        mats, raw_bits, normals = _read_trials(cfg, rng, count, lambda: _draw_correlations(cfg, rng))
-        correlations, factors = (np.stack(part, axis=1) for part in zip(*mats))
+    chips, raw_bits, normals = [], [], []
+    for _ in range(count):
+        chips.append(_spreading_sets(cfg, rng))
+        raw_bits.append(rng.integers(0, 2, size=(1, cfg.users)))
+        normals.append(rng.standard_normal((4, 1, cfg.subcarriers, cfg.users)))
+    correlations, factors = _correlate(cfg, np.array(chips))
     normals = np.concatenate(normals, axis=1)
     # the arithmetic of _draw_symbols on the stacked draws
     bits = (np.concatenate(raw_bits) * 2 - 1).astype(np.float64)
     h = sqrt(0.5) * (normals[0] + 1j * normals[1])
     w = sqrt(sigma2 / 2.0) * (normals[2] + 1j * normals[3])
     return correlations, factors, bits, h, w
-
-
-def _read_trials(cfg: ExperimentConfig, rng: np.random.Generator, count: int, draw):
-    """The rng reads of count trials in stream order: draw(), then the bits and normals.
-
-    draw() reads one trial's spreading draw.  Returns the lists of the draws,
-    the raw bits and the (4, 1, M, K) normals.
-    """
-    draws, raw_bits, normals = [], [], []
-    for _ in range(count):
-        draws.append(draw())
-        raw_bits.append(rng.integers(0, 2, size=(1, cfg.users)))
-        normals.append(rng.standard_normal((4, 1, cfg.subcarriers, cfg.users)))
-    return draws, raw_bits, normals
 
 
 def _apply(mats, v):
@@ -716,7 +686,7 @@ def run_ber_experiment(cfg: ExperimentConfig, threads: int | None = None) -> lis
     fixed = cfg.sequence_mode == "fixed"
     if fixed:
         correlations, factors = _draw_correlations(cfg, np.random.default_rng(seq_ss))
-        ctx = _prepare_context(cfg, correlations[:, None], factors[:, None])
+        ctx = _prepare_context(cfg, correlations, factors)
 
     n_blocks = ceil(cfg.trials / _BLOCK_TRIALS)
     sizes = [
@@ -784,16 +754,15 @@ def run_sinr_experiment(cfg: ExperimentConfig) -> list[SinrPoint]:
     root = np.random.SeedSequence(cfg.seed)
     seq_ss, _ = root.spawn(2)
     correlations, _factors = _draw_correlations(cfg, np.random.default_rng(seq_ss))
-    r = correlations[0]
+    r = correlations[0, 0]
     amplitudes = cfg.amplitudes()
     sigma2 = cfg.sigma2()
     schedule, _degenerate = compute_weight_schedule(r, amplitudes, sigma2, max(cfg.sweep_stages))
     grid = cfg.weight_grid()
     points = []
     for stage in cfg.sweep_stages:
-        for weight, value in sinr_sweep(
-            r, amplitudes, sigma2, schedule, cfg.sweep_user, stage, grid
-        ):
+        curve = sinr_breakdown(r, amplitudes, sigma2, schedule, cfg.sweep_user, stage).sinr(grid)
+        for weight, value in zip(grid, curve):
             points.append(
                 SinrPoint(
                     user=cfg.sweep_user,

@@ -172,24 +172,6 @@ def sinr_breakdown(
     )
 
 
-def sinr_sweep(
-    correlation: np.ndarray,
-    amplitudes: np.ndarray,
-    sigma2: float,
-    prior_weights: np.ndarray | None,
-    user: int,
-    stage: int,
-    weights: np.ndarray,
-) -> np.ndarray:
-    """Evaluate the stage-m SINR over a grid of weights.
-
-    Returns an (n, 2) array of (w, sinr) pairs, sinr in linear units.
-    """
-    bd = sinr_breakdown(correlation, amplitudes, sigma2, prior_weights, user, stage)
-    w = np.asarray(weights, dtype=float)
-    return np.column_stack([w, bd.sinr(w)])
-
-
 def compute_weight_schedule(
     correlation: np.ndarray,
     amplitudes: np.ndarray,

@@ -2,9 +2,9 @@
 
 Nothing in here imports from the package's construction code paths beyond
 plain numpy: closed-form BER expressions, a score-equation solver for the
-binomial interval, explicit-power matrix series and a plain-loop mmse
-series in either eigenvalue order.  Agreement between
-these and the package is what the tests assert.
+binomial interval, explicit-power matrix series, a diagonal-zeroing
+helper and a plain-loop mmse series in either eigenvalue order.
+Agreement between these and the package is what the tests assert.
 """
 
 from __future__ import annotations
@@ -68,6 +68,16 @@ def explicit_power_series(r: np.ndarray, stage: int) -> np.ndarray:
     return sum(
         (np.linalg.matrix_power(eye - r, j) for j in range(stage)), np.zeros_like(r)
     )
+
+
+def zero_diagonal(matrix: np.ndarray) -> np.ndarray:
+    """Copy of a square matrix (or a stack of them) with the diagonal forced to zero."""
+    m = np.array(matrix)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("zero_diagonal needs a square matrix")
+    diag = np.arange(m.shape[-1])
+    m[..., diag, diag] = 0
+    return m
 
 
 def central_difference(f, x: float, step: float) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from lpic.config import parse_config
-from lpic.filters import build_filter, limit_scaling_matrix
+from lpic.filters import build_filter
 from lpic.model import (
     convergence_check,
     correlation_matrix,
@@ -26,6 +26,7 @@ from lpic.simulate import run_ber_experiment
 from lpic.sinr import compute_weight_schedule, equicorr_sir_report, sinr_breakdown
 
 from expanded import stage3_terms, stagem_expanded_conventional, stagem_expanded_proposed
+from limit_scaling import limit_scaling_matrix
 from oracles import central_difference, mrc_bpsk_ber, random_correlation, rayleigh_bpsk_ber
 
 

@@ -8,8 +8,7 @@ PUBLIC = {
     # config
     "ConfigError", "DetectorSpec", "ExperimentConfig", "load_config", "parse_config",
     # filters
-    "FILTER_KINDS", "SingularMatrixError", "build_filter", "limit_scaling_matrix",
-    "zero_diagonal",
+    "FILTER_KINDS", "SingularMatrixError", "build_filter",
     # model
     "NotPositiveSemidefiniteError", "convergence_check", "correlation_matrix",
     "equicorrelated_matrix", "generate_spreading_set", "noise_transform",
@@ -18,7 +17,7 @@ PUBLIC = {
     "run_ber_experiment", "run_sinr_experiment", "wilson_interval",
     # sinr
     "EquicorrSirReport", "SinrBreakdown", "compute_weight_schedule", "equicorr_sir_report",
-    "q_matrix", "sinr_breakdown", "sinr_sweep",
+    "q_matrix", "sinr_breakdown",
 }
 
 
@@ -28,4 +27,4 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert names == PUBLIC
-    assert len(PUBLIC) == 31
+    assert len(PUBLIC) == 28

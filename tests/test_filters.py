@@ -10,14 +10,13 @@ from lpic.filters import (
     SingularMatrixError,
     build_filter,
     cancellation_partials,
-    limit_scaling_matrix,
     mmse_stage_weights,
-    zero_diagonal,
 )
 from lpic.model import equicorrelated_matrix
 from lpic.sinr import q_matrix
 
-from oracles import explicit_power_series, mmse_series, random_correlation
+from limit_scaling import limit_scaling_matrix
+from oracles import explicit_power_series, mmse_series, random_correlation, zero_diagonal
 
 
 class TestConventional:

@@ -170,6 +170,21 @@ class TestNoise:
         with pytest.raises(NotPositiveSemidefiniteError):
             noise_transform(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "users, chips, draws",
+        [(6, 4, 2000), (20, 8, 500), (64, 16, 100), (200, 16, 10), (400, 7, 3), (1000, 3, 1)],
+    )
+    def test_pm1_gram_matrices_sit_far_inside_the_refusal_threshold(
+        self, rng, users, chips, draws
+    ):
+        # R = C C^T / P is PSD; eigh's backward error leaves lambda_min at
+        # -O(K eps ||R||), which must stay 1e4 inside the -1e-10 max(lambda_max, 1)
+        # at which noise_transform refuses, so no spreading draw is ever refused
+        sets = np.array([generate_spreading_set(users, chips, rng) for _ in range(draws)])
+        vals = np.linalg.eigh(correlation_matrix(sets))[0]
+        worst = np.max(-vals[:, 0] / np.maximum(vals[:, -1], 1.0))
+        assert worst <= 1e-10 / 1e4
+
     @pytest.mark.parametrize("users, chips", [(5, 24), (6, 4)], ids=["definite", "singular"])
     def test_stack_equals_per_matrix_factors(self, rng, users, chips):
         # K > P: every draw is singular, the batched Cholesky fails and each

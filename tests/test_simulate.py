@@ -14,7 +14,7 @@ import pytest
 
 from lpic import cli, simulate
 from lpic.config import ConfigError, parse_config
-from lpic.filters import SingularMatrixError, build_filter, zero_diagonal
+from lpic.filters import SingularMatrixError, build_filter
 from lpic.model import (
     NotPositiveSemidefiniteError,
     correlation_matrix,
@@ -33,7 +33,7 @@ from lpic.simulate import (
 )
 from lpic.sinr import compute_weight_schedule
 
-from oracles import random_correlation, wilson_by_bisection
+from oracles import random_correlation, wilson_by_bisection, zero_diagonal
 
 
 class TestWilsonInterval:
@@ -560,33 +560,22 @@ def _fading(rng, trials, subs, users):
     )
 
 
-def _sequential_trials(cfg, rng, sigma2, count, refused=()):
+def _sequential_trials(cfg, rng, sigma2, count):
     """The per_trial draw of count trials with public functions, one trial at a time.
 
     Each trial draws its spreading sets (one set repeated over the M
     subcarriers when they are identical) and factors every subcarrier's
-    matrix, redrawing them all if a factor is refused; a trial listed in
-    refused has its first draw refused too.  Then it reads its bits and its
-    four normal arrays.  Returns what simulate._draw_trials returns.
+    matrix.  Then it reads its bits and its four normal arrays.  Returns
+    what simulate._draw_trials returns.
     """
     users, chips, subs = cfg.users, cfg.chips, cfg.subcarriers
     sets = 1 if cfg.subcarrier_sequences == "identical" else subs
-    refused = set(refused)
     mats, factors, raw_bits, normals = [], [], [], []
-    for t in range(count):
-        while True:
-            rs = [correlation_matrix(generate_spreading_set(users, chips, rng)) for _ in range(sets)]
-            rs = rs * (subs // sets)
-            try:
-                if t in refused:
-                    refused.discard(t)
-                    raise NotPositiveSemidefiniteError
-                ells = [noise_transform(r) for r in rs]
-            except NotPositiveSemidefiniteError:
-                continue
-            break
+    for _ in range(count):
+        rs = [correlation_matrix(generate_spreading_set(users, chips, rng)) for _ in range(sets)]
+        rs = rs * (subs // sets)
         mats.append(np.stack(rs))
-        factors.append(np.stack(ells))
+        factors.append(np.stack([noise_transform(r) for r in rs]))
         raw_bits.append(rng.integers(0, 2, size=(1, users)))
         normals.append(rng.standard_normal((4, 1, subs, users)))
     normals = np.concatenate(normals, axis=1)
@@ -652,28 +641,27 @@ class TestPerTrialDraw:
                          "noise_transform": 1}
 
     @pytest.mark.parametrize("name", ["m1", "m3_independent", "m3_identical"])
-    def test_a_refused_stack_replays_the_chunk_with_its_redraws(self, monkeypatch, name):
-        # call 0 is the chunk's stack; in the replay, call t + 1 is trial t's
-        # first draw, so refusing call 3 as well makes trial 2 redraw
+    def test_a_refused_stack_is_an_error_not_a_redraw(self, monkeypatch, name):
+        # +/-1 Gram matrices are PSD, so a refusal would be a bug in the
+        # factorisation: it surfaces instead of silently changing the stream
         cfg = _draw_cfg(name)
-        sigma2 = cfg.sigma2()
-        original, seen = simulate.noise_transform, []
+        seen = []
 
         def refusing(r):
             seen.append(r.shape)
-            if len(seen) - 1 in (0, 3):
-                raise NotPositiveSemidefiniteError("refused")
-            return original(r)
+            raise NotPositiveSemidefiniteError("refused")
 
         monkeypatch.setattr(simulate, "noise_transform", refusing)
-        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-        got = simulate._draw_trials(cfg, rng, sigma2, 9)
-        want = _sequential_trials(cfg, ref_rng, sigma2, 9, refused={2})
-        _assert_same_draws(got, want)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        with pytest.raises(NotPositiveSemidefiniteError, match="refused"):
+            simulate._draw_trials(cfg, np.random.default_rng(8), cfg.sigma2(), 9)
         sets = 1 if name == "m3_identical" else cfg.subcarriers
-        assert seen[0] == (sets, 9, cfg.users, cfg.users)
-        assert len(seen) == 1 + 9 + 1
+        assert seen == [(sets, 9, cfg.users, cfg.users)]
+        fixed = parse_config(_DRAW_CONFIGS[name] + "snr_db = 6\ndetectors = mf\n")
+        for run in (cfg, fixed):
+            seen.clear()
+            with pytest.raises(NotPositiveSemidefiniteError, match="refused"):
+                run_ber_experiment(run)
+            assert len(seen) == 1
 
     def test_records_do_not_depend_on_the_chunk_size(self, monkeypatch):
         text = (
