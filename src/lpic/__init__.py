@@ -2,10 +2,11 @@
 
 Matrix-filter multistage detectors (conventional and zero-diagonal series,
 eigenvalue-weighted MMSE-converging variants, per-user weighted stages; all
-but the conventional one sum the single stage recursion
-filters.cancellation_series), closed-form output SINR and optimal stage
-weights, and a deterministic Monte Carlo BER harness with single-carrier
-and multicarrier Type I / II receivers.
+of them, conventional included, sum the single stage recursion
+filters.cancellation_series, and build_filter can build only the rows a
+caller counts), closed-form output SINR and optimal stage weights, and a
+deterministic Monte Carlo BER harness with single-carrier and multicarrier
+Type I / II receivers.
 """
 
 from .config import ConfigError, DetectorSpec, ExperimentConfig, load_config, parse_config

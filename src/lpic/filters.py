@@ -4,12 +4,14 @@ Every detector here is a one-shot K x K linear filter applied to the matched
 filter bank output, a plain array built by build_filter(kind, R, stage, ...).
 It also takes a stack of correlation matrices with leading draw axes, shape
 (..., K, K), and returns the stack of filters that per-draw builds would
-give, bit for bit.  The m-stage cancellation structures are represented in
-closed matrix form; all but the conventional one sum the one stage
-recursion, cancellation_series:
+give, bit for bit.  build_filter(..., rows=...) builds only the given rows
+of each filter, which is all a detector that counts some users needs.  The
+m-stage cancellation structures are represented in closed matrix form, and
+every one of them sums the one stage recursion, cancellation_series, whose
+row i needs only row i of the term before it:
 
-  * conventional: truncated series G = I + (I-R) + ... + (I-R)^(m-1), built by
-    the stage recursion G <- I + (I-R) G.  Converges to R^-1 iff
+  * conventional: truncated series G = I + (I-R) + ... + (I-R)^(m-1), the sum
+    of the powers B_n = B_{n-1} (I-R).  Converges to R^-1 iff
     lambda_max(R) < 2.
   * proposed: same series but each partial product has its diagonal forced to
     zero before the next stage, which stops the filter from cancelling the
@@ -21,6 +23,7 @@ recursion, cancellation_series:
   * modified_mmse: the mmse_converging structure with zero-diagonal products.
   * weighted_proposed: the proposed structure with per-user, per-stage weights.
   * decorrelator (R^-1), mmse ((R + sigma2 I)^-1), and the trivial mf identity.
+    Rows of an inverse come from one solve against columns of the identity.
 """
 
 from __future__ import annotations
@@ -54,10 +57,18 @@ class SingularMatrixError(ValueError):
     """Raised when an inversion-based filter meets an effectively singular matrix."""
 
 
-def _hollow(m: np.ndarray) -> np.ndarray:
-    """Force the diagonal of a square matrix (or stack) to zero in place."""
-    diag = np.arange(m.shape[-1])
-    m[..., diag, diag] = 0
+def _diagonal(rows: np.ndarray) -> tuple:
+    """Index of entries (i, rows[i]): the diagonal entries, in a stack of those rows."""
+    return ..., np.arange(len(rows)), rows
+
+
+def _hollow(m: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Force the diagonal of a square matrix (or stack) to zero in place.
+
+    rows, if given, says which rows of the square matrix m holds: entry
+    (i, rows[i]) is zeroed.
+    """
+    m[_diagonal(np.arange(m.shape[-1]) if rows is None else rows)] = 0
     return m
 
 
@@ -95,27 +106,29 @@ def _weighted_steps(step: np.ndarray, schedule: np.ndarray | None, stage: int):
     return (schedule[..., s - 2, :, None] * step for s in range(stage, 1, -1))
 
 
-def _identities(r: np.ndarray) -> np.ndarray:
-    """Identity matrices shaped like r: stage one of every series filter."""
-    out = np.zeros_like(r)
-    diag = np.arange(r.shape[-1])
-    out[..., diag, diag] = 1
+def _identities(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The identity's rows, one (R, K) copy per matrix of r: stage one of every series."""
+    out = np.zeros(r.shape[:-2] + (len(rows), r.shape[-1]), dtype=r.dtype)
+    out[_diagonal(rows)] = 1
     return out
 
 
-def cancellation_series(first, steps, hollow: bool, coefs=None) -> np.ndarray:
+def cancellation_series(first, steps, hollow: bool, coefs=None, rows=None) -> np.ndarray:
     """The stage recursion: sum_n c_n T_n with T_0 = first and T_n = T_{n-1} S_n.
 
     steps yields S_1, S_2, ...; with hollow set, each new product T_n (n >= 1)
     has its diagonal zeroed before it is summed and carried on.  coefs holds
     c_0, c_1, ... (None means every c_n = 1).  Takes (..., K, K) stacks, real
-    or complex; c_0 T_0 must already have the result's shape.
+    or complex; c_0 T_0 must already have the result's shape.  Row i of T_n
+    needs only row i of T_{n-1}, so first may hold some rows of T_0 alone,
+    (..., R, K): rows then names them (an index array into K), and hollowing
+    zeroes entry (i, rows[i]).
     """
-    *_, total = cancellation_partials(first, steps, hollow, coefs)
+    *_, total = cancellation_partials(first, steps, hollow, coefs, rows)
     return total
 
 
-def cancellation_partials(first, steps, hollow: bool, coefs=None):
+def cancellation_partials(first, steps, hollow: bool, coefs=None, rows=None):
     """Yield every partial sum of cancellation_series: c_0 T_0, then + c_1 T_1, ...
 
     One pass gives the filters of stages 1, 2, ... with the products and
@@ -128,7 +141,7 @@ def cancellation_partials(first, steps, hollow: bool, coefs=None):
     for n, step in enumerate(steps, 1):
         part = part @ step
         if hollow:
-            _hollow(part)
+            _hollow(part, rows)
         total += part if coefs is None else coefs[n] * part
         yield total
 
@@ -173,11 +186,13 @@ def singular_draws(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def _guarded_inverse(
-    matrix: np.ndarray, what: str, eigenvalues: np.ndarray | None = None
+    matrix: np.ndarray, what: str, eigenvalues: np.ndarray | None = None, rows=None
 ) -> np.ndarray:
-    """Inverse with an explicit smallest-pivot singularity threshold.
+    """Inverse (or its rows) with an explicit smallest-pivot singularity threshold.
 
-    A stack is inverted draw by draw and fails if any draw is singular.
+    A stack is inverted draw by draw and fails if any draw is singular.  Rows
+    of A^-1 are columns of A^-T, so given rows (an index array into K) take
+    one solve against those columns of the identity.
     """
     vals = _spectrum(matrix, eigenvalues)
     singular = singular_draws(vals)
@@ -189,34 +204,28 @@ def _guarded_inverse(
             f"{what} is singular to working precision{where} "
             f"(|eig| range {mags.min():.3e}..{mags.max():.3e})"
         )
-    return np.linalg.solve(matrix, np.eye(matrix.shape[-1]))
+    eye = np.eye(matrix.shape[-1])
+    if rows is None:
+        return np.linalg.solve(matrix, eye)
+    return np.linalg.solve(matrix.swapaxes(-1, -2), eye[:, rows]).swapaxes(-1, -2)
 
 
-def _conventional(r: np.ndarray, stage: int) -> np.ndarray:
-    """I + (I-R) + ... + (I-R)^(m-1) by the stable recursion G <- I + (I-R) G."""
-    eye = np.eye(r.shape[-1], dtype=r.dtype)
-    step = eye - r
-    g = _identities(r)
-    for _ in range(stage - 1):
-        g = step @ g
-        g += eye
-    return g
+def _power_series(r, stage, hollow, schedule, rows) -> np.ndarray:
+    """Sum of B_j with B_0 = I and B_n = B_{n-1} W_{m-n+1} (I-R), in the given rows.
 
-
-def _zero_diagonal_series(r: np.ndarray, stage: int, schedule: np.ndarray | None):
-    """Sum of B_j with B_0 = I and B_n = zero_diagonal(B_{n-1} W_{m-n+1} (I-R)).
-
-    W_s = diag(schedule[..., s-2, :]); no schedule means unit weights
-    (proposed).  Zeroing the running product's diagonal keeps each stage
-    from re-cancelling the desired-signal and noise terms the previous one
-    restored.  A stacked schedule pairs draw by draw with a stack of
+    Plain (conventional): I + (I-R) + ... + (I-R)^(m-1).  Hollow (proposed,
+    weighted_proposed): each B_n has its diagonal zeroed, which keeps each
+    stage from re-cancelling the desired-signal and noise terms the previous
+    one restored.  W_s = diag(schedule[..., s-2, :]); no schedule means unit
+    weights.  A stacked schedule pairs draw by draw with a stack of
     correlations.
     """
     step = np.eye(r.shape[-1], dtype=r.dtype) - r
-    return cancellation_series(_identities(r), _weighted_steps(step, schedule, stage), hollow=True)
+    steps = _weighted_steps(step, schedule, stage)
+    return cancellation_series(_identities(r, rows), steps, hollow, rows=rows)
 
 
-def _mmse_series(r, sigma2, stage, hollow, eigenvalues) -> np.ndarray:
+def _mmse_series(r, sigma2, stage, hollow, eigenvalues, rows) -> np.ndarray:
     """mu_m I + sum_i mu_{m-i} J_i, J_0 = I, J_i = J_{i-1} (I - mu_{m-i+1} (R + sigma2 I)).
 
     Plain (mmse_converging): the factors commute, and because each mu_i
@@ -228,7 +237,8 @@ def _mmse_series(r, sigma2, stage, hollow, eigenvalues) -> np.ndarray:
     one eigenvalue order or the other (large steps enter the hollow products
     first and the early or late stages diverge).  Hollowing breaks the
     telescoping, so its stage K is a near-diagonal row rescaling of
-    (R + sigma2 I)^-1, which leaves sign decisions unchanged.
+    (R + sigma2 I)^-1, which leaves sign decisions unchanged.  Built in the
+    given rows alone.
     """
     mu = mmse_stage_weights(r, sigma2, eigenvalues)[..., None, None]
     eye = np.eye(r.shape[-1])
@@ -237,7 +247,7 @@ def _mmse_series(r, sigma2, stage, hollow, eigenvalues) -> np.ndarray:
     coefs = [mu[..., stage - 1 - i, :, :] for i in range(stage)]
     factors = (mu[..., stage - i, :, :] * s for i in range(1, stage))
     steps = (np.subtract(eye, f, out=f) for f in factors)
-    return cancellation_series(eye, steps, hollow, coefs)
+    return cancellation_series(eye[rows], steps, hollow, coefs, rows)
 
 
 def build_filter(
@@ -247,11 +257,14 @@ def build_filter(
     sigma2: float | None = None,
     schedule: np.ndarray | None = None,
     eigenvalues: np.ndarray | None = None,
+    rows=None,
 ) -> np.ndarray:
-    """The K x K filter matrix of any detector kind, by name.
+    """The K x K filter matrix of any detector kind, by name, or some of its rows.
 
     A (..., K, K) stack of correlations gives the (..., K, K) stack of
-    filters.  The stage is ignored by the kinds outside STAGED_KINDS.
+    filters.  rows (a slice or index array into K) builds only those rows,
+    (..., R, K), without forming the others; None builds them all.  The
+    stage is ignored by the kinds outside STAGED_KINDS.
     sigma2 >= 0 is required for the mmse family, and mmse_converging and
     modified_mmse need stage <= K.  weighted_proposed at stage >= 2 needs a
     (..., stages-1, K) weight schedule covering the stage (row m-2 holds
@@ -282,16 +295,19 @@ def build_filter(
             raise ValueError("weighted_proposed requires a weight schedule")
         if schedule is not None:
             schedule = _checked_schedule(schedule, k, stage)
+    index = np.arange(k) if rows is None else np.arange(k)[rows]
+    if index.ndim != 1:
+        raise ValueError("rows must be a slice or a 1-D index array")
 
     if kind == "mf":
-        return np.broadcast_to(np.eye(k), r.shape)
-    if kind == "conventional":
-        return _conventional(r, stage)
-    if kind in ("proposed", "weighted_proposed"):
-        return _zero_diagonal_series(r, stage, schedule if kind == "weighted_proposed" else None)
+        return np.broadcast_to(np.eye(k)[index], r.shape[:-2] + (len(index), k))
+    if kind in ("conventional", "proposed", "weighted_proposed"):
+        weights = schedule if kind == "weighted_proposed" else None
+        return _power_series(r, stage, kind != "conventional", weights, index)
+    inverse_rows = None if rows is None else index  # None: one solve against the whole identity
     if kind == "decorrelator":
-        return _guarded_inverse(r, "correlation matrix", eigenvalues)
+        return _guarded_inverse(r, "correlation matrix", eigenvalues, inverse_rows)
     if kind == "mmse":
         shifted = None if eigenvalues is None else _spectrum(r, eigenvalues) + sigma2
-        return _guarded_inverse(r + sigma2 * np.eye(k), "R + sigma2 I", shifted)
-    return _mmse_series(r, sigma2, stage, kind == "modified_mmse", eigenvalues)
+        return _guarded_inverse(r + sigma2 * np.eye(k), "R + sigma2 I", shifted, inverse_rows)
+    return _mmse_series(r, sigma2, stage, kind == "modified_mmse", eigenvalues, index)

@@ -223,7 +223,7 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
 
     correlations and factors are (M, G, K, K): G = 1 for the one draw of a
     fixed-mode run, or G per-trial draws, which every build and the weight
-    schedule take as one stack.  A matrix-form detector keeps only the
+    schedule take as one stack.  A matrix-form detector builds only the
     counted rows of its filter on each subcarrier (single carrier is M = 1),
     stacked over detectors into one (D, G, M, R, K) tensor: R = K with
     count_all_users, else 1.  Type2 detectors other than mmse have no fixed
@@ -251,7 +251,8 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
                 sigma2=sigma2,
                 schedule=schedule[i] if spec.kind == "weighted_proposed" else None,
                 eigenvalues=None if spectra is None else spectra[i],
-            )[..., rows, :]
+                rows=rows,
+            )
         return out
 
     def schedule_of(mats):

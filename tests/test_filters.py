@@ -509,3 +509,76 @@ class TestStackedBuilds:
         mf = build_filter("mf", rs, 1)
         assert mf.shape == rs.shape
         assert np.array_equal(mf, np.broadcast_to(np.eye(6), rs.shape))
+
+
+class TestRowBuilds:
+    """build_filter(..., rows=...) gives the full build's rows without forming the rest."""
+
+    SIGMA2 = 0.1
+    ROWS = [slice(0, 1), slice(None), [3, 0]]
+    # row-local products of +-1/64 entries are exact; solves and the
+    # eigenvalue-weighted products round differently in fewer rows
+    EXACT = ("mf", "conventional", "proposed")
+
+    def _close(self, kind, got, want):
+        assert got.shape == want.shape
+        if kind in self.EXACT:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("rows", ROWS, ids=["first", "all", "picked"])
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_rows_equal_the_full_build_rows(self, rng, kind, rows):
+        from lpic.sinr import compute_weight_schedule
+
+        rs = np.stack([random_correlation(rng, 6, 64) for _ in range(8)])
+        amps = np.where(np.arange(6) % 2, 10.0, 1.0)
+        schedule, _degenerate = compute_weight_schedule(rs, amps, self.SIGMA2, 5)
+        for stage in (1, 2, 5) if kind in STAGED_KINDS else (1,):
+            args = dict(sigma2=self.SIGMA2, schedule=schedule)
+            full = build_filter(kind, rs, stage, **args)
+            self._close(kind, build_filter(kind, rs, stage, rows=rows, **args), full[..., rows, :])
+            one = dict(sigma2=self.SIGMA2, schedule=schedule[2])
+            self._close(
+                kind, build_filter(kind, rs[2], stage, rows=rows, **one), full[2][..., rows, :]
+            )
+
+    def test_singular_draw_raises_with_and_without_rows(self, rng):
+        rs = np.stack([random_correlation(rng, 6, 64) for _ in range(8)])
+        rs[5] = equicorrelated_matrix(6, 1.0)  # rank one
+        for kind, sigma2 in (("decorrelator", None), ("mmse", 0.0)):
+            for rows in (None, slice(0, 1), [3, 0]):
+                with pytest.raises(SingularMatrixError, match="at draw 5 "):
+                    build_filter(kind, rs, 1, sigma2=sigma2, rows=rows)
+
+    @pytest.mark.parametrize("kind", ["conventional", "proposed"])
+    def test_complex_rows(self, rng, kind):
+        rs = np.stack([random_correlation(rng, 6, 24) for _ in range(8)]).reshape(2, 4, 6, 6)
+        h = np.sqrt(0.5) * (rng.standard_normal((2, 4, 6)) + 1j * rng.standard_normal((2, 4, 6)))
+        r_c = np.sum(np.conj(h)[..., :, None] * rs * h[..., None, :], axis=0)
+        r_eff = r_c / np.sum(np.abs(h) ** 2, axis=0)[:, None, :]
+        for stage in (1, 3, 6):
+            got = build_filter(kind, r_eff, stage, rows=[3, 0])
+            want = build_filter(kind, r_eff, stage)[..., [3, 0], :]
+            assert got.dtype == complex and got.shape == (4, 2, 6)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_conventional_power_sum_equals_horner(self, rng):
+        # the power sum against the recursion G <- I + (I-R) G: equal on
+        # +-1/64 entries, equal up to last-digit rounding otherwise
+        for chips, tol in ((64, 0.0), (48, 1e-14), (17, 1e-14)):
+            r = random_correlation(rng, 8, chips)
+            eye = np.eye(8)
+            horner = eye.copy()
+            for stage in range(2, 7):
+                horner = (eye - r) @ horner + eye
+                got = build_filter("conventional", r, stage)
+                assert np.abs(got - horner).max() <= tol * np.abs(horner).max(), (chips, stage)
+
+    def test_rows_validation(self, rng):
+        r = random_correlation(rng, 4, 16)
+        with pytest.raises(ValueError, match="rows"):
+            build_filter("proposed", r, 3, rows=[[0, 1]])
+        with pytest.raises(IndexError):
+            build_filter("proposed", r, 3, rows=[4])

@@ -1037,6 +1037,18 @@ class TestGoldenCounts:
                 0,
                 [200, 175, 198, 163, 4, 211, 16, 117, 72, 200, 162, 174, 158, 43],
             ),
+            (   # the per_trial_family benchmark workload's config at 2000 trials
+                "K = 20\nP = 64\nnear_far = tenfold\nsnr_db = 15\ntrials = 2000\n"
+                f"seed = 1\ndetectors = {FAMILY}\n",
+                0,
+                [669, 578, 645, 572, 19, 678, 40, 389, 272, 669, 549, 560, 538, 157],
+            ),
+            (   # every user; P = 48 keeps the filter arithmetic inexact
+                "K = 20\nP = 48\nnear_far = tenfold\nsnr_db = 12\ntrials = 600\n"
+                f"seed = 2\ncount_all_users = true\ndetectors = {FAMILY}\n",
+                0,
+                [2766, 2408, 3249, 2634, 131, 2562, 413, 1660, 1303, 2766, 2384, 2917, 2689, 946],
+            ),
             (
                 "K = 10\nP = 32\nM = 2\nreceiver = type1\nnear_far = tenfold\n"
                 "snr_db = 10\ntrials = 400\nseed = 4\ncount_all_users = true\n"
@@ -1051,7 +1063,9 @@ class TestGoldenCounts:
                 [11, 1, 22, 2, 14],
             ),
         ],
-        ids=["single_family", "type1_m2_all_users", "type2_m2"],
+        ids=[
+            "single_family", "per_trial_family", "p48_all_users", "type1_m2_all_users", "type2_m2",
+        ],
     )
     def test_per_trial_counts_are_pinned(self, text, nonconv, errors):
         cfg = parse_config(text + "sequence_mode = per_trial\n")
