@@ -241,7 +241,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if not 0 <= sweep_user < users:
         raise ConfigError(f"sweep_user {sweep_user} out of range for K={users}")
 
-    return ExperimentConfig(
+    seed = _parse_int(raw.get("seed", str(_DEFAULT_SEED)), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+    cfg = ExperimentConfig(
         users=users,
         chips=chips,
         snr_db=_parse_float(raw["snr_db"], "snr_db"),
@@ -250,7 +254,7 @@ def parse_config(text: str) -> ExperimentConfig:
         near_far=near_far,
         receiver=receiver,
         trials=trials,
-        seed=_parse_int(raw.get("seed", str(_DEFAULT_SEED)), "seed"),
+        seed=seed,
         sequence_mode=sequence_mode,
         subcarrier_sequences=subcarrier_sequences,
         count_all_users=_parse_bool(raw.get("count_all_users", "false"), "count_all_users"),
@@ -260,6 +264,15 @@ def parse_config(text: str) -> ExperimentConfig:
         sweep_stages=sweep_stages,
         sweep_weights=_parse_sweep_weights(raw.get("sweep_weights", "0:2:0.01")),
     )
+    try:
+        sigma2 = cfg.sigma2()
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = math.nan
+    if not 0.0 < sigma2 < math.inf:
+        raise ConfigError(
+            f"snr_db: {cfg.snr_db} gives no finite, positive noise variance M / 10^(snr_db/10)"
+        )
+    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import _indefinite
+
 FILTER_KINDS = (
     "mf",
     "conventional",
@@ -44,13 +46,15 @@ FILTER_KINDS = (
 # kinds whose filter matrix varies with the stage index
 STAGED_KINDS = ("conventional", "proposed", "mmse_converging", "modified_mmse", "weighted_proposed")
 
-# kinds whose build takes the spectrum of R (and can be handed it precomputed)
-SPECTRAL_KINDS = ("mmse_converging", "modified_mmse", "decorrelator", "mmse")
+# kinds whose filter takes the spectrum of R (and can be handed it precomputed)
+SPECTRAL_KINDS = ("mmse_converging", "modified_mmse")
 
-# kinds built on the complex R_eff of the combined domain as well
+# kinds that also take a complex correlation, such as the combined-domain
+# R_eff: a public API, and the tests' reference for the type2 harness
 _COMPLEX_KINDS = ("mf", "conventional", "proposed")
 
 _PIVOT_RTOL = 1e3 * np.finfo(float).eps  # singularity threshold for inversions
+_CERT_MARGIN = 1e-9  # Cholesky certificate margin, far above rounding
 
 
 class SingularMatrixError(ValueError):
@@ -146,16 +150,6 @@ def cancellation_partials(first, steps, hollow: bool, coefs=None, rows=None):
         yield total
 
 
-def _spectrum(r: np.ndarray, eigenvalues: np.ndarray | None) -> np.ndarray:
-    """Ascending eigenvalues of r: the given ones, or eigvalsh(r)."""
-    if eigenvalues is None:
-        return np.linalg.eigvalsh(r)
-    lams = np.asarray(eigenvalues, dtype=float)
-    if lams.shape != r.shape[:-1]:
-        raise ValueError(f"eigenvalues of shape {lams.shape} do not fit correlations {r.shape}")
-    return lams
-
-
 def mmse_stage_weights(
     correlation: np.ndarray, sigma2: float, eigenvalues: np.ndarray | None = None
 ) -> np.ndarray:
@@ -170,36 +164,55 @@ def mmse_stage_weights(
     r = _check_square(correlation)
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
-    lams = _spectrum(r, eigenvalues)
-    if np.any(lams[..., 0] < -1e-10 * np.maximum(lams[..., -1], 1.0)):
+    if eigenvalues is None:
+        lams = np.linalg.eigvalsh(r)
+    else:
+        lams = np.asarray(eigenvalues, dtype=float)
+        if lams.shape != r.shape[:-1]:
+            raise ValueError(f"eigenvalues of shape {lams.shape} do not fit correlations {r.shape}")
+    if np.any(_indefinite(lams)):
         raise ValueError("correlation must be PSD for the mmse stage weights")
     return 1.0 / (lams[..., ::-1] + sigma2)
 
 
-def singular_draws(eigenvalues: np.ndarray) -> np.ndarray:
-    """Mask of the draws whose (..., K) spectra fail the pivot threshold.
+def _factorizes(shifted, shift) -> bool:
+    """Whether every draw of shifted + diag(shift) has a Cholesky factor; overwrites shifted."""
+    diag = np.arange(shifted.shape[-1])
+    shifted[..., diag, diag] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    That is min |eigenvalue| <= _PIVOT_RTOL max |eigenvalue|, for every inversion.
+
+def singular_draws(matrix: np.ndarray) -> np.ndarray:
+    """Mask of the draws of a (..., K, K) Hermitian stack that fail the pivot threshold.
+
+    That is min |eigenvalue| <= _PIVOT_RTOL max |eigenvalue|, for every
+    inversion.  A positive definite A has lambda_max <= tr(A), so one batched
+    Cholesky of A - (rtol tr(A) + margin) I proves the whole stack regular;
+    only a stack where it fails pays for eigvalsh, whose mask it equals.
     """
-    vals = np.abs(eigenvalues)
+    trace = np.trace(matrix, axis1=-2, axis2=-1).real
+    if _factorizes(matrix.copy(), -(_PIVOT_RTOL * trace + _CERT_MARGIN)[..., None]):
+        return np.zeros(matrix.shape[:-2], dtype=bool)
+    vals = np.abs(np.linalg.eigvalsh(matrix))
     return vals.min(axis=-1) <= _PIVOT_RTOL * vals.max(axis=-1)
 
 
-def _guarded_inverse(
-    matrix: np.ndarray, what: str, eigenvalues: np.ndarray | None = None, rows=None
-) -> np.ndarray:
+def _guarded_inverse(matrix: np.ndarray, what: str, rows=None) -> np.ndarray:
     """Inverse (or its rows) with an explicit smallest-pivot singularity threshold.
 
     A stack is inverted draw by draw and fails if any draw is singular.  Rows
     of A^-1 are columns of A^-T, so given rows (an index array into K) take
     one solve against those columns of the identity.
     """
-    vals = _spectrum(matrix, eigenvalues)
-    singular = singular_draws(vals)
+    singular = singular_draws(matrix)
     if np.any(singular):
         at = np.unravel_index(np.argmax(singular), singular.shape)
         where = f" at draw {','.join(str(int(i)) for i in at)}" if at else ""
-        mags = np.abs(vals[at])
+        mags = np.abs(np.linalg.eigvalsh(matrix[at]))
         raise SingularMatrixError(
             f"{what} is singular to working precision{where} "
             f"(|eig| range {mags.min():.3e}..{mags.max():.3e})"
@@ -272,8 +285,8 @@ def build_filter(
     conventional, proposed) take a complex correlation.  eigenvalues, if
     given, must be np.linalg.eigvalsh(correlation): the SPECTRAL_KINDS
     builds use it instead of decomposing R again, the others ignore it.
-    mmse takes eigenvalues + sigma2 as the spectrum of R + sigma2 I for its
-    singularity test only; its filter comes from the same solve either way.
+    The decorrelator and mmse test their matrix for singularity themselves
+    (singular_draws), and need no spectrum.
     """
     r = _check_square(correlation)
     k = r.shape[-1]
@@ -306,8 +319,7 @@ def build_filter(
         return _power_series(r, stage, kind != "conventional", weights, index)
     inverse_rows = None if rows is None else index  # None: one solve against the whole identity
     if kind == "decorrelator":
-        return _guarded_inverse(r, "correlation matrix", eigenvalues, inverse_rows)
+        return _guarded_inverse(r, "correlation matrix", inverse_rows)
     if kind == "mmse":
-        shifted = None if eigenvalues is None else _spectrum(r, eigenvalues) + sigma2
-        return _guarded_inverse(r + sigma2 * np.eye(k), "R + sigma2 I", shifted, inverse_rows)
+        return _guarded_inverse(r + sigma2 * np.eye(k), "R + sigma2 I", inverse_rows)
     return _mmse_series(r, sigma2, stage, kind == "modified_mmse", eigenvalues, index)

@@ -107,10 +107,18 @@ def noise_transform(correlation: np.ndarray) -> np.ndarray:
     return out
 
 
+def _indefinite(eigenvalues: np.ndarray) -> np.ndarray:
+    """Whether ascending (..., K) spectra go further below zero than a PSD matrix's rounding.
+
+    That is lambda_min < -1e-10 max(lambda_max, 1).
+    """
+    return eigenvalues[..., 0] < -1e-10 * np.maximum(eigenvalues[..., -1], 1.0)
+
+
 def _eigen_factor(r: np.ndarray, where: str) -> np.ndarray:
     """The clipped eigenvalue square root of one PSD matrix that Cholesky refused."""
     vals, vecs = np.linalg.eigh(r)
-    if vals[0] < -1e-10 * max(vals[-1], 1.0):
+    if _indefinite(vals):
         raise NotPositiveSemidefiniteError(
             f"correlation matrix is not PSD{where} (min eigenvalue {vals[0]:.3e})"
         )

@@ -26,8 +26,9 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .filters import (
-    _PIVOT_RTOL,
+    _CERT_MARGIN,
     SPECTRAL_KINDS,
+    _factorizes,
     build_filter,
     cancellation_partials,
     singular_draws,
@@ -40,7 +41,6 @@ THREADS_ENV = "LPIC_THREADS"
 _BLOCK_TRIALS = 8192   # fixed: part of the deterministic draw structure
 _CHUNK_TRIALS = 256    # cache-sized slice for dense combined-domain matrices
 _DRAW_CHUNK = 32       # per_trial draws built as one stack; bounds the build temporaries
-_CERT_MARGIN = 1e-9    # nonconv certificate margin, far above rounding
 _CERT_RANK = 3         # eigenpairs per subcarrier in the low-rank nonconv bound
 _MAX_REDRAWS = 1000    # sequence redraw attempts before giving up
 # what a detector build raises on a draw it cannot serve (singular or
@@ -265,7 +265,7 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
 
     draws = correlations.shape[1]
     schedule = schedule_of(correlations)
-    spectra = None  # eigvalsh of each subcarrier's correlations, shared by SPECTRAL_KINDS
+    spectra = None  # eigvalsh of the correlations, shared by SPECTRAL_KINDS
     specs, stacks, built, combined = [], [], [], []
     for spec in cfg.detectors:
         if cfg.receiver == "type2" and spec.kind != "mmse":
@@ -273,9 +273,8 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
             continue
         try:
             if spec.kind in SPECTRAL_KINDS and spectra is None:
-                spectra = [np.linalg.eigvalsh(mats) for mats in correlations]
-            given = spectra if spec.kind in SPECTRAL_KINDS else None
-            stacks.append(counted_rows(spec, correlations, schedule, given))
+                spectra = np.linalg.eigvalsh(correlations)
+            stacks.append(counted_rows(spec, correlations, schedule, spectra))
             built.append(np.ones(draws, dtype=bool))
         except _BUILD_ERRORS:
             # rebuild draw by draw, so one bad draw costs only itself
@@ -587,17 +586,6 @@ def _count_nonconvergent(r_c, power) -> int:
     return int(np.count_nonzero(lam_max >= 2.0))
 
 
-def _factorizes(shifted, shift) -> bool:
-    """Whether every draw of shifted + diag(shift) has a Cholesky factor; overwrites shifted."""
-    diag = np.arange(shifted.shape[-1])
-    shifted[:, diag, diag] += shift
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _hermitian(r_c, power):
     """P^-1/2 R_c P^-1/2, the Hermitian matrix similar to R_eff = R_c P^-1."""
     s = np.sqrt(power)
@@ -622,20 +610,16 @@ def _decorrelate(r_c, power, y_c):
     """Decorrelator statistics R_eff^-1 y_c and the mask of trials solved.
 
     A trial whose Hermitian form H (see _hermitian) fails the filters' pivot
-    threshold is left unsolved, as a singular R is for the single-carrier
-    decorrelator.  H is PSD, so lambda_max(H) <= tr(H) = tr(R_eff), and one
-    batched Cholesky of R_c - (rtol tr(H) + margin) P proves a chunk regular;
-    only a chunk where it fails pays for eigvalsh, whose mask it equals.
-    The mask is None when every trial was solved.
+    threshold (singular_draws) is left unsolved, as a singular R is for the
+    single-carrier decorrelator.  The mask is None when every trial was solved.
     """
     r_eff = r_c / power[:, None, :]
-    trace = np.trace(r_eff, axis1=1, axis2=2).real
-    if _factorizes(r_c.copy(), -(_PIVOT_RTOL * trace + _CERT_MARGIN)[:, None] * power):
+    ok = ~singular_draws(_hermitian(r_c, power))
+    if ok.all():
         return np.linalg.solve(r_eff, y_c[:, :, None])[:, :, 0], None
-    ok = ~singular_draws(np.linalg.eigvalsh(_hermitian(r_c, power)))
     stat = np.zeros_like(y_c)
     stat[ok] = np.linalg.solve(r_eff[ok], y_c[ok, :, None])[:, :, 0]
-    return stat, None if ok.all() else ok
+    return stat, ok
 
 
 def _block_fixed(ctx: _Context, seed_seq, size: int):

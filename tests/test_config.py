@@ -111,11 +111,17 @@ class TestParseConfig:
             ("sweep_stages=1..3\n", "sweep_stages"),
             ("sweep_weights=0:2\n", "sweep_weights"),
             ("sweep_weights=2:0:0.1\n", "sweep_weights"),
+            ("seed=-1\n", "seed"),
         ]:
             with pytest.raises(ConfigError, match=pattern):
                 parse_config(base + extra)
         with pytest.raises(ConfigError, match="finite"):
             parse_config("K=4\nP=16\nsnr_db=inf\ndetectors=mf\n")
+        # 10^(snr_db/10) overflows, underflows to 0, or is so small that M over it overflows
+        for snr_db in ("4000", "-4000", "-3085"):
+            with pytest.raises(ConfigError, match="snr_db"):
+                parse_config(f"K=4\nP=16\nsnr_db={snr_db}\ndetectors=mf\n")
+        parse_config("K=4\nP=16\nsnr_db=-3000\ndetectors=mf\nseed=0\n")
         with pytest.raises(ConfigError, match="missing required"):
             parse_config("K=4\nP=16\nsnr_db=10\n")
         with pytest.raises(ConfigError, match="key = value"):

@@ -8,9 +8,11 @@ from lpic.filters import (
     SPECTRAL_KINDS,
     STAGED_KINDS,
     SingularMatrixError,
+    _PIVOT_RTOL,
     build_filter,
     cancellation_partials,
     mmse_stage_weights,
+    singular_draws,
 )
 from lpic.model import equicorrelated_matrix
 from lpic.sinr import q_matrix
@@ -270,6 +272,49 @@ class TestInverseFilters:
         assert np.allclose(g @ (r + 0.5 * np.eye(2)), np.eye(2), atol=1e-12)
 
 
+class TestSingularDraws:
+    """singular_draws proves a stack regular by Cholesky, with eigvalsh's mask."""
+
+    @staticmethod
+    def _eigvalsh_mask(a):
+        vals = np.abs(np.linalg.eigvalsh(a))
+        return vals.min(axis=-1) <= _PIVOT_RTOL * vals.max(axis=-1)
+
+    @pytest.mark.parametrize("users", [3, 20, 64])
+    def test_matches_eigvalsh_at_the_threshold(self, rng, users):
+        # lambda_min just below and just above rtol lambda_max, and at the
+        # certificate's own shift rtol tr(A).  The other eigenvalues sit just
+        # above the threshold (tr(A) ~ lambda_max, where the certificate is
+        # tightest) or spread over (0, lambda_max].
+        for scale in 10.0 ** np.arange(-6, 7, 2):
+            floor = _PIVOT_RTOL * scale
+            for rest in ("tiny", "spread"):
+                if rest == "tiny":
+                    others = floor * np.linspace(1.01, 2.0, users - 2)
+                else:
+                    others = scale * rng.uniform(0.01, 1.0, users - 2)
+                traced = _PIVOT_RTOL * (scale + others.sum())
+                for lam_min in (floor * (1 - 1e-3), floor * (1 + 1e-3), traced):
+                    lams = np.concatenate([[lam_min], others, [scale]])
+                    q, _ = np.linalg.qr(rng.standard_normal((8, users, users)))
+                    a = (q * lams) @ q.swapaxes(-1, -2)
+                    a = (a + a.swapaxes(-1, -2)) / 2
+                    want = self._eigvalsh_mask(a)
+                    assert np.array_equal(singular_draws(a), want), (scale, rest)
+                    for draw, singular in zip(a, want):
+                        assert singular_draws(draw) == singular
+
+    def test_a_regular_stack_needs_no_eigvalsh(self, rng, monkeypatch):
+        rs = np.stack([random_correlation(rng, 6, 24) for _ in range(12)])
+        builds = [(kind, rows) for kind in ("decorrelator", "mmse") for rows in (None, [0])]
+        want = [build_filter(kind, rs, 1, sigma2=0.1, rows=rows) for kind, rows in builds]
+        assert not self._eigvalsh_mask(rs).any()
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        for (kind, rows), filters in zip(builds, want):
+            assert np.array_equal(build_filter(kind, rs, 1, sigma2=0.1, rows=rows), filters)
+        assert not singular_draws(rs).any()
+
+
 class TestLimitScaling:
     def test_equicorrelated_closed_form(self):
         # f_k = 1 - (K-1) rho^2 / (1 + (K-2) rho)
@@ -312,7 +357,7 @@ class TestLimitScaling:
 class TestDispatchAndTypes:
     def test_kind_lists(self):
         assert set(STAGED_KINDS) < set(FILTER_KINDS)
-        assert set(SPECTRAL_KINDS) < set(FILTER_KINDS)
+        assert SPECTRAL_KINDS == ("mmse_converging", "modified_mmse")
         assert len(FILTER_KINDS) == 8
 
     def test_mf_identity(self, rng):
@@ -429,7 +474,7 @@ class TestStackedBuilds:
             assert np.array_equal(grid.reshape(want.shape), want)
 
     def test_complex_stack_equals_per_draw_builds(self, rng):
-        # the type2 harness builds on R_eff = R_c P^-1, complex and non-Hermitian
+        # the combined-domain R_eff = R_c P^-1 is complex and non-Hermitian
         rs = self._draws(rng, count=8).reshape(2, 4, 6, 6)
         h = np.sqrt(0.5) * (rng.standard_normal((2, 4, 6)) + 1j * rng.standard_normal((2, 4, 6)))
         r_c = np.sum(np.conj(h)[..., :, None] * rs * h[..., None, :], axis=0)
@@ -463,33 +508,30 @@ class TestStackedBuilds:
             build_filter("mmse_converging", rs, 2, sigma2=self.SIGMA2)
 
     @pytest.mark.parametrize("sigma2", [0.0, 1e-3, 0.5])
-    def test_mmse_takes_the_shared_spectrum(self, rng, sigma2):
-        # eigvalsh(R) + sigma2 stands in for the spectrum of R + sigma2 I in
-        # the singularity test only: the filter is the same solve
+    @pytest.mark.parametrize("kind", ["mf", "decorrelator", "mmse"])
+    def test_only_the_mmse_series_read_the_spectrum(self, rng, kind, sigma2):
+        # the inverses test their own matrix for singularity, so like mf they
+        # ignore eigenvalues, even one of the wrong shape
         rs = self._draws(rng).reshape(3, 4, 6, 6)
-        shared = build_filter("mmse", rs, 1, sigma2=sigma2, eigenvalues=np.linalg.eigvalsh(rs))
-        assert np.array_equal(shared, build_filter("mmse", rs, 1, sigma2=sigma2))
-        with pytest.raises(ValueError, match="eigenvalues"):
-            build_filter("mmse", rs, 1, sigma2=sigma2, eigenvalues=np.ones((3, 4, 5)))
+        want = build_filter(kind, rs, 1, sigma2=sigma2)
+        for spectrum in (np.linalg.eigvalsh(rs), np.ones((3, 4, 5))):
+            got = build_filter(kind, rs, 1, sigma2=sigma2, eigenvalues=spectrum)
+            assert np.array_equal(got, want)
 
     def test_mmse_guard_on_a_singular_draw(self, rng):
-        # noise makes a singular R invertible; without it both builds refuse
+        # noise makes a singular R invertible; without it the build refuses
         rs = self._draws(rng)
         rs[7] = equicorrelated_matrix(6, 1.0)  # rank one
-        spectrum = np.linalg.eigvalsh(rs)
-        assert np.array_equal(
-            build_filter("mmse", rs, 1, sigma2=0.5, eigenvalues=spectrum),
-            build_filter("mmse", rs, 1, sigma2=0.5),
-        )
+        assert np.all(np.isfinite(build_filter("mmse", rs, 1, sigma2=0.5)))
         with pytest.raises(SingularMatrixError, match="at draw 7 "):
             build_filter("mmse", rs, 1, sigma2=0.0)
-        with pytest.raises(SingularMatrixError, match="at draw 7 "):
-            build_filter("mmse", rs, 1, sigma2=0.0, eigenvalues=spectrum)
 
     def test_stage_bounds_and_shape_checks_hold_for_stacks(self, rng):
         rs = self._draws(rng)
         with pytest.raises(ValueError, match="eigenvalues"):
-            build_filter("decorrelator", rs, 1, eigenvalues=np.ones((12, 5)))
+            build_filter(
+                "mmse_converging", rs, 2, sigma2=self.SIGMA2, eigenvalues=np.ones((12, 5))
+            )
         with pytest.raises(ValueError):
             build_filter("mmse_converging", rs, 7, sigma2=self.SIGMA2)  # stage > K
         with pytest.raises(ValueError):

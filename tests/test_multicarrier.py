@@ -2,9 +2,10 @@
 
 The type2 (combine first) receiver runs in simulate: it combines the
 matched-filter banks into y_c, forms R_c = sum_i D(conj h_i) R_i D(h_i) and
-cancels with R_eff = R_c P^-1, P = diag of the combined power.  Its staged
-filters are the filters-module builders fed a complex R_eff.  These checks
-build R_c and R_eff independently and compare.
+cancels with R_eff = R_c P^-1, P = diag of the combined power, in its own
+forms (_conventional_type2, _proposed_stats, _decorrelate).  build_filter
+on a complex R_eff, a public combined-domain API, is their reference here.
+These checks build R_c and R_eff independently and compare.
 """
 
 import numpy as np
