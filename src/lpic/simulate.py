@@ -42,6 +42,7 @@ _BLOCK_TRIALS = 8192   # fixed: part of the deterministic draw structure
 _CHUNK_TRIALS = 256    # cache-sized slice for dense combined-domain matrices
 _DRAW_CHUNK = 32       # per_trial draws built as one stack; bounds the build temporaries
 _CERT_RANK = 3         # eigenpairs per subcarrier in the low-rank nonconv bound
+_WS_ALLOWANCE = 1e-12  # rounding allowance of the trace tier, relative to ||G||_F^2
 _MAX_REDRAWS = 1000    # sequence redraw attempts before giving up
 # what a detector build raises on a draw it cannot serve (singular or
 # indefinite matrix, non-finite weight schedule)
@@ -317,8 +318,11 @@ def _low_rank_bound(correlations):
 
     With the top r = _CERT_RANK eigenpairs (lambda_ij, u_ij) of each R_i and
     c = max_i lambda_{r+1}(R_i), every R_i <= c I + sum_j (lambda_ij - c)^+
-    u_ij u_ij^T.  Returns (2 - margin - c, W), W the (M, r, K) stack of the
-    rows u_ij sqrt((lambda_ij - c)^+); see _unsettled.  None when the bound could
+    u_ij u_ij^T.  With w_ij = u_ij sqrt((lambda_ij - c)^+), returns
+    (2 - margin - c, W, T, S): W the (M, r, K) stack of the rows w_ij, T the
+    (M, K, r^2) tables w_ijk w_ij'k of each subcarrier, and S the
+    (M(M-1)/2, K, r^2) tables w_ijk w_i'j'k of each subcarrier pair i < i'
+    (np.triu_indices order); see _unsettled.  None when the bound could
     settle no trial (c >= 2 - margin), or when its Mr x Mr test would be no
     smaller than the dense K x K one (Mr >= K).
     """
@@ -331,9 +335,19 @@ def _low_rank_bound(correlations):
     if headroom <= 0:
         return None
     scale = np.sqrt(np.maximum(lam[:, -_CERT_RANK:] - c, 0.0))
-    weights = u[:, :, -_CERT_RANK:] * scale[:, None, :]
+    weights = u[:, :, -_CERT_RANK:] * scale[:, None, :]          # (M, K, r)
+
+    def tables(a, b):
+        return (a[..., :, None] * b[..., None, :]).reshape(len(a), users, _CERT_RANK**2)
+
+    first, second = np.triu_indices(subcarriers, 1)
     # C order, so that each chunk's product with it reshapes to V^H in place
-    return headroom, np.ascontiguousarray(weights.transpose(0, 2, 1))
+    return (
+        headroom,
+        np.ascontiguousarray(weights.transpose(0, 2, 1)),
+        tables(weights, weights),
+        tables(weights[first], weights[second]),
+    )
 
 
 # --- block simulation -----------------------------------------------------
@@ -378,14 +392,15 @@ def _draw_trials(cfg: ExperimentConfig, rng: np.random.Generator, sigma2: float,
 
 
 def _apply(mats, v):
-    """Per-draw products v_t R^T: v is (M, T, K), mats (M, G, K, K).
+    """Per-draw products v_t A^T: v is (M, T, K), mats (M, G, R, K).
 
     Each of the G draws serves T / G consecutive trials, so the products run
-    as one stacked GEMM per subcarrier and draw; the result is (M, T, K).
+    as one stacked GEMM per subcarrier and draw; the result is (M, T, R).
+    R = K applies whole matrices, R < K only their rows.
     """
-    m, g, k = mats.shape[0], mats.shape[1], mats.shape[-1]
-    out = np.matmul(v.reshape(m, g, -1, k), mats.transpose(0, 1, 3, 2))
-    return out.reshape(m, -1, k)
+    m, g = mats.shape[:2]
+    out = np.matmul(v.reshape(m, g, -1, v.shape[-1]), mats.transpose(0, 1, 3, 2))
+    return out.reshape(m, -1, out.shape[-1])
 
 
 def _receive(ctx: _Context, bits, h, w):
@@ -460,6 +475,7 @@ def _detect_combined(ctx: _Context, bits, h, y, errors, kept) -> int:
     dense = any(spec.kind in ("proposed", "decorrelator") for spec in ctx.combined)
     proposed = {spec.stage: spec for spec in ctx.combined if spec.kind == "proposed"}
     bound = ctx.bound
+    y_t = y.transpose(1, 0, 2)  # the (M, T, K) array _receive built
     nonconv = 0
 
     # cache-sized chunks; a dense R_c is formed only for the detectors that
@@ -467,10 +483,12 @@ def _detect_combined(ctx: _Context, bits, h, y, errors, kept) -> int:
     for lo in range(0, len(y), _CHUNK_TRIALS):
         chunk = slice(lo, lo + _CHUNK_TRIALS)
         mats = ctx.correlations if shared else ctx.correlations[:, chunk]
-        h_c = h[chunk]
-        hc = np.conj(h_c)
-        y_c = np.sum(hc * y[chunk], axis=1)
-        power = np.sum(np.abs(h_c) ** 2, axis=1)                 # (B, K)
+        # one subcarrier-major copy; the helpers take (B, M, K) views of it
+        h_t = np.ascontiguousarray(h[chunk].transpose(1, 0, 2))
+        hc_t = np.conj(h_t)
+        y_c = np.sum(hc_t * y_t[:, chunk], axis=0)
+        power = np.sum(np.abs(h_t) ** 2, axis=0)                 # (B, K)
+        h_c, hc = h_t.transpose(1, 0, 2), hc_t.transpose(1, 0, 2)
         r_c = _combined_matrix(mats, h_c, hc) if dense else None
         open_rows = None if bound is None else _unsettled(bound, h_c, power)
         if open_rows is not None and 2 * np.count_nonzero(open_rows) > len(open_rows):
@@ -480,14 +498,15 @@ def _detect_combined(ctx: _Context, bits, h, y, errors, kept) -> int:
         for spec in ctx.combined:
             solved = None
             if spec.kind == "mf":
-                stat = y_c
+                stat = y_c[:, ctx.rows]
             elif spec.kind == "conventional":
-                stat = _conventional_type2(mats, h_c, hc, power, y_c, spec.stage)
+                stat = _conventional_type2(mats, h_c, hc, power, y_c, spec.stage, ctx.rows)
             elif spec.kind == "proposed":
-                stat = stats[spec]
+                stat = stats[spec][:, ctx.rows]
             else:
                 stat, solved = _decorrelate(r_c, power, y_c)
-            bad = (stat[:, ctx.rows].real < 0) != wrong[chunk]
+                stat = stat[:, ctx.rows]
+            bad = (stat.real < 0) != wrong[chunk]
             if solved is not None:
                 bad = bad[solved]
             errors[spec] += int(np.count_nonzero(bad))
@@ -532,25 +551,93 @@ def _unsettled(bound, h, power):
 
     With D_i = diag(h_i / sqrt(p)), H = P^-1/2 R_c P^-1/2 = sum_i D_i^H R_i D_i
     and sum_i D_i^H D_i = I, so the bound on each R_i (see _low_rank_bound)
-    gives H <= c I + V V^H, V = [conj(h_i) / sqrt(p) * w_ij], K x Mr per
-    trial.  Hence lambda_max(H) <= c + lambda_max(V^H V), and a Cholesky
-    factor of (2 - margin - c) I - V^H V proves lambda_max(H) < 2 - margin.
-    One batched factorisation settles a whole chunk.  A chunk where it fails
-    is split per trial by lambda_max(G) <= ||G^2||_F^(1/2), G = V^H V, which
-    settles all but a few of its trials at a fraction of eigvalsh's cost.
-    Rounding in eigh of R_i and in these Mr x Mr products and factorisations
+    gives H <= c I + V V^H, V = [conj(h_i) / sqrt(p) * w_ij], K x n per
+    trial with n = Mr.  Hence lambda_max(H) <= c + lambda_max(G), G = V^H V,
+    and lambda_max(G) < headroom = 2 - margin - c proves lambda_max(H) <
+    2 - margin.
+
+    Most trials never form G.  With m = tr G / n and s^2 = ||G||_F^2 / n - m^2,
+    the mean and variance of G's eigenvalues, Wolkowicz and Styan (Linear
+    Algebra Appl. 29, 1980) give lambda_max(G) <= m + s sqrt(n - 1), with
+    equality for rank one and for a multiple of I.  _gram_moments takes
+    tr G and ||G||_F^2 from the tables without forming G, to O(K eps)
+    relative; as m^2 <= ||G||_F^2 / n, the computed s^2 is then off by a few
+    eps ||G||_F^2, which the allowance delta = _WS_ALLOWANCE ||G||_F^2
+    covers by orders.  So m + sqrt((n - 1)(s^2 + delta)) < headroom settles
+    a trial.  G is formed only for the others, where the same bound on G^2
+    (tr G^2 = ||G||_F^2, lambda_max(G^2) = lambda_max(G)^2) is sharper and
+    settles most of them.  What remains takes one batched Cholesky of
+    headroom I - G, run trial by trial where that stack fails, so the mask
+    holds exactly the trials whose factorisation fails.
+
+    Rounding in eigh of R_i and in these n x n products and factorisations
     moves the bound by O(K eps), a few 1e-15 at lambda ~ 1: six orders
     inside the 1e-9 margin.  So a settled trial's lambda_max(H) is below 2
     by far more than eigvalsh's own error: the dense test would count none
     of them, and the chunk's count stays exact.
     """
-    headroom, weights = bound                                 # weights (M, r, K)
-    vh = (h / np.sqrt(power)[:, None, :])[:, :, None, :] * weights
-    vh = vh.reshape(len(h), -1, weights.shape[-1])            # V^H, (B, Mr, K)
-    gram = vh @ np.conj(vh).transpose(0, 2, 1)
-    if _factorizes(-gram, headroom):
-        return np.zeros(len(h), dtype=bool)
-    return np.sqrt(np.linalg.norm(gram @ gram, axis=(1, 2))) >= headroom
+    headroom, weights = bound[:2]                             # weights (M, r, K)
+    n = weights.shape[0] * weights.shape[1]
+    h_t = h.transpose(1, 0, 2)
+    scale = 1.0 / np.sqrt(power)
+    re, im = h_t.real * scale, h_t.imag * scale               # x = h / sqrt(p), (M, B, K)
+    trace, frob2 = _gram_moments(bound, re, im)
+    unsettled = ~_trace_settled(trace, frob2, n, headroom)
+    if unsettled.any():
+        x = (re[:, unsettled] + 1j * im[:, unsettled]).transpose(1, 0, 2)
+        vh = (x[:, :, None, :] * weights).reshape(len(x), n, -1)  # V^H, (B', n, K)
+        gram = vh @ np.conj(vh).transpose(0, 2, 1)
+        # the same bound on G^2: tr G^2 = ||G||_F^2, lambda_max(G^2) = lambda_max(G)^2
+        frob4 = np.sum(np.abs(gram @ gram) ** 2, axis=(1, 2))
+        left = ~_trace_settled(frob2[unsettled], frob4, n, headroom**2)
+        unsettled[unsettled], gram = left, gram[left]
+        if _factorizes(-gram, headroom):
+            unsettled[:] = False
+        else:
+            unsettled[unsettled] = [not _factorizes(-g, headroom) for g in gram]
+    return unsettled
+
+
+def _trace_settled(trace, frob2, n, headroom):
+    """Trials whose G the Wolkowicz-Styan bound, with its allowance, puts below headroom.
+
+    trace and frob2 are tr G and ||G||_F^2 per trial; see _unsettled.
+    """
+    mean = trace / n
+    spread = (n - 1) * (frob2 / n - mean**2 + _WS_ALLOWANCE * frob2)
+    return mean + np.sqrt(np.maximum(spread, 0.0)) < headroom
+
+
+def _gram_moments(bound, re, im):
+    """tr G and ||G||_F^2 of each trial's G = V^H V (see _unsettled), without G.
+
+    re and im are the (M, B, K) real and imaginary parts of x = h / sqrt(p).
+    Block (i, i) of G is |x_i|^2 against the table w_ijk w_ij'k, and block
+    (i, i') is x_i conj(x_i') against w_ijk w_i'j'k: one real GEMM per
+    subcarrier for |x_i|^2, and one per subcarrier pair i < i' for the real
+    and imaginary parts of x_i conj(x_i') stacked.  Block (i', i) is the
+    conjugate transpose of (i, i').
+    """
+    rank, diagonal, pairs = bound[1].shape[1], bound[2], bound[3]
+    blocks = np.matmul(re * re + im * im, diagonal)                  # (M, B, r^2)
+    trace = np.einsum("mbj,j->b", blocks, np.eye(rank).ravel())
+    frob2 = np.einsum("mbj,mbj->b", blocks, blocks)
+    if len(pairs):
+        # [Re; Im] of x_i conj(x_i') as (pairs, 2, B, K), pairs in triu_indices order
+        m, b, k = re.shape
+        z = np.empty((len(pairs), 2, b, k))
+        at = 0
+        for i in range(m - 1):
+            out = z[at : at + m - 1 - i]
+            np.multiply(re[i], re[i + 1 :], out=out[:, 0])
+            out[:, 0] += im[i] * im[i + 1 :]
+            np.multiply(im[i], re[i + 1 :], out=out[:, 1])
+            out[:, 1] -= re[i] * im[i + 1 :]
+            at += m - 1 - i
+        parts = np.matmul(z.reshape(len(pairs), 2 * b, k), pairs)       # (pairs, 2B, r^2)
+        parts = parts.reshape(len(pairs), 2, b, -1)
+        frob2 += 2.0 * np.einsum("pcbj,pcbj->b", parts, parts)
+    return trace, frob2
 
 
 def _proposed_stats(r_c, power, y_c, proposed) -> dict:
@@ -592,18 +679,23 @@ def _hermitian(r_c, power):
     return r_c / (s[:, :, None] * s[:, None, :])
 
 
-def _conventional_type2(correlations, h, hc, power, y_c, stage: int):
-    """Conventional combined-domain series without forming R_eff.
+def _conventional_type2(correlations, h, hc, power, y_c, stage: int, rows):
+    """rows of the conventional combined-domain statistics, without forming R_eff.
 
     R_eff v = sum_i conj(h_i) * (R_i (h_i * v / p)): stacked GEMMs per stage
-    over a subcarrier-major view of the draws (see _apply).
+    over a subcarrier-major view of the draws (see _apply), fastest when h
+    and hc are (B, M, K) views of (M, B, K) arrays.  Stages 2..m-1 need
+    every row; the last stage applies only the rows of each R_i it returns.
     """
+    if stage == 1:
+        return y_c[:, rows]
     h_t, hc_t = h.transpose(1, 0, 2), hc.transpose(1, 0, 2)
-    stat = y_c.copy()
-    for _ in range(stage - 1):
+    stat = y_c
+    for _ in range(stage - 2):
         applied = np.sum(hc_t * _apply(correlations, h_t * (stat / power)), axis=0)
         stat = y_c + stat - applied
-    return stat
+    last = _apply(correlations[:, :, rows], h_t * (stat / power))
+    return y_c[:, rows] + stat[:, rows] - np.sum(hc_t[:, :, rows] * last, axis=0)
 
 
 def _decorrelate(r_c, power, y_c):

@@ -176,9 +176,33 @@ class TestReceivers:
         series = build_filter("conventional", r_c / power[None, :], 120) @ y_c
         assert np.allclose(series, exact, atol=1e-8)
         free = simulate._conventional_type2(
-            corrs[:, None], h[None], np.conj(h)[None], power[None], y_c[None], 120
+            corrs[:, None], h[None], np.conj(h)[None], power[None], y_c[None], 120, slice(None)
         )
         assert np.allclose(free[0], exact, atol=1e-8)
+
+    @pytest.mark.parametrize("per_draw", [False, True], ids=["fixed", "per_trial"])
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(None)], ids=["user0", "all"])
+    def test_counted_last_stage_keeps_the_full_chains_rows(self, rng, per_draw, rows):
+        # the last stage applies only the counted rows of each R_i; every
+        # stage before it, and the full chain here, applies whole matrices
+        m, users, trials = 4, 20, 64
+        corrs = np.stack(
+            [[random_correlation(rng, users, 64) for _ in range(trials if per_draw else 1)]
+             for _ in range(m)]
+        )                                                        # (M, G, K, K)
+        h = np.ascontiguousarray(_fading(rng, (m, trials, users)))
+        h_c, hc = h.transpose(1, 0, 2), np.conj(h).transpose(1, 0, 2)
+        power = np.sum(np.abs(h_c) ** 2, axis=1)
+        y_c = _fading(rng, (trials, users)) * power
+        stat = y_c
+        for stage in range(1, 6):
+            got = simulate._conventional_type2(corrs, h_c, hc, power, y_c, stage, rows)
+            want = stat[:, rows]
+            assert got.shape == want.shape
+            assert np.array_equal(got.real < 0, want.real < 0)
+            assert np.allclose(got, want, rtol=1e-13, atol=0)
+            applied = np.sum(np.conj(h) * simulate._apply(corrs, h * (stat / power)), axis=0)
+            stat = y_c + stat - applied
 
     def test_type2_rejects_unsupported_kinds(self):
         for kind in ("mmse_converging", "modified_mmse", "weighted_proposed"):

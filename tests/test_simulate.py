@@ -876,6 +876,106 @@ class TestNonconvCertificate:
         assert self._two_tier(rs, h) == _eigvalsh_count(*_combined(rs, h))
         assert rows == [64]
 
+    # the trace tier: sound on any PSD G, fed by the tables without forming G
+
+    @pytest.mark.parametrize("offset", (-1e-9, -1e-12, 1e-12, 1e-9))
+    def test_trace_tier_never_settles_lambda_max_at_headroom(self, rng, offset):
+        n, draws, headroom = 12, 64, 0.7
+        q, _ = np.linalg.qr(
+            rng.standard_normal((5 * draws, n, n)) + 1j * rng.standard_normal((5 * draws, n, n))
+        )
+        spectra = np.concatenate([
+            rng.uniform(0.0, 1.0, (draws, n)),
+            rng.uniform(0.0, 1.0, (draws, n)) ** 8,               # one eigenvalue dominates
+            rng.uniform(0.99, 1.0, (draws, n)),                   # clustered at the top
+            np.eye(n)[np.zeros(draws, dtype=int)],                # rank one
+            np.ones((draws, n)),                                  # a multiple of I
+        ])
+        spectra *= headroom * (1 + offset) / spectra.max(axis=1, keepdims=True)
+        gram = (q * spectra[:, None, :]) @ np.conj(q).transpose(0, 2, 1)
+        trace = np.trace(gram, axis1=1, axis2=2).real
+        frob2 = np.sum(np.abs(gram) ** 2, axis=(1, 2))
+        settled = simulate._trace_settled(trace, frob2, n, headroom)
+        lam_max = np.linalg.eigvalsh(gram)[:, -1]
+        assert not np.any(lam_max[settled] >= headroom)
+        # the same bound on G^2, as _unsettled applies it to the G it forms
+        frob4 = np.sum(np.abs(gram @ gram) ** 2, axis=(1, 2))
+        assert not np.any(lam_max[simulate._trace_settled(frob2, frob4, n, headroom**2)] >= headroom)
+        # the bound m + s sqrt(n - 1) is exact for rank one and for a multiple
+        # of I (s = 0), the stacks where the allowance alone keeps it sound
+        rank_one, scalar = slice(3 * draws, 4 * draws), slice(4 * draws, None)
+        mean = trace / n
+        ws = mean + np.sqrt((n - 1) * np.maximum(frob2 / n - mean**2, 0.0))
+        assert np.allclose(ws[rank_one], headroom * (1 + offset), rtol=1e-12, atol=0)
+        assert np.allclose(mean[scalar], headroom * (1 + offset), rtol=1e-13, atol=0)
+        # rank one settles at 1e-9 below headroom, not at 1e-12
+        assert settled[rank_one].all() == (offset == -1e-9)
+        assert not settled[scalar].any()
+        if offset > 0:
+            assert not settled.any()
+
+    @staticmethod
+    def _spectral(rng, spectra):
+        """(M, K, K) correlations with the given spectra and random eigenvectors."""
+        out = []
+        for lam in spectra:
+            q, _ = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))
+            out.append((q * np.array(lam)) @ q.T)
+        return np.stack(out)
+
+    @staticmethod
+    def _gram(bound, h, power):
+        """Each trial's G = V^H V (see simulate._unsettled), formed explicitly."""
+        weights = bound[1]
+        x = h / np.sqrt(power)[:, None, :]
+        vh = (x[:, :, None, :] * weights).reshape(len(h), -1, weights.shape[-1])
+        return vh @ np.conj(vh).transpose(0, 2, 1)
+
+    @pytest.mark.parametrize("subs", (1, 2, 4))
+    def test_gram_moments_match_an_explicit_gram(self, rng, subs):
+        users = 20
+        rs = np.stack([random_correlation(rng, users, 128) for _ in range(subs)])
+        h = _fading(rng, 256, subs, users)
+        power = np.sum(np.abs(h) ** 2, axis=1)
+        bound = simulate._low_rank_bound(rs)
+        assert bound[3].shape == (subs * (subs - 1) // 2, users, 9)
+        x = (h / np.sqrt(power)[:, None, :]).transpose(1, 0, 2)
+        trace, frob2 = simulate._gram_moments(bound, x.real, x.imag)
+        gram = self._gram(bound, h, power)
+        assert np.allclose(trace, np.trace(gram, axis1=1, axis2=2).real, rtol=1e-13, atol=0)
+        assert np.allclose(frob2, np.sum(np.abs(gram) ** 2, axis=(1, 2)), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize(
+        "spectra, settled, unsettled",
+        [
+            ([[1.8, 1.5, 1.2, 0.7, 0.5, 0.3, 0.2, 0.1]], 256, 0),
+            ([[2.1, 1.5, 1.2, 0.7, 0.5, 0.3, 0.2, 0.1]], 0, 256),
+            ([[2.2, 1.3, 1.1, 0.7, 0.5, 0.3, 0.2, 0.1],
+              [1.9, 1.6, 1.0, 0.6, 0.6, 0.4, 0.2, 0.1]], 198, 15),
+        ],
+        ids=["M1-settled", "M1-open", "M2"],
+    )
+    def test_unsettled_is_the_exact_bound(self, spectra, settled, unsettled):
+        # the trace tier settles what it can; the mask holds exactly the
+        # trials whose G reaches the headroom
+        rng = np.random.default_rng(7)
+        rs = self._spectral(rng, spectra)
+        h = _fading(rng, 256, len(rs), rs.shape[-1])
+        if len(rs) == 1:
+            h /= np.abs(h)  # H is similar to R_1, and G = diag(lambda_j - c)
+        power = np.sum(np.abs(h) ** 2, axis=1)
+        bound = simulate._low_rank_bound(rs)
+        headroom, weights = bound[:2]
+        x = (h / np.sqrt(power)[:, None, :]).transpose(1, 0, 2)
+        moments = simulate._gram_moments(bound, x.real, x.imag)
+        tier = simulate._trace_settled(*moments, weights.shape[0] * weights.shape[1], headroom)
+        lam_max = np.linalg.eigvalsh(self._gram(bound, h, power))[:, -1]
+        assert np.count_nonzero(tier) == settled
+        assert not np.any(lam_max[tier] >= headroom)
+        got = simulate._unsettled(bound, h, power)
+        assert np.array_equal(got, lam_max >= headroom)
+        assert np.count_nonzero(got) == unsettled
+
     @pytest.mark.parametrize(
         "chips, chunks_bounded",
         [(64, 36), (48, 2)],  # P = 48: the first chunk of each block drops the bound
