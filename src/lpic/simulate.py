@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, log10, sqrt
 
 import numpy as np
@@ -39,7 +39,7 @@ from .sinr import compute_weight_schedule, sinr_breakdown
 THREADS_ENV = "LPIC_THREADS"
 
 _BLOCK_TRIALS = 8192   # fixed: part of the deterministic draw structure
-_CHUNK_TRIALS = 256    # cache-sized slice for dense combined-domain matrices
+_CHUNK_TRIALS = 256    # cache-sized slice of a block: receive, count, combine
 _DRAW_CHUNK = 32       # per_trial draws built as one stack; bounds the build temporaries
 _CERT_RANK = 3         # eigenpairs per subcarrier in the low-rank nonconv bound
 _WS_ALLOWANCE = 1e-12  # rounding allowance of the trace tier, relative to ||G||_F^2
@@ -177,7 +177,7 @@ class _Context:
     sigma2: float
     rows: slice                # counted users: all K, or user 0 alone
     specs: list                # matrix-form detectors, in filters order
-    filters: np.ndarray        # (D, G, M, R, K) their counted filter rows
+    filters: np.ndarray        # (D, G, M, R, K) their counted filter rows, real
     built: np.ndarray          # (D, G) draws each detector was built on
     combined: list             # type2 detectors evaluated in the combined domain
     bound: tuple | None        # low-rank nonconv bound (see _low_rank_bound)
@@ -243,7 +243,7 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
         """(..., M, R, K) counted rows of one detector on (M, ..., K, K) draws."""
         if spec.kind == "weighted_proposed" and isinstance(schedule, Exception):
             raise schedule
-        out = np.empty(mats.shape[1:-2] + (cfg.subcarriers, counted, cfg.users), dtype=complex)
+        out = np.empty(mats.shape[1:-2] + (cfg.subcarriers, counted, cfg.users))
         for i in range(cfg.subcarriers):
             out[..., i, :, :] = build_filter(
                 spec.kind,
@@ -279,7 +279,7 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
             built.append(np.ones(draws, dtype=bool))
         except _BUILD_ERRORS:
             # rebuild draw by draw, so one bad draw costs only itself
-            rebuilt = np.zeros((draws, cfg.subcarriers, counted, cfg.users), dtype=complex)
+            rebuilt = np.zeros((draws, cfg.subcarriers, counted, cfg.users))
             ok = np.zeros(draws, dtype=bool)
             weighted = spec.kind == "weighted_proposed"
             for b in range(draws):
@@ -293,7 +293,7 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
             built.append(ok)
         specs.append(spec)
 
-    filters = np.array(stacks, dtype=complex).reshape(
+    filters = np.array(stacks, dtype=float).reshape(
         len(specs), draws, cfg.subcarriers, counted, cfg.users
     )
     # per_trial draws are used once each: nothing to share the eigenpairs over
@@ -355,17 +355,23 @@ def _low_rank_bound(correlations):
 def _draw_symbols(rng: np.random.Generator, cfg: ExperimentConfig, sigma2: float, size: int):
     """Bits, fading and noise of size trials; fixed draw order (bits, channel, noise).
 
-    Each of fading and noise draws its real parts, then its imaginary parts.
+    Each of fading and noise draws its real parts, then its imaginary parts,
+    into one (4, size, M, K) buffer of real planes: h_re, h_im, w_re, w_im.
+    h_re + 1j h_im is bit for bit what sqrt(0.5) (a + 1j b) of the same
+    reads gives, and likewise w.  Returns the bits and the planes.
     """
-    k, m = cfg.users, cfg.subcarriers
-    bits = (rng.integers(0, 2, size=(size, k)) * 2 - 1).astype(np.float64)
-    h = sqrt(0.5) * (
-        rng.standard_normal((size, m, k)) + 1j * rng.standard_normal((size, m, k))
-    )
-    w = sqrt(sigma2 / 2.0) * (
-        rng.standard_normal((size, m, k)) + 1j * rng.standard_normal((size, m, k))
-    )
-    return bits, h, w
+    bits = (rng.integers(0, 2, size=(size, cfg.users)) * 2 - 1).astype(np.float64)
+    planes = np.empty((4, size, cfg.subcarriers, cfg.users))
+    for plane in planes:
+        rng.standard_normal(out=plane)
+    return bits, _scaled(planes, sigma2)
+
+
+def _scaled(normals, sigma2: float):
+    """Fading and noise planes of (4, T, M, K) standard normals, scaled in place."""
+    normals[:2] *= sqrt(0.5)
+    normals[2:] *= sqrt(sigma2 / 2.0)
+    return normals
 
 
 def _draw_trials(cfg: ExperimentConfig, rng: np.random.Generator, sigma2: float, count: int):
@@ -375,7 +381,7 @@ def _draw_trials(cfg: ExperimentConfig, rng: np.random.Generator, sigma2: float,
     what _draw_symbols(rng, cfg, sigma2, 1) reads, taking the four normal
     arrays in one call.  The chunk's sequences are correlated and factored
     as one stack.  Returns (M, count, K, K) correlations and factors, then
-    bits, fading and noise.
+    the bits and the (4, count, M, K) planes of _draw_symbols.
     """
     chips, raw_bits, normals = [], [], []
     for _ in range(count):
@@ -383,135 +389,151 @@ def _draw_trials(cfg: ExperimentConfig, rng: np.random.Generator, sigma2: float,
         raw_bits.append(rng.integers(0, 2, size=(1, cfg.users)))
         normals.append(rng.standard_normal((4, 1, cfg.subcarriers, cfg.users)))
     correlations, factors = _correlate(cfg, np.array(chips))
-    normals = np.concatenate(normals, axis=1)
-    # the arithmetic of _draw_symbols on the stacked draws
     bits = (np.concatenate(raw_bits) * 2 - 1).astype(np.float64)
-    h = sqrt(0.5) * (normals[0] + 1j * normals[1])
-    w = sqrt(sigma2 / 2.0) * (normals[2] + 1j * normals[3])
-    return correlations, factors, bits, h, w
+    return correlations, factors, bits, _scaled(np.concatenate(normals, axis=1), sigma2)
 
 
 def _apply(mats, v):
-    """Per-draw products v_t A^T: v is (M, T, K), mats (M, G, R, K).
+    """Per-draw products v_t A^T: v is (M, ..., T, K), mats (M, G, R, K).
 
     Each of the G draws serves T / G consecutive trials, so the products run
-    as one stacked GEMM per subcarrier and draw; the result is (M, T, R).
-    R = K applies whole matrices, R < K only their rows.
+    as one stacked GEMM per subcarrier, draw and leading index of v (such as
+    a real or imaginary plane); the result is (M, ..., T, R).  R = K applies
+    whole matrices, R < K only their rows.
     """
     m, g = mats.shape[:2]
-    out = np.matmul(v.reshape(m, g, -1, v.shape[-1]), mats.transpose(0, 1, 3, 2))
-    return out.reshape(m, -1, out.shape[-1])
+    mats = mats.reshape((m,) + (1,) * (v.ndim - 3) + mats.shape[1:])
+    out = np.matmul(v.reshape(v.shape[:-2] + (g, -1, v.shape[-1])), mats.swapaxes(-1, -2))
+    return out.reshape(v.shape[:-1] + out.shape[-1:])
 
 
 def _receive(ctx: _Context, bits, h, w):
-    """Matched-filter outputs y = R x + L w.
+    """Matched-filter outputs y = R x + L w of the (2, T, M, K) planes h and w.
 
-    y comes back as a (T, M, K) view of an (M, T, K) array.
+    Real GEMMs apply R_i and L_i to each plane.  y comes back as a
+    (2, T, M, K) view of an (M, 2, T, K) array.
     """
-    x = (ctx.amplitudes * bits)[:, None, :] * h
-    y = _apply(ctx.correlations, x.transpose(1, 0, 2))
-    y += _apply(ctx.factors, w.transpose(1, 0, 2))
-    return y.transpose(1, 0, 2)
+    y = _apply(ctx.correlations, (ctx.amplitudes * bits) * h.transpose(2, 0, 1, 3))
+    y += _apply(ctx.factors, w.transpose(2, 0, 1, 3))
+    return y.transpose(1, 2, 0, 3)
 
 
-def _detect_block(ctx: _Context, bits, h, y):
-    """Evaluate every prepared detector on one drawn block.
+def _detect_block(ctx: _Context, bits, planes):
+    """Receive and evaluate every prepared detector on one drawn block.
 
-    Returns (errors, kept, nonconv): bit errors and counted trials per
-    detector, and the nonconv diagnostic.  A detector keeps the trials whose
-    draws it was built on (and, for the type2 decorrelator, whose R_eff was
-    invertible).
+    planes are the block's (4, T, M, K) fading and noise planes (see
+    _draw_symbols).  Everything after the draw runs one _CHUNK_TRIALS slice
+    at a time, so its temporaries stay cache-sized.  Returns (errors, kept,
+    nonconv): bit errors and counted trials per detector, and the nonconv
+    diagnostic.  A detector keeps the trials whose draws it was built on
+    (and, for the type2 decorrelator, whose R_eff was invertible).
     """
-    errors, kept = Counter(), Counter()
-    _count_matrix_forms(ctx, bits, h, y, errors, kept)
-    if ctx.cfg.receiver != "type2":
-        return errors, kept, 0
-    return errors, kept, _detect_combined(ctx, bits, h, y, errors, kept)
+    errors, kept, nonconv, bound = Counter(), Counter(), 0, ctx.bound
+    counts = np.zeros((2, len(ctx.specs)), dtype=np.int64)  # matrix forms' errors, kept
+    shared = ctx.correlations.shape[1] == 1   # else one draw per trial (per_trial)
+    for lo in range(0, len(bits), _CHUNK_TRIALS):
+        chunk = slice(lo, lo + _CHUNK_TRIALS)
+        part = ctx if shared else replace(
+            ctx, correlations=ctx.correlations[:, chunk], factors=ctx.factors[:, chunk],
+            filters=ctx.filters[:, chunk], built=ctx.built[:, chunk],
+        )
+        h = planes[:2, chunk]
+        y = _receive(part, bits[chunk], h, planes[2:, chunk])
+        counts += _count_matrix_forms(part, bits[chunk], h, y)
+        if ctx.cfg.receiver == "type2":
+            got, bound = _detect_combined(part, bits[chunk], h, y, errors, kept, bound)
+            nonconv += got
+    errors.update(dict(zip(ctx.specs, counts[0].tolist())))
+    kept.update(dict(zip(ctx.specs, counts[1].tolist())))
+    return errors, kept, nonconv
 
 
-def _count_matrix_forms(ctx: _Context, bits, h, y, errors, kept) -> None:
-    """Bit errors of every matrix-form detector from its counted filter rows.
+def _count_matrix_forms(ctx: _Context, bits, h, y):
+    """Bit errors and counted trials of every matrix-form detector, in ctx.specs order.
 
-    One GEMM per subcarrier and draw evaluates a group of detectors at once,
-    and the coherent combination accumulates in subcarrier order 0..M-1.  A
-    group has at most K output columns, so counting every user holds no
-    more per GEMM than one full filter does.  An exact zero (or NaN)
-    decides +1.
+    h and y are (2, T, M, K) real planes, the filter rows real.  One GEMM
+    per subcarrier, draw and plane evaluates a group of detectors at once
+    (z = F y_i), and the statistic Re(conj(h_i) z) = h_re z_re + h_im z_im
+    accumulates in subcarrier order 0..M-1.  A group has at most K output
+    columns, so counting every user holds no more per GEMM than one full
+    filter does.  An exact zero (or NaN) decides +1.
     """
     detectors, g, m, counted, k = ctx.filters.shape
-    n = len(y) // g                                  # trials per draw
-    hc = np.conj(h[:, :, ctx.rows]).reshape(g, n, m, counted)
+    n = len(bits) // g                               # trials per draw
+    out = np.empty((2, detectors), dtype=np.int64)
+    h = h[..., ctx.rows].reshape(2, g, n, m, 1, counted)
     wrong = (bits[:, None, ctx.rows] < 0).reshape(g, n, 1, counted)
     step = k // counted
     for lo in range(0, detectors, step):
         group = ctx.filters[lo : lo + step]
-        stat = None
+        stat = 0.0
         for i in range(m):
             rows_t = group[:, :, i].transpose(1, 0, 2, 3).reshape(g, -1, k).transpose(0, 2, 1)
-            z = np.matmul(y[:, i, :].reshape(g, n, k), rows_t).reshape(g, n, -1, counted)
-            np.multiply(hc[:, :, i, None, :], z, out=z)
-            if stat is None:
-                stat = z
-            else:
-                stat += z
-        bad = (stat.real < 0) != wrong               # (G, n, D', R)
+            z = np.matmul(y[:, :, i].reshape(2, g, n, k), rows_t).reshape(2, g, n, -1, counted)
+            z *= h[:, :, :, i]
+            z[0] += z[1]
+            stat += z[0]
+        bad = (stat < 0) != wrong                    # (G, n, D', R)
         built = ctx.built[lo : lo + step].T          # (G, D')
         if not built.all():
             bad &= built[:, None, :, None]
-        specs = ctx.specs[lo : lo + step]
-        errors.update(dict(zip(specs, np.count_nonzero(bad, axis=(0, 1, 3)).tolist())))
-        kept.update(dict(zip(specs, (n * np.count_nonzero(built, axis=0)).tolist())))
+        out[0, lo : lo + step] = np.count_nonzero(bad, axis=(0, 1, 3))
+        out[1, lo : lo + step] = n * np.count_nonzero(built, axis=0)
+    return out
 
 
-def _detect_combined(ctx: _Context, bits, h, y, errors, kept) -> int:
-    """Type2 detectors without a fixed filter, plus the nonconv diagnostic.
+def _detect_combined(ctx: _Context, bits, h, y, errors, kept, bound):
+    """Type2 detectors without a fixed filter on one chunk, plus its nonconv.
 
     Combines first, then cancels in the combined domain, where
     R_eff = R_c P^-1 (P = diag of per-user combined power) changes per trial.
-    Adds each detector's errors and counted trials; returns nonconv.
+    h and y are the chunk's (2, B, M, K) planes; a dense R_c is formed only
+    for the detectors that need the matrix form, or for the trials the
+    low-rank bound leaves open.  bound is that bound while the block keeps
+    it, else None.  Adds each detector's errors and counted trials; returns
+    nonconv and the bound for the block's next chunk.
     """
-    shared = ctx.correlations.shape[1] == 1
     wrong = bits[:, ctx.rows] < 0
     dense = any(spec.kind in ("proposed", "decorrelator") for spec in ctx.combined)
     proposed = {spec.stage: spec for spec in ctx.combined if spec.kind == "proposed"}
-    bound = ctx.bound
-    y_t = y.transpose(1, 0, 2)  # the (M, T, K) array _receive built
-    nonconv = 0
+    mats = ctx.correlations
+    # subcarrier-major; the helpers take (B, M, K) views
+    h_t = _complex(h)
+    hc_t = np.conj(h_t)
+    y_c = np.sum(hc_t * _complex(y), axis=0)
+    power = np.sum(np.abs(h_t) ** 2, axis=0)                     # (B, K)
+    h_c, hc = h_t.transpose(1, 0, 2), hc_t.transpose(1, 0, 2)
+    r_c = _combined_matrix(mats, h_c, hc) if dense else None
+    open_rows = None if bound is None else _unsettled(bound, h_c, power)
+    if open_rows is not None and 2 * np.count_nonzero(open_rows) > len(open_rows):
+        bound = None  # settles too few trials of this draw to pay for itself
+    nonconv = _nonconvergent(open_rows, mats, h_c, hc, power, r_c)
+    stats = _proposed_stats(r_c, power, y_c, proposed) if proposed else {}
+    for spec in ctx.combined:
+        solved = None
+        if spec.kind == "mf":
+            stat = y_c[:, ctx.rows]
+        elif spec.kind == "conventional":
+            stat = _conventional_type2(mats, h_c, hc, power, y_c, spec.stage, ctx.rows)
+        elif spec.kind == "proposed":
+            stat = stats[spec][:, ctx.rows]
+        else:
+            stat, solved = _decorrelate(r_c, power, y_c)
+            stat = stat[:, ctx.rows]
+        bad = (stat.real < 0) != wrong
+        if solved is not None:
+            bad = bad[solved]
+        errors[spec] += int(np.count_nonzero(bad))
+        kept[spec] += len(bad)
+    return nonconv, bound
 
-    # cache-sized chunks; a dense R_c is formed only for the detectors that
-    # need the matrix form, or for the trials the low-rank bound leaves open
-    for lo in range(0, len(y), _CHUNK_TRIALS):
-        chunk = slice(lo, lo + _CHUNK_TRIALS)
-        mats = ctx.correlations if shared else ctx.correlations[:, chunk]
-        # one subcarrier-major copy; the helpers take (B, M, K) views of it
-        h_t = np.ascontiguousarray(h[chunk].transpose(1, 0, 2))
-        hc_t = np.conj(h_t)
-        y_c = np.sum(hc_t * y_t[:, chunk], axis=0)
-        power = np.sum(np.abs(h_t) ** 2, axis=0)                 # (B, K)
-        h_c, hc = h_t.transpose(1, 0, 2), hc_t.transpose(1, 0, 2)
-        r_c = _combined_matrix(mats, h_c, hc) if dense else None
-        open_rows = None if bound is None else _unsettled(bound, h_c, power)
-        if open_rows is not None and 2 * np.count_nonzero(open_rows) > len(open_rows):
-            bound = None  # settles too few trials of this draw to pay for itself
-        nonconv += _nonconvergent(open_rows, mats, h_c, hc, power, r_c)
-        stats = _proposed_stats(r_c, power, y_c, proposed) if proposed else {}
-        for spec in ctx.combined:
-            solved = None
-            if spec.kind == "mf":
-                stat = y_c[:, ctx.rows]
-            elif spec.kind == "conventional":
-                stat = _conventional_type2(mats, h_c, hc, power, y_c, spec.stage, ctx.rows)
-            elif spec.kind == "proposed":
-                stat = stats[spec][:, ctx.rows]
-            else:
-                stat, solved = _decorrelate(r_c, power, y_c)
-                stat = stat[:, ctx.rows]
-            bad = (stat.real < 0) != wrong[chunk]
-            if solved is not None:
-                bad = bad[solved]
-            errors[spec] += int(np.count_nonzero(bad))
-            kept[spec] += len(bad)
-    return nonconv
+
+def _complex(planes):
+    """The contiguous (M, B, K) complex array of (2, B, M, K) real planes."""
+    out = np.empty(planes.shape[2:3] + planes.shape[1:2] + planes.shape[3:], dtype=complex)
+    out.real = planes[0].transpose(1, 0, 2)
+    out.imag = planes[1].transpose(1, 0, 2)
+    return out
 
 
 def _combined_matrix(correlations, h, hc):
@@ -716,8 +738,7 @@ def _decorrelate(r_c, power, y_c):
 
 def _block_fixed(ctx: _Context, seed_seq, size: int):
     rng = np.random.default_rng(seed_seq)
-    bits, h, w = _draw_symbols(rng, ctx.cfg, ctx.sigma2, size)
-    return _detect_block(ctx, bits, h, _receive(ctx, bits, h, w))
+    return _detect_block(ctx, *_draw_symbols(rng, ctx.cfg, ctx.sigma2, size))
 
 
 def _block_per_trial(cfg: ExperimentConfig, seed_seq, size: int):
@@ -731,12 +752,11 @@ def _block_per_trial(cfg: ExperimentConfig, seed_seq, size: int):
     sigma2 = cfg.sigma2()
     errors, kept, nonconv = Counter(), Counter(), 0
     for lo in range(0, size, _DRAW_CHUNK):
-        correlations, factors, bits, h, w = _draw_trials(
+        correlations, factors, bits, planes = _draw_trials(
             cfg, rng, sigma2, min(_DRAW_CHUNK, size - lo)
         )
         ctx = _prepare_context(cfg, correlations, factors)
-        y = _receive(ctx, bits, h, w)
-        got_errors, got_kept, got_nonconv = _detect_block(ctx, bits, h, y)
+        got_errors, got_kept, got_nonconv = _detect_block(ctx, bits, planes)
         errors.update(got_errors)
         kept.update(got_kept)
         nonconv += got_nonconv

@@ -1,10 +1,10 @@
 """System model: spreading, correlation, fading, shaped noise, decisions.
 
 Bits, fading and noise are drawn, and y = R x + n formed and decided, by the
-BER harness (simulate); those checks run on its draw and detect steps.
+BER harness (simulate); those checks run on its draw and detect steps, which
+hold fading, noise and y as (2, T, M, K) real planes (real, imaginary).
 """
 
-from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +21,11 @@ from lpic.model import (
     generate_spreading_set,
     noise_transform,
 )
+
+
+def _joined(planes):
+    """The complex array of a pair of real planes (real part first)."""
+    return planes[0] + 1j * planes[1]
 
 
 def _cfg(users, subcarriers=1):
@@ -124,15 +129,16 @@ class TestCorrelation:
 
 class TestChannel:
     def test_shapes(self, rng):
-        bits, h, w = simulate._draw_symbols(rng, _cfg(4, 2), 0.5, 10)
+        bits, planes = simulate._draw_symbols(rng, _cfg(4, 2), 0.5, 10)
         assert bits.shape == (10, 4)
         assert set(np.unique(bits)) <= {-1.0, 1.0}
-        assert h.shape == w.shape == (10, 2, 4)
-        assert h.dtype == w.dtype == complex
+        h, w = planes[:2], planes[2:]
+        assert h.shape == w.shape == (2, 10, 2, 4)
+        assert h.dtype == w.dtype == np.float64
 
     def test_unit_power(self):
         rng = np.random.default_rng(3)
-        _, h, _ = simulate._draw_symbols(rng, _cfg(3), 0.5, 200_000)
+        h = _joined(simulate._draw_symbols(rng, _cfg(3), 0.5, 200_000)[1])
         power = np.abs(h) ** 2
         # |h|^2 is exponential(1): mean 1, var 1
         se = 1.0 / np.sqrt(power.size)
@@ -143,9 +149,9 @@ class TestChannel:
 
 def _shaped_noise(rng, r, sigma2, size):
     """Noise L w as the harness draws and shapes it, (size, K)."""
-    _, _, w = simulate._draw_symbols(rng, _cfg(r.shape[0]), sigma2, size)
+    _, planes = simulate._draw_symbols(rng, _cfg(r.shape[0]), sigma2, size)
     factors = noise_transform(r)[None, None]
-    return simulate._apply(factors, w.transpose(1, 0, 2))[0]
+    return _joined(simulate._apply(factors, planes[2:].transpose(2, 0, 1, 3))[0])
 
 
 class TestNoise:
@@ -242,11 +248,12 @@ class TestMatchedFilter:
             [correlation_matrix(generate_spreading_set(users, 32, rng)) for _ in range(subs)]
         )
         amps = rng.uniform(0.5, 2.0, users)
-        bits, h, w = simulate._draw_symbols(rng, _cfg(users, subs), 0.3, trials)
+        bits, planes = simulate._draw_symbols(rng, _cfg(users, subs), 0.3, trials)
         ells = np.stack([noise_transform(r) for r in rs])
         ctx = SimpleNamespace(amplitudes=amps, correlations=rs[:, None], factors=ells[:, None])
-        y = simulate._receive(ctx, bits, h, w)
-        assert y.shape == (trials, subs, users)
+        y = simulate._receive(ctx, bits, planes[:2], planes[2:])
+        assert y.shape == (2, trials, subs, users)
+        h, w, y = _joined(planes[:2]), _joined(planes[2:]), _joined(y)
         for t in range(trials):
             for i in range(subs):
                 x = amps * bits[t] * h[t, i]
@@ -257,16 +264,18 @@ class TestMatchedFilter:
 
 
 def _errors(h, y, bits):
-    """Bit errors of one identity (matched-filter) row as the harness counts them."""
+    """Bit errors of one identity (matched-filter) row as the harness counts them.
+
+    h and y are complex (T, M, K); the harness takes them as real planes.
+    """
     trials, subs, users = y.shape
-    rows = np.broadcast_to(np.eye(users)[:1], (1, 1, subs, 1, users)).astype(complex)
-    spec = object()
+    rows = np.broadcast_to(np.eye(users)[:1], (1, 1, subs, 1, users))
     built = np.ones((1, 1), dtype=bool)
-    ctx = SimpleNamespace(filters=rows, built=built, specs=[spec], rows=slice(0, 1))
-    errors, kept = Counter(), Counter()
-    simulate._count_matrix_forms(ctx, bits, h, y, errors, kept)
-    assert kept[spec] == trials
-    return errors[spec]
+    ctx = SimpleNamespace(filters=rows, built=built, rows=slice(0, 1))
+    h, y = (np.stack([a.real, a.imag]) for a in (h, y))
+    (errors,), (kept,) = simulate._count_matrix_forms(ctx, bits, h, y)
+    assert kept == trials
+    return errors
 
 
 class TestDecision:
@@ -276,6 +285,14 @@ class TestDecision:
         y = np.array([2.0, -0.5, 3j]).reshape(3, 1, 1)
         assert _errors(h, y, np.array([[1.0], [-1.0], [1.0]])) == 0
         assert _errors(h, y, np.array([[-1.0], [1.0], [-1.0]])) == 3
+
+    def test_imaginary_parts_enter_the_statistic(self):
+        # Re(conj(h) y) = h_re y_re + h_im y_im, here (-3, 1, -1); the real
+        # parts alone would give (0, 2, 1)
+        h = np.array([1j, 1 + 1j, 1 - 2j]).reshape(3, 1, 1)
+        y = np.array([-3j, 2 - 1j, 1 + 1j]).reshape(3, 1, 1)
+        assert _errors(h, y, np.array([[-1.0], [1.0], [-1.0]])) == 0
+        assert _errors(h, y, np.array([[1.0], [-1.0], [1.0]])) == 3
 
     def test_tie_goes_positive(self):
         h = np.ones((2, 1, 1), dtype=complex)

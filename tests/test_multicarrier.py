@@ -87,9 +87,10 @@ class TestEffectiveMatrices:
         cfg = parse_config(
             f"K = {users}\nP = 32\nM = {m}\nreceiver = type2\nsnr_db = 0\ndetectors = mf\n"
         )
-        _, _, w = simulate._draw_symbols(rng, cfg, sigma2, draws)
+        _, planes = simulate._draw_symbols(rng, cfg, sigma2, draws)
         factors = np.stack([np.linalg.cholesky(r) for r in corrs])[:, None]
-        noise = simulate._apply(factors, w.transpose(1, 0, 2))   # (M, T, K)
+        noise = simulate._apply(factors, planes[2:].transpose(2, 0, 1, 3))  # (M, 2, T, K)
+        noise = noise[:, 0] + 1j * noise[:, 1]
         z = np.sum(np.conj(h)[:, None, :] * noise, axis=0)
         emp = (z.conj().T @ z).T / draws
         r_c, power = combined(corrs, h)

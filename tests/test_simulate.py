@@ -131,6 +131,31 @@ class TestDeterminism:
     def test_worker_count_does_not_change_records(self):
         assert _run(self.CFG, threads=1) == _run(self.CFG, threads=4)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "K = 8\nP = 24\nsnr_db = 6\ntrials = 9000\ndetectors = mf, conventional:2..4, "
+            "proposed:3, mmse_converging:3, modified_mmse:3, weighted_proposed:3, "
+            "decorrelator, mmse\n",
+            "K = 8\nP = 24\nM = 3\nreceiver = type1\ncount_all_users = true\nsnr_db = 6\n"
+            "trials = 9000\ndetectors = mf, conventional:3, weighted_proposed:3, mmse\n",
+            "K = 20\nP = 64\nM = 4\nreceiver = type2\nsnr_db = 10\ntrials = 9000\n"
+            "detectors = mf, conventional:3, proposed:2..3, decorrelator, mmse\n",
+            "K = 6\nP = 8\nM = 2\nreceiver = type2\nsnr_db = 8\ntrials = 70\n"
+            "sequence_mode = per_trial\ndetectors = mf, conventional:2, proposed:2, "
+            "decorrelator, mmse\n",
+        ],
+        ids=["single_family", "type1_all_users", "type2", "type2_per_trial"],
+    )
+    @pytest.mark.parametrize("chunk", [7, 8192])
+    def test_records_do_not_depend_on_the_detect_chunk_size(self, monkeypatch, text, chunk):
+        # a block is received and detected one _CHUNK_TRIALS slice at a
+        # time; in type2 the low-rank bound may be dropped at another chunk
+        text += "seed = 3\n"
+        records = render_ber_csv(_run(text))
+        monkeypatch.setattr(simulate, "_CHUNK_TRIALS", chunk)
+        assert render_ber_csv(_run(text)) == records
+
     def test_per_trial_mode_is_deterministic(self):
         cfg = (
             "K = 3\nP = 8\nsnr_db = 8\ntrials = 150\nseed = 2\n"
@@ -565,8 +590,9 @@ def _sequential_trials(cfg, rng, sigma2, count):
 
     Each trial draws its spreading sets (one set repeated over the M
     subcarriers when they are identical) and factors every subcarrier's
-    matrix.  Then it reads its bits and its four normal arrays.  Returns
-    what simulate._draw_trials returns.
+    matrix.  Then it reads its bits and its four normal arrays, and forms
+    fading and noise as sqrt(0.5) (a + 1j b).  Returns what
+    simulate._draw_trials returns, with the fading and noise as real planes.
     """
     users, chips, subs = cfg.users, cfg.chips, cfg.subcarriers
     sets = 1 if cfg.subcarrier_sequences == "identical" else subs
@@ -579,12 +605,13 @@ def _sequential_trials(cfg, rng, sigma2, count):
         raw_bits.append(rng.integers(0, 2, size=(1, users)))
         normals.append(rng.standard_normal((4, 1, subs, users)))
     normals = np.concatenate(normals, axis=1)
+    h = math.sqrt(0.5) * (normals[0] + 1j * normals[1])
+    w = math.sqrt(sigma2 / 2.0) * (normals[2] + 1j * normals[3])
     return (
         np.stack(mats, axis=1),
         np.stack(factors, axis=1),
         (np.concatenate(raw_bits) * 2 - 1).astype(np.float64),
-        math.sqrt(0.5) * (normals[0] + 1j * normals[1]),
-        math.sqrt(sigma2 / 2.0) * (normals[2] + 1j * normals[3]),
+        np.stack([h.real, h.imag, w.real, w.imag]),
     )
 
 
@@ -606,6 +633,58 @@ def _assert_same_draws(got, want):
     for a, b in zip(got, want, strict=True):
         assert a.shape == b.shape and a.dtype == b.dtype
         assert np.array_equal(a, b)
+        if a.dtype == np.float64:  # bit for bit, not only equal in value
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestPlaneDraw:
+    """The fading and noise planes are the complex draw's stream, bit for bit.
+
+    The reference reads the normals with size=, as four separate arrays, and
+    forms h = sqrt(0.5) (a + 1j b) and w = sqrt(sigma2 / 2) (c + 1j d).
+    """
+
+    @staticmethod
+    def _complex_draw(rng, cfg, sigma2, size):
+        shape = (size, cfg.subcarriers, cfg.users)
+        bits = (rng.integers(0, 2, size=(size, cfg.users)) * 2 - 1).astype(np.float64)
+        h = math.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        w = math.sqrt(sigma2 / 2.0) * (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        )
+        return bits, np.stack([h.real, h.imag, w.real, w.imag])
+
+    @staticmethod
+    def _cfg(subs, extra=""):
+        rx = "single" if subs == 1 else "type1"
+        return parse_config(
+            f"K = 6\nP = 16\nM = {subs}\nreceiver = {rx}\nsnr_db = 3\ndetectors = mf\n{extra}"
+        )
+
+    @pytest.mark.parametrize("subs", [1, 4])
+    @pytest.mark.parametrize("size", [1, 300])
+    def test_draw_symbols_reads_the_complex_stream(self, subs, size):
+        cfg = self._cfg(subs)
+        rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+        got = simulate._draw_symbols(rng, cfg, cfg.sigma2(), size)
+        want = self._complex_draw(ref_rng, cfg, cfg.sigma2(), size)
+        _assert_same_draws(got, want)
+        assert got[1].shape == (4, size, subs, 6)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("subs", [1, 4])
+    def test_draw_trials_reads_one_trial_blocks(self, subs):
+        cfg = self._cfg(subs, "sequence_mode = per_trial\n")
+        rng, ref_rng = np.random.default_rng(43), np.random.default_rng(43)
+        got = simulate._draw_trials(cfg, rng, cfg.sigma2(), 5)
+        want = []
+        for _ in range(5):
+            for _ in range(subs):
+                generate_spreading_set(6, 16, ref_rng)
+            want.append(self._complex_draw(ref_rng, cfg, cfg.sigma2(), 1))
+        bits, planes = zip(*want)
+        _assert_same_draws(got[2:], (np.concatenate(bits), np.concatenate(planes, axis=1)))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestPerTrialDraw:
