@@ -17,10 +17,9 @@ trials field counts bits (trials x K).
 from __future__ import annotations
 
 import os
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from math import ceil, log10, sqrt
+from dataclasses import dataclass
+from math import log10, sqrt
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .filters import (
     _CERT_MARGIN,
     SPECTRAL_KINDS,
     _factorizes,
+    _identities,
     build_filter,
     cancellation_partials,
     singular_draws,
@@ -39,8 +39,8 @@ from .sinr import compute_weight_schedule, sinr_breakdown
 THREADS_ENV = "LPIC_THREADS"
 
 _BLOCK_TRIALS = 8192   # fixed: part of the deterministic draw structure
-_CHUNK_TRIALS = 256    # cache-sized slice of a block: receive, count, combine
-_DRAW_CHUNK = 32       # per_trial draws built as one stack; bounds the build temporaries
+_CHUNK_TRIALS = 256    # cache-sized slice of a fixed-mode block: receive, count, combine
+_DRAW_CHUNK = 32       # per_trial draws built and detected as one stack (<= _CHUNK_TRIALS)
 _CERT_RANK = 3         # eigenpairs per subcarrier in the low-rank nonconv bound
 _WS_ALLOWANCE = 1e-12  # rounding allowance of the trace tier, relative to ||G||_F^2
 _MAX_REDRAWS = 1000    # sequence redraw attempts before giving up
@@ -176,8 +176,8 @@ class _Context:
     amplitudes: np.ndarray
     sigma2: float
     rows: slice                # counted users: all K, or user 0 alone
-    specs: list                # matrix-form detectors, in filters order
-    filters: np.ndarray        # (D, G, M, R, K) their counted filter rows, real
+    specs: list                # matrix-form detectors (see _split)
+    filters: np.ndarray        # (M, G, D R, K) their counted filter rows, real
     built: np.ndarray          # (D, G) draws each detector was built on
     combined: list             # type2 detectors evaluated in the combined domain
     bound: tuple | None        # low-rank nonconv bound (see _low_rank_bound)
@@ -219,16 +219,27 @@ def _correlate(cfg: ExperimentConfig, chips: np.ndarray):
     return mats, factors
 
 
+def _split(cfg: ExperimentConfig):
+    """The detectors in count order: (matrix forms, combined-domain detectors).
+
+    Every single-carrier and type1 detector has a fixed filter, and so do
+    type2 mf and mmse: mf's statistic Re(y_c) = sum_i Re(conj(h_i) y_i) is
+    type1's.  Other type2 detectors run per trial in the combined domain.
+    """
+    type2 = cfg.receiver == "type2"
+    matrix = [spec for spec in cfg.detectors if not type2 or spec.kind in ("mf", "mmse")]
+    return matrix, [spec for spec in cfg.detectors if spec not in matrix]
+
+
 def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
-    """Build every detector on a stack of G spreading draws.
+    """Build every matrix-form detector (see _split) on a stack of G spreading draws.
 
     correlations and factors are (M, G, K, K): G = 1 for the one draw of a
     fixed-mode run, or G per-trial draws, which every build and the weight
-    schedule take as one stack.  A matrix-form detector builds only the
-    counted rows of its filter on each subcarrier (single carrier is M = 1),
-    stacked over detectors into one (D, G, M, R, K) tensor: R = K with
-    count_all_users, else 1.  Type2 detectors other than mmse have no fixed
-    filter and run per trial in the combined domain.
+    schedule take as one stack.  A detector builds only the counted rows of
+    its filter on each subcarrier (single carrier is M = 1): R = K with
+    count_all_users, else 1.  They are laid out once as the (M, G, D R, K)
+    stack that _apply takes, detector-major in each draw's rows.
 
     Failures are isolated.  A detector that cannot be built on the stack is
     rebuilt draw by draw and marked as not built on the draws that fail.
@@ -240,12 +251,11 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
     top = max(max(weighted_stages), 2) if weighted_stages else 0
 
     def counted_rows(spec, mats, schedule, spectra=None):
-        """(..., M, R, K) counted rows of one detector on (M, ..., K, K) draws."""
+        """(M, ..., R, K) counted rows of one detector on (M, ..., K, K) draws."""
         if spec.kind == "weighted_proposed" and isinstance(schedule, Exception):
             raise schedule
-        out = np.empty(mats.shape[1:-2] + (cfg.subcarriers, counted, cfg.users))
-        for i in range(cfg.subcarriers):
-            out[..., i, :, :] = build_filter(
+        return np.stack([
+            build_filter(
                 spec.kind,
                 mats[i],
                 spec.stage,
@@ -254,7 +264,8 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
                 eigenvalues=None if spectra is None else spectra[i],
                 rows=rows,
             )
-        return out
+            for i in range(cfg.subcarriers)
+        ])
 
     def schedule_of(mats):
         if not top:
@@ -267,35 +278,24 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
     draws = correlations.shape[1]
     schedule = schedule_of(correlations)
     spectra = None  # eigvalsh of the correlations, shared by SPECTRAL_KINDS
-    specs, stacks, built, combined = [], [], [], []
-    for spec in cfg.detectors:
-        if cfg.receiver == "type2" and spec.kind != "mmse":
-            combined.append(spec)
-            continue
+    specs, combined = _split(cfg)
+    filters = np.zeros((cfg.subcarriers, draws, len(specs), counted, cfg.users))
+    built = np.ones((len(specs), draws), dtype=bool)
+    for d, spec in enumerate(specs):
         try:
             if spec.kind in SPECTRAL_KINDS and spectra is None:
                 spectra = np.linalg.eigvalsh(correlations)
-            stacks.append(counted_rows(spec, correlations, schedule, spectra))
-            built.append(np.ones(draws, dtype=bool))
+            filters[:, :, d] = counted_rows(spec, correlations, schedule, spectra)
         except _BUILD_ERRORS:
             # rebuild draw by draw, so one bad draw costs only itself
-            rebuilt = np.zeros((draws, cfg.subcarriers, counted, cfg.users))
-            ok = np.zeros(draws, dtype=bool)
             weighted = spec.kind == "weighted_proposed"
             for b in range(draws):
                 one = correlations[:, b]
                 try:
-                    rebuilt[b] = counted_rows(spec, one, schedule_of(one) if weighted else None)
-                    ok[b] = True
+                    filters[:, b, d] = counted_rows(spec, one, schedule_of(one) if weighted else None)
                 except _BUILD_ERRORS:
-                    pass
-            stacks.append(rebuilt)
-            built.append(ok)
-        specs.append(spec)
+                    built[d, b] = False
 
-    filters = np.array(stacks, dtype=float).reshape(
-        len(specs), draws, cfg.subcarriers, counted, cfg.users
-    )
     # per_trial draws are used once each: nothing to share the eigenpairs over
     type2_fixed = cfg.receiver == "type2" and cfg.sequence_mode == "fixed"
     return _Context(
@@ -306,8 +306,8 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
         sigma2=sigma2,
         rows=rows,
         specs=specs,
-        filters=filters,
-        built=np.array(built, dtype=bool).reshape(len(specs), draws),
+        filters=filters.reshape(cfg.subcarriers, draws, -1, cfg.users),
+        built=built,
         combined=combined,
         bound=_low_rank_bound(correlations[:, 0]) if type2_fixed else None,
     )
@@ -418,71 +418,54 @@ def _receive(ctx: _Context, bits, h, w):
     return y.transpose(1, 2, 0, 3)
 
 
-def _detect_block(ctx: _Context, bits, planes):
-    """Receive and evaluate every prepared detector on one drawn block.
+def _detect_chunk(ctx: _Context, bits, planes, bound):
+    """Receive and evaluate every detector on one chunk of trials.
 
-    planes are the block's (4, T, M, K) fading and noise planes (see
-    _draw_symbols).  Everything after the draw runs one _CHUNK_TRIALS slice
-    at a time, so its temporaries stay cache-sized.  Returns (errors, kept,
-    nonconv): bit errors and counted trials per detector, and the nonconv
-    diagnostic.  A detector keeps the trials whose draws it was built on
-    (and, for the type2 decorrelator, whose R_eff was invertible).
+    planes are the chunk's (4, T, M, K) fading and noise planes (see
+    _draw_symbols); each of ctx's G draws serves T / G consecutive trials.
+    bound is the low-rank nonconv bound while the block keeps it (type2,
+    see _detect_combined).  Returns (counts, nonconv, bound): counts is the
+    (2, D) array of bit errors and counted trials per detector in _split
+    order, nonconv the chunk's diagnostic, and bound the one for the next
+    chunk.  A detector keeps the trials whose draws it was built on (and,
+    for the type2 decorrelator, whose R_eff was invertible).
     """
-    errors, kept, nonconv, bound = Counter(), Counter(), 0, ctx.bound
-    counts = np.zeros((2, len(ctx.specs)), dtype=np.int64)  # matrix forms' errors, kept
-    shared = ctx.correlations.shape[1] == 1   # else one draw per trial (per_trial)
-    for lo in range(0, len(bits), _CHUNK_TRIALS):
-        chunk = slice(lo, lo + _CHUNK_TRIALS)
-        part = ctx if shared else replace(
-            ctx, correlations=ctx.correlations[:, chunk], factors=ctx.factors[:, chunk],
-            filters=ctx.filters[:, chunk], built=ctx.built[:, chunk],
-        )
-        h = planes[:2, chunk]
-        y = _receive(part, bits[chunk], h, planes[2:, chunk])
-        counts += _count_matrix_forms(part, bits[chunk], h, y)
-        if ctx.cfg.receiver == "type2":
-            got, bound = _detect_combined(part, bits[chunk], h, y, errors, kept, bound)
-            nonconv += got
-    errors.update(dict(zip(ctx.specs, counts[0].tolist())))
-    kept.update(dict(zip(ctx.specs, counts[1].tolist())))
-    return errors, kept, nonconv
+    h = planes[:2]
+    y = _receive(ctx, bits, h, planes[2:])
+    counts = _count_matrix_forms(ctx, bits, h, y)
+    if ctx.cfg.receiver != "type2":
+        return counts, 0, bound
+    combined, nonconv, bound = _detect_combined(ctx, bits, h, y, bound)
+    return np.concatenate([counts, combined], axis=1), nonconv, bound
 
 
 def _count_matrix_forms(ctx: _Context, bits, h, y):
     """Bit errors and counted trials of every matrix-form detector, in ctx.specs order.
 
-    h and y are (2, T, M, K) real planes, the filter rows real.  One GEMM
-    per subcarrier, draw and plane evaluates a group of detectors at once
-    (z = F y_i), and the statistic Re(conj(h_i) z) = h_re z_re + h_im z_im
-    accumulates in subcarrier order 0..M-1.  A group has at most K output
-    columns, so counting every user holds no more per GEMM than one full
-    filter does.  An exact zero (or NaN) decides +1.
+    h and y are (2, T, M, K) real planes, y a view of an (M, 2, T, K) array
+    (see _receive), the filter rows real.  One _apply evaluates every
+    detector on every subcarrier, draw and plane (z = F y_i), and the
+    statistic Re(conj(h_i) z) = h_re z_re + h_im z_im accumulates in
+    subcarrier order 0..M-1.  An exact zero (or NaN) decides +1.
     """
-    detectors, g, m, counted, k = ctx.filters.shape
-    n = len(bits) // g                               # trials per draw
-    out = np.empty((2, detectors), dtype=np.int64)
-    h = h[..., ctx.rows].reshape(2, g, n, m, 1, counted)
-    wrong = (bits[:, None, ctx.rows] < 0).reshape(g, n, 1, counted)
-    step = k // counted
-    for lo in range(0, detectors, step):
-        group = ctx.filters[lo : lo + step]
-        stat = 0.0
-        for i in range(m):
-            rows_t = group[:, :, i].transpose(1, 0, 2, 3).reshape(g, -1, k).transpose(0, 2, 1)
-            z = np.matmul(y[:, :, i].reshape(2, g, n, k), rows_t).reshape(2, g, n, -1, counted)
-            z *= h[:, :, :, i]
-            z[0] += z[1]
-            stat += z[0]
-        bad = (stat < 0) != wrong                    # (G, n, D', R)
-        built = ctx.built[lo : lo + step].T          # (G, D')
-        if not built.all():
-            bad &= built[:, None, :, None]
-        out[0, lo : lo + step] = np.count_nonzero(bad, axis=(0, 1, 3))
-        out[1, lo : lo + step] = n * np.count_nonzero(built, axis=0)
-    return out
+    wrong = bits[:, ctx.rows] < 0                       # (T, R)
+    trials, counted = wrong.shape
+    m, g = ctx.filters.shape[:2]
+    z = _apply(ctx.filters, y.transpose(2, 0, 1, 3)).reshape(m, 2, trials, -1, counted)
+    z *= h[..., ctx.rows].transpose(2, 0, 1, 3)[:, :, :, None]
+    z[:, 0] += z[:, 1]
+    stat = z[:, 0].sum(axis=0)                          # (T, D, R)
+    bad = ((stat < 0) != wrong[:, None]).reshape(g, trials // g, -1, counted)
+    if not ctx.built.all():
+        bad &= ctx.built.T[:, None, :, None]
+    counts = np.empty((2, len(ctx.built)), dtype=np.int64)
+    bad.sum(axis=(0, 1, 3), out=counts[0])
+    ctx.built.sum(axis=1, out=counts[1])
+    counts[1] *= trials // g
+    return counts
 
 
-def _detect_combined(ctx: _Context, bits, h, y, errors, kept, bound):
+def _detect_combined(ctx: _Context, bits, h, y, bound):
     """Type2 detectors without a fixed filter on one chunk, plus its nonconv.
 
     Combines first, then cancels in the combined domain, where
@@ -490,8 +473,8 @@ def _detect_combined(ctx: _Context, bits, h, y, errors, kept, bound):
     h and y are the chunk's (2, B, M, K) planes; a dense R_c is formed only
     for the detectors that need the matrix form, or for the trials the
     low-rank bound leaves open.  bound is that bound while the block keeps
-    it, else None.  Adds each detector's errors and counted trials; returns
-    nonconv and the bound for the block's next chunk.
+    it, else None.  Returns the (2, C) errors and counted trials of
+    ctx.combined, nonconv, and the bound for the block's next chunk.
     """
     wrong = bits[:, ctx.rows] < 0
     dense = any(spec.kind in ("proposed", "decorrelator") for spec in ctx.combined)
@@ -508,24 +491,22 @@ def _detect_combined(ctx: _Context, bits, h, y, errors, kept, bound):
     if open_rows is not None and 2 * np.count_nonzero(open_rows) > len(open_rows):
         bound = None  # settles too few trials of this draw to pay for itself
     nonconv = _nonconvergent(open_rows, mats, h_c, hc, power, r_c)
-    stats = _proposed_stats(r_c, power, y_c, proposed) if proposed else {}
-    for spec in ctx.combined:
+    stats = _proposed_stats(r_c, power, y_c, proposed, ctx.rows) if proposed else {}
+    counts = np.empty((2, len(ctx.combined)), dtype=np.int64)
+    for j, spec in enumerate(ctx.combined):
         solved = None
-        if spec.kind == "mf":
-            stat = y_c[:, ctx.rows]
-        elif spec.kind == "conventional":
+        if spec.kind == "conventional":
             stat = _conventional_type2(mats, h_c, hc, power, y_c, spec.stage, ctx.rows)
         elif spec.kind == "proposed":
-            stat = stats[spec][:, ctx.rows]
+            stat = stats[spec]
         else:
             stat, solved = _decorrelate(r_c, power, y_c)
             stat = stat[:, ctx.rows]
         bad = (stat.real < 0) != wrong
         if solved is not None:
             bad = bad[solved]
-        errors[spec] += int(np.count_nonzero(bad))
-        kept[spec] += len(bad)
-    return nonconv, bound
+        counts[:, j] = np.count_nonzero(bad), len(bad)
+    return counts, nonconv, bound
 
 
 def _complex(planes):
@@ -662,16 +643,17 @@ def _gram_moments(bound, re, im):
     return trace, frob2
 
 
-def _proposed_stats(r_c, power, y_c, proposed) -> dict:
-    """Type2 proposed statistics G_m y_c of every configured stage m, one series pass.
+def _proposed_stats(r_c, power, y_c, proposed, rows) -> dict:
+    """rows of the type2 proposed statistics G_m y_c of every configured stage m.
 
-    proposed maps stage to spec.  The filters are the partial sums of the
-    build_filter("proposed", R_eff, m) series, so each equals that build.
+    proposed maps stage to spec.  One series pass over the given rows alone
+    gives the partial sums of build_filter("proposed", R_eff, m, rows=rows),
+    so each filter equals that build.
     """
     r_eff = r_c / power[:, None, :]
-    eye = np.eye(r_eff.shape[-1], dtype=r_eff.dtype)
-    steps = [eye - r_eff] * (max(proposed) - 1)
-    series = cancellation_partials(np.broadcast_to(eye, r_eff.shape), steps, hollow=True)
+    index = np.arange(r_eff.shape[-1])[rows]
+    steps = [np.eye(r_eff.shape[-1], dtype=r_eff.dtype) - r_eff] * (max(proposed) - 1)
+    series = cancellation_partials(_identities(r_eff, index), steps, hollow=True, rows=index)
     return {
         proposed[stage]: (g @ y_c[..., None])[..., 0]
         for stage, g in enumerate(series, 1)
@@ -737,8 +719,20 @@ def _decorrelate(r_c, power, y_c):
 
 
 def _block_fixed(ctx: _Context, seed_seq, size: int):
+    """One fixed-mode block: drawn whole, then detected one _CHUNK_TRIALS slice at a time.
+
+    The slices keep the temporaries after the draw cache-sized; the low-rank
+    bound carries from one slice to the next.  Returns (counts, nonconv).
+    """
     rng = np.random.default_rng(seed_seq)
-    return _detect_block(ctx, *_draw_symbols(rng, ctx.cfg, ctx.sigma2, size))
+    bits, planes = _draw_symbols(rng, ctx.cfg, ctx.sigma2, size)
+    counts, nonconv, bound = 0, 0, ctx.bound
+    for lo in range(0, size, _CHUNK_TRIALS):
+        chunk = slice(lo, lo + _CHUNK_TRIALS)
+        got, more, bound = _detect_chunk(ctx, bits[chunk], planes[:, chunk], bound)
+        counts += got
+        nonconv += more
+    return counts, nonconv
 
 
 def _block_per_trial(cfg: ExperimentConfig, seed_seq, size: int):
@@ -746,21 +740,20 @@ def _block_per_trial(cfg: ExperimentConfig, seed_seq, size: int):
 
     Trials are drawn in chunks of _DRAW_CHUNK, each trial as a one-trial
     block would draw it (see _draw_trials); a chunk is then built and
-    detected as one stack of draws.
+    detected as one stack of draws.  Returns (counts, nonconv).
     """
     rng = np.random.default_rng(seed_seq)
     sigma2 = cfg.sigma2()
-    errors, kept, nonconv = Counter(), Counter(), 0
+    counts, nonconv = 0, 0
     for lo in range(0, size, _DRAW_CHUNK):
         correlations, factors, bits, planes = _draw_trials(
             cfg, rng, sigma2, min(_DRAW_CHUNK, size - lo)
         )
         ctx = _prepare_context(cfg, correlations, factors)
-        got_errors, got_kept, got_nonconv = _detect_block(ctx, bits, planes)
-        errors.update(got_errors)
-        kept.update(got_kept)
-        nonconv += got_nonconv
-    return errors, kept, nonconv
+        got, more, _ = _detect_chunk(ctx, bits, planes, ctx.bound)
+        counts += got
+        nonconv += more
+    return counts, nonconv
 
 
 def run_ber_experiment(cfg: ExperimentConfig, threads: int | None = None) -> list[BerRecord]:
@@ -782,44 +775,36 @@ def run_ber_experiment(cfg: ExperimentConfig, threads: int | None = None) -> lis
 
     fixed = cfg.sequence_mode == "fixed"
     if fixed:
-        correlations, factors = _draw_correlations(cfg, np.random.default_rng(seq_ss))
-        ctx = _prepare_context(cfg, correlations, factors)
-
-    n_blocks = ceil(cfg.trials / _BLOCK_TRIALS)
-    sizes = [
-        min(_BLOCK_TRIALS, cfg.trials - i * _BLOCK_TRIALS) for i in range(n_blocks)
-    ]
-    block_seeds = blocks_parent.spawn(n_blocks)
-
-    if fixed:
-        work = lambda args: _block_fixed(ctx, args[0], args[1])
+        ctx = _prepare_context(cfg, *_draw_correlations(cfg, np.random.default_rng(seq_ss)))
+        work = lambda args: _block_fixed(ctx, *args)
     else:
-        work = lambda args: _block_per_trial(cfg, args[0], args[1])
+        work = lambda args: _block_per_trial(cfg, *args)
 
-    errors, kept, nonconv_total = Counter(), Counter(), 0
-    jobs = list(zip(block_seeds, sizes))
+    sizes = [min(_BLOCK_TRIALS, cfg.trials - lo) for lo in range(0, cfg.trials, _BLOCK_TRIALS)]
+    jobs = list(zip(blocks_parent.spawn(len(sizes)), sizes))
     workers = min(threads, len(jobs))  # a worker without a block would only idle
     if workers == 1:
         results = map(work, jobs)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, jobs))
-    for block_errors, block_kept, nonconv in results:
-        errors.update(block_errors)
-        kept.update(block_kept)
+    counts, nonconv_total = 0, 0
+    for got, nonconv in results:
+        counts += got
         nonconv_total += nonconv
 
     suffix = "[all-users]" if cfg.count_all_users else ""
     per_trial_bits = cfg.users if cfg.count_all_users else 1
+    matrix, combined = _split(cfg)
+    column = {spec: j for j, spec in enumerate(matrix + combined)}
     records = []
     for spec in cfg.detectors:
-        trials = kept[spec]
+        errs, trials = counts[:, column[spec]].tolist()
         if trials == 0 or (fixed and trials < cfg.trials):  # flagged: the detector failed
             trials = errs = nonconv = 0
             ber = lo = hi = float("nan")
         else:
             trials *= per_trial_bits
-            errs = errors[spec]
             ber, (lo, hi) = errs / trials, wilson_interval(errs, trials)
             nonconv = nonconv_total if cfg.receiver == "type2" else 0
         records.append(

@@ -269,7 +269,7 @@ def _errors(h, y, bits):
     h and y are complex (T, M, K); the harness takes them as real planes.
     """
     trials, subs, users = y.shape
-    rows = np.broadcast_to(np.eye(users)[:1], (1, 1, subs, 1, users))
+    rows = np.broadcast_to(np.eye(users)[:1], (subs, 1, 1, users))
     built = np.ones((1, 1), dtype=bool)
     ctx = SimpleNamespace(filters=rows, built=built, rows=slice(0, 1))
     h, y = (np.stack([a.real, a.imag]) for a in (h, y))

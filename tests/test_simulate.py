@@ -5,8 +5,13 @@ one child for the spreading draw, one child per trial block) with plain
 per-trial loops and compare error counts exactly.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 import threading
 
 import numpy as np
@@ -149,8 +154,9 @@ class TestDeterminism:
     )
     @pytest.mark.parametrize("chunk", [7, 8192])
     def test_records_do_not_depend_on_the_detect_chunk_size(self, monkeypatch, text, chunk):
-        # a block is received and detected one _CHUNK_TRIALS slice at a
-        # time; in type2 the low-rank bound may be dropped at another chunk
+        # a fixed-mode block is received and detected one _CHUNK_TRIALS slice
+        # at a time (a per_trial stack is detected whole); in type2 the
+        # low-rank bound may be dropped at another chunk
         text += "seed = 3\n"
         records = render_ber_csv(_run(text))
         monkeypatch.setattr(simulate, "_CHUNK_TRIALS", chunk)
@@ -165,6 +171,80 @@ class TestDeterminism:
         assert a == b
         assert all(r.trials == 150 for r in a)
         assert all(r.bit_errors > 0 for r in a)  # 150 trials at 8 dB always err
+
+
+# One full type1 block; a fixed type2 draw whose low-rank bound leaves trials
+# to the trial-by-trial Cholesky at seed 1; a per_trial type2 run counting
+# every user, with nonconvergent draws.
+_HOST_CONFIGS = [
+    "K = 20\nP = 64\nM = 4\nnear_far = tenfold\nsnr_db = 14\nreceiver = type1\n"
+    "trials = 8192\nseed = 1\ndetectors = mf, conventional:2..4, proposed:3, mmse\n",
+    "K = 20\nP = 48\nM = 4\nnear_far = tenfold\nsnr_db = 10\nreceiver = type2\n"
+    "trials = 1024\nseed = 1\ndetectors = mf, conventional:3, proposed:2, decorrelator, mmse\n",
+    "K = 6\nP = 8\nM = 2\nreceiver = type2\nsnr_db = 8\ntrials = 300\nseed = 4\n"
+    "sequence_mode = per_trial\ncount_all_users = true\n"
+    "detectors = mf, conventional:2, proposed:2, decorrelator, mmse\n",
+]
+_HOST_SCRIPT = (
+    "import json, sys\n"
+    "from lpic.config import parse_config\n"
+    "from lpic.simulate import render_ber_csv, run_ber_experiment\n"
+    "for text in json.load(sys.stdin):\n"
+    "    sys.stdout.write(render_ber_csv(run_ber_experiment(parse_config(text), threads=1)))\n"
+)
+_HOST_SETTINGS = ("OPENBLAS_NUM_THREADS", "NPY_DISABLE_CPU_FEATURES")
+_WIDE_FEATURES = ("X86_V4", "AVX512_ICL", "AVX512_SPR", "X86_V3")
+
+
+def _host_records(**env) -> str:
+    """render_ber_csv of _HOST_CONFIGS in a fresh interpreter with env set on the defaults."""
+    full = {k: v for k, v in os.environ.items() if k not in _HOST_SETTINGS}
+    src = str(Path(simulate.__file__).resolve().parent.parent)
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _HOST_SCRIPT], input=json.dumps(_HOST_CONFIGS),
+        env={**full, **env}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _blas_threads(threads):
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    if "openblas" not in str(blas.get("name", "")).lower():
+        pytest.skip("NumPy does not use OpenBLAS")
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("one CPU: OpenBLAS runs one thread whatever is asked")
+    return {"OPENBLAS_NUM_THREADS": str(threads)}
+
+
+def _narrow_simd_setting():
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy < 2
+        from numpy.core import _multiarray_umath as umath
+    wide = [f for f in _WIDE_FEATURES if f in umath.__cpu_dispatch__ and umath.__cpu_features__.get(f)]
+    if not wide:
+        pytest.skip(f"the host runs none of NumPy's {'/'.join(_WIDE_FEATURES)} kernels")
+    return {"NPY_DISABLE_CPU_FEATURES": " ".join(wide)}
+
+
+class TestHostIndependence:
+    """Records do not depend on the BLAS thread count or NumPy's SIMD kernels."""
+
+    @pytest.fixture(scope="class")
+    def default_records(self):
+        return _host_records()
+
+    # OpenBLAS defaults to one thread per core, so on most hosts only one
+    # of the two thread counts differs from the default run
+    @pytest.mark.parametrize(
+        "setting",
+        [lambda: _blas_threads(1), lambda: _blas_threads(2), _narrow_simd_setting],
+        ids=["blas1", "blas2", "narrow_simd"],
+    )
+    def test_records_match_the_default_run(self, default_records, setting):
+        assert _host_records(**setting()) == default_records
 
 
 class TestWorkerPool:
@@ -743,13 +823,17 @@ class TestPerTrialDraw:
             assert len(seen) == 1
 
     def test_records_do_not_depend_on_the_chunk_size(self, monkeypatch):
-        text = (
+        texts = [
             "K = 6\nP = 8\nM = 2\nreceiver = type1\nsnr_db = 8\ntrials = 70\nseed = 2\n"
-            "sequence_mode = per_trial\ndetectors = mf, conventional:2, decorrelator, mmse\n"
-        )
-        records = render_ber_csv(_run(text))
+            "sequence_mode = per_trial\ndetectors = mf, conventional:2, decorrelator, mmse\n",
+            # a per_trial stack is detected whole: the chunk is the detect step's too
+            "K = 6\nP = 8\nM = 2\nreceiver = type2\nsnr_db = 8\ntrials = 70\nseed = 3\n"
+            "sequence_mode = per_trial\ndetectors = mf, conventional:2, proposed:2, "
+            "decorrelator, mmse\n",
+        ]
+        records = [render_ber_csv(_run(text)) for text in texts]
         monkeypatch.setattr(simulate, "_DRAW_CHUNK", 7)
-        assert render_ber_csv(_run(text)) == records
+        assert [render_ber_csv(_run(text)) for text in texts] == records
 
 
 class TestSpreadingStatistics:
