@@ -10,13 +10,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .filters import FILTER_KINDS, STAGED_KINDS, build_filter
 from .model import equicorrelated_matrix
-from .simulate import (
-    default_threads,
-    render_ber_csv,
-    render_sinr_csv,
-    run_ber_experiment,
-    run_sinr_experiment,
-)
+from .simulate import render_ber_csv, render_sinr_csv, run_ber_experiment, run_sinr_experiment
 from .sinr import compute_weight_schedule, equicorr_sir_report
 
 
@@ -30,8 +24,7 @@ def _write(text: str, path: str | None) -> None:
 
 def _cmd_ber(args) -> int:
     cfg = load_config(args.config)
-    threads = args.threads if args.threads is not None else default_threads()
-    records = run_ber_experiment(cfg, threads=threads)
+    records = run_ber_experiment(cfg, threads=args.threads)
     if args.verbose:
         for r in records:
             print(

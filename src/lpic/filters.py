@@ -50,7 +50,8 @@ STAGED_KINDS = ("conventional", "proposed", "mmse_converging", "modified_mmse", 
 SPECTRAL_KINDS = ("mmse_converging", "modified_mmse")
 
 # kinds that also take a complex correlation, such as the combined-domain
-# R_eff: a public API, and the tests' reference for the type2 harness
+# R_eff (a public API, and the tests' reference for the type2 harness) or
+# the Hermitian H that the harness cancels with
 _COMPLEX_KINDS = ("mf", "conventional", "proposed")
 
 _PIVOT_RTOL = 1e3 * np.finfo(float).eps  # singularity threshold for inversions

@@ -64,7 +64,7 @@ class BerRecord:
     ber: float
     ci_low: float
     ci_high: float
-    nonconv: int = 0   # draws with lambda_max(R_eff) >= 2; combined-domain runs only
+    nonconv: int = 0   # draws with lambda_max(H) >= 2 (see _detect_combined); type2 only
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,7 @@ class _Context:
     amplitudes: np.ndarray
     sigma2: float
     rows: slice                # counted users: all K, or user 0 alone
-    specs: list                # matrix-form detectors (see _split)
-    filters: np.ndarray        # (M, G, D R, K) their counted filter rows, real
+    filters: np.ndarray        # (M, G, D R, K) counted rows of the matrix forms (see _split)
     built: np.ndarray          # (D, G) draws each detector was built on
     combined: list             # type2 detectors evaluated in the combined domain
     bound: tuple | None        # low-rank nonconv bound (see _low_rank_bound)
@@ -305,7 +304,6 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
         amplitudes=amplitudes,
         sigma2=sigma2,
         rows=rows,
-        specs=specs,
         filters=filters.reshape(cfg.subcarriers, draws, -1, cfg.users),
         built=built,
         combined=combined,
@@ -428,7 +426,7 @@ def _detect_chunk(ctx: _Context, bits, planes, bound):
     (2, D) array of bit errors and counted trials per detector in _split
     order, nonconv the chunk's diagnostic, and bound the one for the next
     chunk.  A detector keeps the trials whose draws it was built on (and,
-    for the type2 decorrelator, whose R_eff was invertible).
+    for the type2 decorrelator, whose H was invertible).
     """
     h = planes[:2]
     y = _receive(ctx, bits, h, planes[2:])
@@ -440,7 +438,7 @@ def _detect_chunk(ctx: _Context, bits, planes, bound):
 
 
 def _count_matrix_forms(ctx: _Context, bits, h, y):
-    """Bit errors and counted trials of every matrix-form detector, in ctx.specs order.
+    """Bit errors and counted trials of every matrix-form detector, in _split order.
 
     h and y are (2, T, M, K) real planes, y a view of an (M, 2, T, K) array
     (see _receive), the filter rows real.  One _apply evaluates every
@@ -448,6 +446,8 @@ def _count_matrix_forms(ctx: _Context, bits, h, y):
     statistic Re(conj(h_i) z) = h_re z_re + h_im z_im accumulates in
     subcarrier order 0..M-1.  An exact zero (or NaN) decides +1.
     """
+    if not len(ctx.built):  # every detector runs in the combined domain
+        return np.zeros((2, 0), dtype=np.int64)
     wrong = bits[:, ctx.rows] < 0                       # (T, R)
     trials, counted = wrong.shape
     m, g = ctx.filters.shape[:2]
@@ -468,39 +468,44 @@ def _count_matrix_forms(ctx: _Context, bits, h, y):
 def _detect_combined(ctx: _Context, bits, h, y, bound):
     """Type2 detectors without a fixed filter on one chunk, plus its nonconv.
 
-    Combines first, then cancels in the combined domain, where
-    R_eff = R_c P^-1 (P = diag of per-user combined power) changes per trial.
-    h and y are the chunk's (2, B, M, K) planes; a dense R_c is formed only
-    for the detectors that need the matrix form, or for the trials the
-    low-rank bound leaves open.  bound is that bound while the block keeps
-    it, else None.  Returns the (2, C) errors and counted trials of
-    ctx.combined, nonconv, and the bound for the block's next chunk.
+    Combines first, then cancels in the combined domain.  With P = diag of
+    per-user combined power p, the paper cancels with R_c P^-1, which is
+    similar to the Hermitian H = P^-1/2 R_c P^-1/2 = sum_i D(conj x_i) R_i
+    D(x_i), x = h / sqrt(p).  Zeroing a diagonal commutes with a diagonal
+    similarity, so each conventional, proposed and decorrelator statistic on
+    y_c is sqrt(p_k) times its H form on u = P^-1/2 y_c = sum_i conj(x_i) y_i,
+    with the same sign: every helper takes x and u, and nonconv counts the
+    trials with lambda_max(H) >= 2.  h and y are the chunk's (2, B, M, K)
+    planes; a dense H is formed only for the detectors that need the matrix
+    form, or for the trials the low-rank bound leaves open.  bound is that
+    bound while the block keeps it, else None.  Returns the (2, C) errors
+    and counted trials of ctx.combined, nonconv, and the bound for the
+    block's next chunk.
     """
     wrong = bits[:, ctx.rows] < 0
     dense = any(spec.kind in ("proposed", "decorrelator") for spec in ctx.combined)
     proposed = {spec.stage: spec for spec in ctx.combined if spec.kind == "proposed"}
     mats = ctx.correlations
-    # subcarrier-major; the helpers take (B, M, K) views
-    h_t = _complex(h)
-    hc_t = np.conj(h_t)
-    y_c = np.sum(hc_t * _complex(y), axis=0)
-    power = np.sum(np.abs(h_t) ** 2, axis=0)                     # (B, K)
-    h_c, hc = h_t.transpose(1, 0, 2), hc_t.transpose(1, 0, 2)
-    r_c = _combined_matrix(mats, h_c, hc) if dense else None
-    open_rows = None if bound is None else _unsettled(bound, h_c, power)
+    # x = h / sqrt(p), p summed from the planes; the helpers take (B, M, K) views
+    x_t = _complex(h)
+    x_t *= 1.0 / np.sqrt(np.sum(h[0] * h[0] + h[1] * h[1], axis=1))
+    u = np.sum(np.conj(x_t) * _complex(y), axis=0)
+    x = x_t.transpose(1, 0, 2)
+    herm = _combined_matrix(mats, x) if dense else None
+    open_rows = None if bound is None else _unsettled(bound, x)
     if open_rows is not None and 2 * np.count_nonzero(open_rows) > len(open_rows):
         bound = None  # settles too few trials of this draw to pay for itself
-    nonconv = _nonconvergent(open_rows, mats, h_c, hc, power, r_c)
-    stats = _proposed_stats(r_c, power, y_c, proposed, ctx.rows) if proposed else {}
+    nonconv = _nonconvergent(open_rows, mats, x, herm)
+    stats = _proposed_stats(herm, u, proposed, ctx.rows) if proposed else {}
     counts = np.empty((2, len(ctx.combined)), dtype=np.int64)
     for j, spec in enumerate(ctx.combined):
         solved = None
         if spec.kind == "conventional":
-            stat = _conventional_type2(mats, h_c, hc, power, y_c, spec.stage, ctx.rows)
+            stat = _conventional_type2(mats, x, u, spec.stage, ctx.rows)
         elif spec.kind == "proposed":
             stat = stats[spec]
         else:
-            stat, solved = _decorrelate(r_c, power, y_c)
+            stat, solved = _decorrelate(herm, u)
             stat = stat[:, ctx.rows]
         bad = (stat.real < 0) != wrong
         if solved is not None:
@@ -517,47 +522,49 @@ def _complex(planes):
     return out
 
 
-def _combined_matrix(correlations, h, hc):
-    """Dense R_c = sum_i D(conj h_i) R_i D(h_i) for a (B, M, K) slice of draws.
+def _combined_matrix(correlations, x):
+    """Dense sum_i D(conj x_i) R_i D(x_i) for a (B, M, K) slice of draws.
 
+    That is H for x = h / sqrt(p) (see _detect_combined), R_c for x = h.
     correlations is (M, 1, K, K) shared by the slice, or (M, B, K, K).
     """
-    r_c = hc[:, 0, :, None] * correlations[0]
-    r_c *= h[:, 0, None, :]
-    term = np.empty_like(r_c)
+    xc = np.conj(x)
+    out = xc[:, 0, :, None] * correlations[0]
+    out *= x[:, 0, None, :]
+    term = np.empty_like(out)
     for i in range(1, correlations.shape[0]):
-        np.multiply(hc[:, i, :, None], correlations[i], out=term)
-        term *= h[:, i, None, :]
-        r_c += term
-    return r_c
+        np.multiply(xc[:, i, :, None], correlations[i], out=term)
+        term *= x[:, i, None, :]
+        out += term
+    return out
 
 
-def _nonconvergent(open_rows, mats, h, hc, power, r_c) -> int:
+def _nonconvergent(open_rows, mats, x, herm) -> int:
     """nonconv of one chunk whose other trials the low-rank bound settled.
 
     open_rows masks the trials it left open (None: all of them, as without
-    a bound).  Only those go to _count_nonconvergent, on their rows of r_c,
+    a bound).  Only those go to _count_nonconvergent, on their rows of herm,
     which is formed here for those rows alone when the chunk has none.
     """
     if open_rows is not None:
         if not open_rows.any():
             return 0
-        h, hc, power = h[open_rows], hc[open_rows], power[open_rows]
-        r_c = None if r_c is None else r_c[open_rows]
-    if r_c is None:
-        r_c = _combined_matrix(mats, h, hc)
-    return _count_nonconvergent(r_c, power)
+        x = x[open_rows]
+        herm = None if herm is None else herm[open_rows]
+    if herm is None:
+        herm = _combined_matrix(mats, x)
+    return _count_nonconvergent(herm)
 
 
-def _unsettled(bound, h, power):
-    """Mask of the trials that the low-rank bound does not prove convergent.
+def _unsettled(bound, x):
+    """Mask of the trials that the low-rank bound leaves open; it proves the others convergent.
 
-    With D_i = diag(h_i / sqrt(p)), H = P^-1/2 R_c P^-1/2 = sum_i D_i^H R_i D_i
-    and sum_i D_i^H D_i = I, so the bound on each R_i (see _low_rank_bound)
-    gives H <= c I + V V^H, V = [conj(h_i) / sqrt(p) * w_ij], K x n per
-    trial with n = Mr.  Hence lambda_max(H) <= c + lambda_max(G), G = V^H V,
-    and lambda_max(G) < headroom = 2 - margin - c proves lambda_max(H) <
-    2 - margin.
+    x is the (B, M, K) scaled channel h / sqrt(p).  With D_i = diag(x_i),
+    H = sum_i D_i^H R_i D_i and sum_i D_i^H D_i = I, so the bound on each R_i
+    (see _low_rank_bound) gives H <= c I + V V^H, V = [conj(x_i) w_ij], K x n
+    per trial with n = Mr.  Hence lambda_max(H) <= c + lambda_max(G),
+    G = V^H V, and lambda_max(G) < headroom = 2 - margin - c proves
+    lambda_max(H) < 2 - margin.
 
     Most trials never form G.  With m = tr G / n and s^2 = ||G||_F^2 / n - m^2,
     the mean and variance of G's eigenvalues, Wolkowicz and Styan (Linear
@@ -569,35 +576,28 @@ def _unsettled(bound, h, power):
     covers by orders.  So m + sqrt((n - 1)(s^2 + delta)) < headroom settles
     a trial.  G is formed only for the others, where the same bound on G^2
     (tr G^2 = ||G||_F^2, lambda_max(G^2) = lambda_max(G)^2) is sharper and
-    settles most of them.  What remains takes one batched Cholesky of
-    headroom I - G, run trial by trial where that stack fails, so the mask
-    holds exactly the trials whose factorisation fails.
+    settles most of them.  What it leaves open goes to the dense test, so
+    the mask may hold a trial whose lambda_max(G) is below headroom, never
+    a settled trial whose lambda_max(G) reaches it.
 
-    Rounding in eigh of R_i and in these n x n products and factorisations
-    moves the bound by O(K eps), a few 1e-15 at lambda ~ 1: six orders
-    inside the 1e-9 margin.  So a settled trial's lambda_max(H) is below 2
-    by far more than eigvalsh's own error: the dense test would count none
-    of them, and the chunk's count stays exact.
+    Rounding in eigh of R_i and in these n x n products moves the bound by
+    O(K eps), a few 1e-15 at lambda ~ 1: six orders inside the 1e-9 margin.
+    So a settled trial's lambda_max(H) is below 2 by far more than
+    eigvalsh's own error: the dense test would count none of them, and the
+    chunk's count stays exact.
     """
     headroom, weights = bound[:2]                             # weights (M, r, K)
     n = weights.shape[0] * weights.shape[1]
-    h_t = h.transpose(1, 0, 2)
-    scale = 1.0 / np.sqrt(power)
-    re, im = h_t.real * scale, h_t.imag * scale               # x = h / sqrt(p), (M, B, K)
-    trace, frob2 = _gram_moments(bound, re, im)
+    x_t = x.transpose(1, 0, 2)
+    trace, frob2 = _gram_moments(bound, x_t.real, x_t.imag)
     unsettled = ~_trace_settled(trace, frob2, n, headroom)
     if unsettled.any():
-        x = (re[:, unsettled] + 1j * im[:, unsettled]).transpose(1, 0, 2)
-        vh = (x[:, :, None, :] * weights).reshape(len(x), n, -1)  # V^H, (B', n, K)
+        open_x = x[unsettled]
+        vh = (open_x[:, :, None, :] * weights).reshape(len(open_x), n, -1)  # V^H, (B', n, K)
         gram = vh @ np.conj(vh).transpose(0, 2, 1)
         # the same bound on G^2: tr G^2 = ||G||_F^2, lambda_max(G^2) = lambda_max(G)^2
         frob4 = np.sum(np.abs(gram @ gram) ** 2, axis=(1, 2))
-        left = ~_trace_settled(frob2[unsettled], frob4, n, headroom**2)
-        unsettled[unsettled], gram = left, gram[left]
-        if _factorizes(-gram, headroom):
-            unsettled[:] = False
-        else:
-            unsettled[unsettled] = [not _factorizes(-g, headroom) for g in gram]
+        unsettled[unsettled] = ~_trace_settled(frob2[unsettled], frob4, n, headroom**2)
     return unsettled
 
 
@@ -643,78 +643,70 @@ def _gram_moments(bound, re, im):
     return trace, frob2
 
 
-def _proposed_stats(r_c, power, y_c, proposed, rows) -> dict:
-    """rows of the type2 proposed statistics G_m y_c of every configured stage m.
+def _proposed_stats(herm, u, proposed, rows) -> dict:
+    """rows of the type2 proposed statistics G_m u of every configured stage m.
 
-    proposed maps stage to spec.  One series pass over the given rows alone
-    gives the partial sums of build_filter("proposed", R_eff, m, rows=rows),
-    so each filter equals that build.
+    proposed maps stage to spec.  One series pass on I - H over the given
+    rows alone gives the partial sums of build_filter("proposed", H, m,
+    rows=rows), so each filter equals that build.
     """
-    r_eff = r_c / power[:, None, :]
-    index = np.arange(r_eff.shape[-1])[rows]
-    steps = [np.eye(r_eff.shape[-1], dtype=r_eff.dtype) - r_eff] * (max(proposed) - 1)
-    series = cancellation_partials(_identities(r_eff, index), steps, hollow=True, rows=index)
+    index = np.arange(herm.shape[-1])[rows]
+    steps = [np.eye(herm.shape[-1], dtype=herm.dtype) - herm] * (max(proposed) - 1)
+    series = cancellation_partials(_identities(herm, index), steps, hollow=True, rows=index)
     return {
-        proposed[stage]: (g @ y_c[..., None])[..., 0]
+        proposed[stage]: (g @ u[..., None])[..., 0]
         for stage, g in enumerate(series, 1)
         if stage in proposed
     }
 
 
-def _count_nonconvergent(r_c, power) -> int:
-    """Count draws with lambda_max(R_eff) >= 2, exactly.
+def _count_nonconvergent(herm) -> int:
+    """Count the draws of a Hermitian (B, K, K) stack with lambda_max >= 2, exactly.
 
-    R_eff = R_c P^-1 is similar to the Hermitian P^-1/2 R_c P^-1/2, and by
-    congruence (2 - margin) P - R_c is positive definite exactly when that
-    matrix's lambda_max < 2 - margin.  So one successful batched Cholesky
-    proves every draw convergent; only a chunk where it fails pays for
-    eigvalsh.  The margin dwarfs the factorisation's rounding, so the count
-    equals eigvalsh's on every draw.
+    (2 - margin) I - H is positive definite exactly when lambda_max(H) <
+    2 - margin.  So one successful batched Cholesky proves every draw
+    convergent; only a chunk where it fails pays for eigvalsh.  The margin
+    dwarfs the factorisation's rounding, so the count equals eigvalsh's on
+    every draw.
     """
-    if _factorizes(-r_c, (2.0 - _CERT_MARGIN) * power):
+    if _factorizes(-herm, 2.0 - _CERT_MARGIN):
         return 0
-    lam_max = np.linalg.eigvalsh(_hermitian(r_c, power))[:, -1]
+    lam_max = np.linalg.eigvalsh(herm)[:, -1]
     return int(np.count_nonzero(lam_max >= 2.0))
 
 
-def _hermitian(r_c, power):
-    """P^-1/2 R_c P^-1/2, the Hermitian matrix similar to R_eff = R_c P^-1."""
-    s = np.sqrt(power)
-    return r_c / (s[:, :, None] * s[:, None, :])
+def _conventional_type2(correlations, x, u, stage: int, rows):
+    """rows of the conventional statistics on H (see _detect_combined), without forming H.
 
-
-def _conventional_type2(correlations, h, hc, power, y_c, stage: int, rows):
-    """rows of the conventional combined-domain statistics, without forming R_eff.
-
-    R_eff v = sum_i conj(h_i) * (R_i (h_i * v / p)): stacked GEMMs per stage
-    over a subcarrier-major view of the draws (see _apply), fastest when h
-    and hc are (B, M, K) views of (M, B, K) arrays.  Stages 2..m-1 need
-    every row; the last stage applies only the rows of each R_i it returns.
+    H v = sum_i conj(x_i) * (R_i (x_i * v)): stacked GEMMs per stage over a
+    subcarrier-major view of the draws (see _apply), fastest when x is a
+    (B, M, K) view of an (M, B, K) array.  Stages 2..m-1 need every row;
+    the last stage applies only the rows of each R_i it returns.
     """
     if stage == 1:
-        return y_c[:, rows]
-    h_t, hc_t = h.transpose(1, 0, 2), hc.transpose(1, 0, 2)
-    stat = y_c
+        return u[:, rows]
+    x_t = x.transpose(1, 0, 2)
+    xc_t = np.conj(x_t)
+    stat = u
     for _ in range(stage - 2):
-        applied = np.sum(hc_t * _apply(correlations, h_t * (stat / power)), axis=0)
-        stat = y_c + stat - applied
-    last = _apply(correlations[:, :, rows], h_t * (stat / power))
-    return y_c[:, rows] + stat[:, rows] - np.sum(hc_t[:, :, rows] * last, axis=0)
+        applied = np.sum(xc_t * _apply(correlations, x_t * stat), axis=0)
+        stat = u + stat - applied
+    last = _apply(correlations[:, :, rows], x_t * stat)
+    return u[:, rows] + stat[:, rows] - np.sum(xc_t[:, :, rows] * last, axis=0)
 
 
-def _decorrelate(r_c, power, y_c):
-    """Decorrelator statistics R_eff^-1 y_c and the mask of trials solved.
+def _decorrelate(herm, u):
+    """Decorrelator statistics H^-1 u and the mask of trials solved.
 
-    A trial whose Hermitian form H (see _hermitian) fails the filters' pivot
-    threshold (singular_draws) is left unsolved, as a singular R is for the
-    single-carrier decorrelator.  The mask is None when every trial was solved.
+    A trial whose H fails the filters' pivot threshold (singular_draws) is
+    left unsolved, as a singular R is for the single-carrier decorrelator.
+    The mask is None when every trial was solved.
     """
-    r_eff = r_c / power[:, None, :]
-    ok = ~singular_draws(_hermitian(r_c, power))
+    ok = ~singular_draws(herm)
     if ok.all():
-        return np.linalg.solve(r_eff, y_c[:, :, None])[:, :, 0], None
-    stat = np.zeros_like(y_c)
-    stat[ok] = np.linalg.solve(r_eff[ok], y_c[ok, :, None])[:, :, 0]
+        return np.linalg.solve(herm, u[:, :, None])[:, :, 0], None
+    stat = np.zeros_like(u)
+    stat[ok] = np.linalg.solve(herm[ok], u[ok, :, None])[:, :, 0]
     return stat, ok
 
 
@@ -761,7 +753,7 @@ def run_ber_experiment(cfg: ExperimentConfig, threads: int | None = None) -> lis
 
     Returns one record per detector in (kind, stage) order.  In fixed mode a
     detector whose filters cannot be constructed, or that fails on some trial
-    (a singular type2 R_eff), yields a flagged row (trials=0, ber=nan) while
+    (a singular type2 H), yields a flagged row (trials=0, ber=nan) while
     the others proceed.  In per_trial mode such a detector skips the draws
     it fails on and its row counts the trials it kept; it is flagged only
     when it kept none.

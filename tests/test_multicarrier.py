@@ -1,11 +1,15 @@
 """Multicarrier reception: combined-domain matrices, filters and receivers.
 
-The type2 (combine first) receiver runs in simulate: it combines the
-matched-filter banks into y_c, forms R_c = sum_i D(conj h_i) R_i D(h_i) and
-cancels with R_eff = R_c P^-1, P = diag of the combined power, in its own
-forms (_conventional_type2, _proposed_stats, _decorrelate).  build_filter
-on a complex R_eff, a public combined-domain API, is their reference here.
-These checks build R_c and R_eff independently and compare.
+The type2 (combine first) receiver combines the matched-filter banks into
+y_c and cancels with R_eff = R_c P^-1, R_c = sum_i D(conj h_i) R_i D(h_i),
+P = diag of the combined power p.  simulate runs it on the similar
+Hermitian H = P^-1/2 R_c P^-1/2 = sum_i D(conj x_i) R_i D(x_i), x = h /
+sqrt(p), against u = P^-1/2 y_c, in its own forms (_combined_matrix,
+_conventional_type2, _proposed_stats, _decorrelate): each statistic is
+sqrt(p_k) times smaller than its R_eff form.  build_filter on a complex
+R_eff, a public combined-domain API, is their reference here, compared
+after scaling by sqrt(p).  These checks build R_c and R_eff independently
+and compare.
 """
 
 import numpy as np
@@ -40,6 +44,17 @@ def combined(corrs, h):
     return r_c, np.sum(np.abs(h) ** 2, axis=0)
 
 
+def scaled(h):
+    """x = h / sqrt(p) of one (M, K) draw, and the combined power p."""
+    power = np.sum(np.abs(h) ** 2, axis=0)
+    return h / np.sqrt(power), power
+
+
+def hermitian(corrs, h):
+    """The harness's H of one draw, from x = h / sqrt(p)."""
+    return simulate._combined_matrix(corrs[:, None], scaled(h)[0][None])[0]
+
+
 def effective(corrs, h):
     r_c, power = combined(corrs, h)
     return r_c / power[None, :]
@@ -50,13 +65,12 @@ class TestEffectiveMatrices:
         corrs, h = draw_setup(rng, 3, 4)
         want, _ = combined(corrs, h)
         # the harness takes a (B, M, K) slice of draws and (M, 1, K, K) shared R_i
-        got = simulate._combined_matrix(corrs[:, None], h[None], np.conj(h)[None])
+        # (x = h gives R_c itself)
+        got = simulate._combined_matrix(corrs[:, None], h[None])
         assert got.shape == (1, 4, 4)
         assert np.allclose(got[0], want, atol=1e-13)
         # one R_i stack per draw gives the same matrices
-        per_draw = simulate._combined_matrix(
-            np.repeat(corrs[:, None], 2, axis=1), np.stack([h, h]), np.conj(np.stack([h, h]))
-        )
+        per_draw = simulate._combined_matrix(np.repeat(corrs[:, None], 2, axis=1), np.stack([h, h]))
         assert np.array_equal(per_draw, np.concatenate([got, got]))
 
     def test_single_carrier_unit_channel_is_identity_map(self, rng):
@@ -64,16 +78,18 @@ class TestEffectiveMatrices:
         r_c, power = combined(corrs, h)
         assert np.allclose(r_c / power[None, :], corrs[0], atol=1e-15)
         assert np.allclose(power, 1.0)
-        got = simulate._combined_matrix(corrs[:, None], h[None], np.conj(h)[None])
+        got = simulate._combined_matrix(corrs[:, None], h[None])
         assert np.array_equal(got[0], corrs[0].astype(complex))
 
     def test_effective_matrix_has_real_spectrum(self, rng):
-        # R_eff is similar to the Hermitian P^-1/2 R_c P^-1/2
+        # R_eff is similar to the Hermitian P^-1/2 R_c P^-1/2, which the
+        # harness forms from x = h / sqrt(p)
         corrs, h = draw_setup(rng, 4, 6)
         r_c, power = combined(corrs, h)
         eigs = np.linalg.eigvals(r_c / power[None, :])
         assert np.max(np.abs(eigs.imag)) < 1e-10
-        herm = simulate._hermitian(r_c[None], power[None])[0]
+        herm = hermitian(corrs, h)
+        assert np.allclose(herm, r_c / np.sqrt(np.outer(power, power)), atol=1e-14)
         assert np.allclose(herm, herm.conj().T, atol=1e-15)
         assert np.allclose(np.sort(eigs.real), np.linalg.eigvalsh(herm), atol=1e-10)
 
@@ -150,18 +166,19 @@ class TestReceivers:
         assert _records(text, "type1") == _records(text, "type2")
 
     def test_type2_decorrelator_noiseless_recovery(self, rng):
-        # y_c = R_c A b, so solving R_eff recovers P A b whose signs are b
+        # y_c = R_c A b, so solving R_eff recovers P A b whose signs are b;
+        # solving H against u = P^-1/2 y_c recovers it over sqrt(p)
         m, users = 4, 8
         corrs, h = draw_setup(rng, m, users)
         bits = rng.integers(0, 2, users) * 2 - 1
         amps = rng.uniform(0.5, 3.0, users)
         y = np.einsum("ikl,il->ik", corrs, (amps * bits) * h)
-        y_c = np.sum(np.conj(h) * y, axis=0)
-        r_c, power = combined(corrs, h)
-        stat, solved = simulate._decorrelate(r_c[None], power[None], y_c[None])
+        x, power = scaled(h)
+        u = np.sum(np.conj(x) * y, axis=0)
+        stat, solved = simulate._decorrelate(hermitian(corrs, h)[None], u[None])
         assert solved is None
         assert np.array_equal(np.where(stat[0].real < 0, -1, 1), bits)
-        assert np.allclose(stat[0], power * amps * bits, atol=1e-9)
+        assert np.allclose(np.sqrt(power) * stat[0], power * amps * bits, atol=1e-9)
 
     def test_type2_conventional_approaches_decorrelator(self, rng):
         # on a convergent draw the high-stage series matches the exact solve,
@@ -170,16 +187,17 @@ class TestReceivers:
         while True:
             corrs, h = draw_setup(rng, 2, users, chips=128)
             r_c, power = combined(corrs, h)
-            if np.linalg.eigvalsh(simulate._hermitian(r_c[None], power[None]))[0, -1] < 1.8:
+            if np.linalg.eigvalsh(hermitian(corrs, h))[-1] < 1.8:
                 break
         y_c = rng.standard_normal(users) + 1j * rng.standard_normal(users)
         exact = np.linalg.solve(r_c / power[None, :], y_c)
         series = build_filter("conventional", r_c / power[None, :], 120) @ y_c
         assert np.allclose(series, exact, atol=1e-8)
+        x, root = h / np.sqrt(power), np.sqrt(power)
         free = simulate._conventional_type2(
-            corrs[:, None], h[None], np.conj(h)[None], power[None], y_c[None], 120, slice(None)
+            corrs[:, None], x[None], (y_c / root)[None], 120, slice(None)
         )
-        assert np.allclose(free[0], exact, atol=1e-8)
+        assert np.allclose(root * free[0], exact, atol=1e-8)
 
     @pytest.mark.parametrize("per_draw", [False, True], ids=["fixed", "per_trial"])
     @pytest.mark.parametrize("rows", [slice(0, 1), slice(None)], ids=["user0", "all"])
@@ -191,19 +209,18 @@ class TestReceivers:
             [[random_correlation(rng, users, 64) for _ in range(trials if per_draw else 1)]
              for _ in range(m)]
         )                                                        # (M, G, K, K)
-        h = np.ascontiguousarray(_fading(rng, (m, trials, users)))
-        h_c, hc = h.transpose(1, 0, 2), np.conj(h).transpose(1, 0, 2)
-        power = np.sum(np.abs(h_c) ** 2, axis=1)
-        y_c = _fading(rng, (trials, users)) * power
-        stat = y_c
+        h = _fading(rng, (m, trials, users))
+        x = h / np.sqrt(np.sum(np.abs(h) ** 2, axis=0))         # (M, B, K)
+        u = _fading(rng, (trials, users))
+        stat = u
         for stage in range(1, 6):
-            got = simulate._conventional_type2(corrs, h_c, hc, power, y_c, stage, rows)
+            got = simulate._conventional_type2(corrs, x.transpose(1, 0, 2), u, stage, rows)
             want = stat[:, rows]
             assert got.shape == want.shape
             assert np.array_equal(got.real < 0, want.real < 0)
             assert np.allclose(got, want, rtol=1e-13, atol=0)
-            applied = np.sum(np.conj(h) * simulate._apply(corrs, h * (stat / power)), axis=0)
-            stat = y_c + stat - applied
+            applied = np.sum(np.conj(x) * simulate._apply(corrs, x * stat), axis=0)
+            stat = u + stat - applied
 
     def test_type2_rejects_unsupported_kinds(self):
         for kind in ("mmse_converging", "modified_mmse", "weighted_proposed"):

@@ -300,6 +300,27 @@ class TestAllUsersCounting:
             assert rec.bit_errors >= single[(bare, stage)].bit_errors
 
 
+class TestCombinedOnlyCounting:
+    def test_no_filter_rows_are_applied_without_a_matrix_form(self, monkeypatch):
+        # type2 conventional alone (the type2_m4 workload) has no matrix-form
+        # detector: every _apply receives or cancels, none counts zero rows
+        shapes = []
+        apply = simulate._apply
+
+        def record(mats, v):
+            shapes.append(mats.shape)
+            return apply(mats, v)
+
+        monkeypatch.setattr(simulate, "_apply", record)
+        text = (
+            "K = 20\nP = 64\nM = 4\nnear_far = tenfold\nsnr_db = 14\nreceiver = type2\n"
+            "trials = 600\nseed = 1\ndetectors = conventional:4\n"
+        )
+        (record_,) = _run(text)
+        assert record_.trials == 600
+        assert shapes and all(shape[2] > 0 for shape in shapes)
+
+
 class TestFailureIsolation:
     def test_singular_draw_flags_only_the_decorrelator(self):
         # P=1 forces |rho| = 1, a singular but PSD correlation matrix
@@ -376,16 +397,21 @@ class TestFailureIsolation:
         r_eff = r_c / power[:, None, :]
         assert np.all(np.isfinite(np.linalg.solve(r_eff[2], np.ones(users))))
         y_c = rng.standard_normal((trials, users)) + 1j * rng.standard_normal((trials, users))
-        stat, solved = simulate._decorrelate(r_c, power, y_c)
+        # the harness solves H = P^-1/2 R_c P^-1/2 against u = P^-1/2 y_c
+        root = np.sqrt(power)
+        herm, u = r_c / (root[:, :, None] * root[:, None, :]), y_c / root
+        stat, solved = simulate._decorrelate(herm, u)
         assert solved.tolist() == [True, True, False, True, True]
         for t in (0, 1, 3, 4):
-            assert np.array_equal(stat[t], np.linalg.solve(r_eff[t], y_c[t]))
+            assert np.array_equal(stat[t], np.linalg.solve(herm[t], u[t]))
+            want = np.linalg.solve(r_eff[t], y_c[t])
+            assert np.allclose(root[t] * stat[t], want, rtol=1e-10, atol=1e-12)
         # a regular chunk is proved so by its Cholesky certificate alone
         keep = [0, 1, 3, 4]
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
-        stat, solved = simulate._decorrelate(r_c[keep], power[keep], y_c[keep])
+        stat, solved = simulate._decorrelate(herm[keep], u[keep])
         assert solved is None
-        assert np.array_equal(stat, np.linalg.solve(r_eff[keep], y_c[keep, :, None])[:, :, 0])
+        assert np.array_equal(stat, np.linalg.solve(herm[keep], u[keep, :, None])[:, :, 0])
 
     def test_singular_type2_draw_flags_only_the_decorrelator(self):
         # P=1 gives every R_i rank 1, so R_c over M=2 subcarriers is singular at K=3
@@ -643,18 +669,25 @@ def _per_trial_plain_loop(cfg):
     return errors, kept
 
 
+def _scaled(h):
+    """x = h / sqrt(p) of (B, M, K) draws, the channel the type2 helpers take."""
+    return h / np.sqrt(np.sum(np.abs(h) ** 2, axis=1))[:, None, :]
+
+
 def _combined(correlations, h):
-    """Plain R_c = sum_i D(conj h_i) R_i D(h_i) and combined power, per draw."""
-    r_c = sum(
-        np.conj(h[:, i, :])[:, :, None] * correlations[i][None] * h[:, i, :][:, None, :]
+    """Plain H = sum_i D(conj x_i) R_i D(x_i), x = _scaled(h), per (M, K) draw of h.
+
+    The products and sums run in the harness's order, so on the same x a
+    draw at lambda_max = 2 lands on the same side of 2 in both.
+    """
+    x = _scaled(h)
+    return sum(
+        np.conj(x[:, i, :])[:, :, None] * correlations[i][None] * x[:, i, :][:, None, :]
         for i in range(len(correlations))
     )
-    return r_c, np.sum(np.abs(h) ** 2, axis=1)
 
 
-def _eigvalsh_count(r_c, power):
-    s = np.sqrt(power)
-    herm = r_c / (s[:, :, None] * s[:, None, :])
+def _eigvalsh_count(herm):
     return int(np.count_nonzero(np.linalg.eigvalsh(herm)[:, -1] >= 2.0))
 
 
@@ -908,17 +941,17 @@ class TestNonconvCertificate:
 
     def test_all_convergent_chunk_needs_no_eigvalsh(self, rng, monkeypatch):
         rs = np.stack([random_correlation(rng, 6, 128) for _ in range(2)])
-        r_c, power = _combined(rs, _fading(rng, 256, 2, 6))
-        assert _eigvalsh_count(r_c, power) == 0
+        herm = _combined(rs, _fading(rng, 256, 2, 6))
+        assert _eigvalsh_count(herm) == 0
         self._forbid_eigvalsh(monkeypatch)
-        assert simulate._count_nonconvergent(r_c, power) == 0
+        assert simulate._count_nonconvergent(herm) == 0
 
     def test_mixed_chunk_matches_eigvalsh(self, rng):
         rs = np.stack([random_correlation(rng, 12, 16) for _ in range(2)])
-        r_c, power = _combined(rs, _fading(rng, 256, 2, 12))
-        want = _eigvalsh_count(r_c, power)
+        herm = _combined(rs, _fading(rng, 256, 2, 12))
+        want = _eigvalsh_count(herm)
         assert 0 < want < 256
-        assert simulate._count_nonconvergent(r_c, power) == want
+        assert simulate._count_nonconvergent(herm) == want
 
     def test_lambda_max_within_margin_of_two(self, rng, monkeypatch):
         # with M = 1 and unit-modulus h, herm = D(conj h) R D(h) is unitarily
@@ -927,36 +960,34 @@ class TestNonconvCertificate:
         # certify some draws that eigvalsh counts.
         users = 8
         offsets = (-2e-9, -1e-9, -5e-10, -1e-12, 1e-12, 5e-10, 1e-9, 2e-9) + (0.0,) * 32
-        mats, draws = [], []
+        mats = []
         for offset in offsets:
             q, _ = np.linalg.qr(rng.standard_normal((users, users)))
             lam = np.concatenate([rng.uniform(0.1, 1.5, users - 1), [2.0 + offset]])
             h = np.exp(2j * np.pi * rng.uniform(size=(1, 1, users)))
-            r_c, power = _combined(((q * lam) @ q.T)[None], h)
-            mats.append(r_c)
-            draws.append(power)
-        r_c, power = np.concatenate(mats), np.concatenate(draws)
-        assert simulate._count_nonconvergent(r_c, power) == _eigvalsh_count(r_c, power)
+            mats.append(_combined(((q * lam) @ q.T)[None], h))
+        herm = np.concatenate(mats)
+        assert simulate._count_nonconvergent(herm) == _eigvalsh_count(herm)
         for t, offset in enumerate(offsets):
-            one = (r_c[t : t + 1], power[t : t + 1])
-            want = _eigvalsh_count(*one)
+            one = herm[t : t + 1]
+            want = _eigvalsh_count(one)
             if offset:
                 assert want == (offset > 0)
-            assert simulate._count_nonconvergent(*one) == want
+            assert simulate._count_nonconvergent(one) == want
         # a draw more than the margin below 2 is proved without eigvalsh
         self._forbid_eigvalsh(monkeypatch)
-        assert simulate._count_nonconvergent(r_c[:1], power[:1]) == 0
+        assert simulate._count_nonconvergent(herm[:1]) == 0
 
     # the low-rank bound (fixed mode) settles trials before the dense test
 
     def _dense_rows(self, monkeypatch):
-        """Row counts of every dense R_c the harness forms from here on."""
+        """Row counts of every dense H the harness forms from here on."""
         rows = []
         dense = simulate._combined_matrix
 
-        def record(correlations, h, hc):
-            rows.append(len(h))
-            return dense(correlations, h, hc)
+        def record(correlations, x):
+            rows.append(len(x))
+            return dense(correlations, x)
 
         monkeypatch.setattr(simulate, "_combined_matrix", record)
         return rows
@@ -964,12 +995,10 @@ class TestNonconvCertificate:
     @staticmethod
     def _two_tier(correlations, h):
         """nonconv of one chunk on fixed (M, K, K) correlations, bound first."""
-        power = np.sum(np.abs(h) ** 2, axis=1)
+        x = _scaled(h)
         bound = simulate._low_rank_bound(correlations)
-        open_rows = None if bound is None else simulate._unsettled(bound, h, power)
-        return simulate._nonconvergent(
-            open_rows, correlations[:, None], h, np.conj(h), power, None
-        )
+        open_rows = None if bound is None else simulate._unsettled(bound, x)
+        return simulate._nonconvergent(open_rows, correlations[:, None], x, None)
 
     def test_unsettled_chunk_falls_back_and_counts_zero(self, rng, monkeypatch):
         # R_1 and R_2 share eigenvectors.  Each has eigenvalue 2.8 on three
@@ -982,9 +1011,8 @@ class TestNonconvCertificate:
         spectra = [[2.8] * 3 + [1.5] + [0.1] * 4, [0.1] * 5 + [2.8] * 3]
         rs = np.stack([(q * np.array(lam)) @ q.T for lam in spectra])
         h = np.repeat(np.exp(2j * np.pi * rng.uniform(size=(64, 1, users))), 2, axis=1)
-        r_c, power = _combined(rs, h)
-        assert _eigvalsh_count(r_c, power) == 0
-        assert simulate._unsettled(simulate._low_rank_bound(rs), h, power).all()
+        assert _eigvalsh_count(_combined(rs, h)) == 0
+        assert simulate._unsettled(simulate._low_rank_bound(rs), _scaled(h)).all()
         rows = self._dense_rows(monkeypatch)
         assert self._two_tier(rs, h) == 0
         assert rows == [64]
@@ -997,11 +1025,10 @@ class TestNonconvCertificate:
         top = int(np.argmax(np.linalg.eigvalsh(rs)[:, -1]))
         assert np.linalg.eigvalsh(rs[top])[-1] > 2.0
         h[:8, np.arange(4) != top] *= 1e-3
-        r_c, power = _combined(rs, h)
-        open_rows = simulate._unsettled(simulate._low_rank_bound(rs), h, power)
+        open_rows = simulate._unsettled(simulate._low_rank_bound(rs), _scaled(h))
         assert open_rows[:8].all() and np.count_nonzero(open_rows) < 16
         rows = self._dense_rows(monkeypatch)
-        assert self._two_tier(rs, h) == _eigvalsh_count(r_c, power) >= 8
+        assert self._two_tier(rs, h) == _eigvalsh_count(_combined(rs, h)) >= 8
         assert rows == [np.count_nonzero(open_rows)]
 
     @pytest.mark.parametrize(
@@ -1009,22 +1036,20 @@ class TestNonconvCertificate:
     )
     def test_bound_near_lambda_max_two(self, rng, monkeypatch, offset):
         # M = 1 and unit-modulus h: H is unitarily similar to R and the bound
-        # c + lambda_max(V^H V) is lambda_max(R) itself.  It settles a draw
-        # more than the margin below 2; the dense test decides the others.
+        # c + lambda_max(V^H V) is lambda_max(R) itself.  It never settles a
+        # draw within the margin of 2, and its tiers' allowance keeps it from
+        # settling one 2e-9 below 2 as well: the dense test decides them all.
         users, trials = 8, 32
         q, _ = np.linalg.qr(rng.standard_normal((users, users)))
         lam = np.concatenate([rng.uniform(0.1, 1.5, users - 1), [2.0 + offset]])
         rs = ((q * lam) @ q.T)[None]
         h = np.exp(2j * np.pi * rng.uniform(size=(trials, 1, users)))
-        want = _eigvalsh_count(*_combined(rs, h))
+        want = _eigvalsh_count(_combined(rs, h))
         if offset:
             assert want == trials * (offset > 0)
         rows = self._dense_rows(monkeypatch)
         assert self._two_tier(rs, h) == want
-        if offset < -1e-9:
-            assert rows == []
-        elif offset > -1e-9:
-            assert rows == [trials]
+        assert rows == [trials]
 
     def test_bound_is_skipped_when_it_cannot_settle(self, rng, monkeypatch):
         users = 8
@@ -1036,7 +1061,7 @@ class TestNonconvCertificate:
         assert simulate._low_rank_bound(np.stack([np.eye(9)] * 3)) is None
         h = _fading(rng, 64, 1, users)
         rows = self._dense_rows(monkeypatch)
-        assert self._two_tier(rs, h) == _eigvalsh_count(*_combined(rs, h))
+        assert self._two_tier(rs, h) == _eigvalsh_count(_combined(rs, h))
         assert rows == [64]
 
     # the trace tier: sound on any PSD G, fed by the tables without forming G
@@ -1087,24 +1112,22 @@ class TestNonconvCertificate:
         return np.stack(out)
 
     @staticmethod
-    def _gram(bound, h, power):
+    def _gram(bound, x):
         """Each trial's G = V^H V (see simulate._unsettled), formed explicitly."""
         weights = bound[1]
-        x = h / np.sqrt(power)[:, None, :]
-        vh = (x[:, :, None, :] * weights).reshape(len(h), -1, weights.shape[-1])
+        vh = (x[:, :, None, :] * weights).reshape(len(x), -1, weights.shape[-1])
         return vh @ np.conj(vh).transpose(0, 2, 1)
 
     @pytest.mark.parametrize("subs", (1, 2, 4))
     def test_gram_moments_match_an_explicit_gram(self, rng, subs):
         users = 20
         rs = np.stack([random_correlation(rng, users, 128) for _ in range(subs)])
-        h = _fading(rng, 256, subs, users)
-        power = np.sum(np.abs(h) ** 2, axis=1)
+        x = _scaled(_fading(rng, 256, subs, users))
         bound = simulate._low_rank_bound(rs)
         assert bound[3].shape == (subs * (subs - 1) // 2, users, 9)
-        x = (h / np.sqrt(power)[:, None, :]).transpose(1, 0, 2)
-        trace, frob2 = simulate._gram_moments(bound, x.real, x.imag)
-        gram = self._gram(bound, h, power)
+        x_t = x.transpose(1, 0, 2)
+        trace, frob2 = simulate._gram_moments(bound, x_t.real, x_t.imag)
+        gram = self._gram(bound, x)
         assert np.allclose(trace, np.trace(gram, axis1=1, axis2=2).real, rtol=1e-13, atol=0)
         assert np.allclose(frob2, np.sum(np.abs(gram) ** 2, axis=(1, 2)), rtol=1e-13, atol=0)
 
@@ -1119,25 +1142,26 @@ class TestNonconvCertificate:
         ids=["M1-settled", "M1-open", "M2"],
     )
     def test_unsettled_is_the_exact_bound(self, spectra, settled, unsettled):
-        # the trace tier settles what it can; the mask holds exactly the
-        # trials whose G reaches the headroom
+        # the trace tier settles what it can, and the G^2 tier most of the
+        # rest; the open mask may hold trials whose G stays below the
+        # headroom, but every trial whose G reaches it (unsettled of them)
         rng = np.random.default_rng(7)
         rs = self._spectral(rng, spectra)
         h = _fading(rng, 256, len(rs), rs.shape[-1])
         if len(rs) == 1:
             h /= np.abs(h)  # H is similar to R_1, and G = diag(lambda_j - c)
-        power = np.sum(np.abs(h) ** 2, axis=1)
+        x = _scaled(h)
         bound = simulate._low_rank_bound(rs)
         headroom, weights = bound[:2]
-        x = (h / np.sqrt(power)[:, None, :]).transpose(1, 0, 2)
-        moments = simulate._gram_moments(bound, x.real, x.imag)
+        x_t = x.transpose(1, 0, 2)
+        moments = simulate._gram_moments(bound, x_t.real, x_t.imag)
         tier = simulate._trace_settled(*moments, weights.shape[0] * weights.shape[1], headroom)
-        lam_max = np.linalg.eigvalsh(self._gram(bound, h, power))[:, -1]
+        lam_max = np.linalg.eigvalsh(self._gram(bound, x))[:, -1]
         assert np.count_nonzero(tier) == settled
         assert not np.any(lam_max[tier] >= headroom)
-        got = simulate._unsettled(bound, h, power)
-        assert np.array_equal(got, lam_max >= headroom)
-        assert np.count_nonzero(got) == unsettled
+        got = simulate._unsettled(bound, x)
+        assert not np.any(lam_max[~got] >= headroom)
+        assert np.count_nonzero(lam_max >= headroom) == unsettled
 
     @pytest.mark.parametrize(
         "chips, chunks_bounded",
@@ -1170,9 +1194,9 @@ class TestNonconvCertificate:
 
     def test_conventional_only_run_never_forms_r_c(self, monkeypatch):
         # the bound settles every trial at this seed; the counts come from
-        # the harness that formed R_c for every trial
+        # the harness that formed the dense matrix for every trial
         def fail(*args):
-            raise AssertionError("formed R_c")
+            raise AssertionError("formed H")
 
         monkeypatch.setattr(simulate, "_combined_matrix", fail)
         records = _run(self.CONVENTIONAL_ONLY + "seed = 5\n")
@@ -1183,7 +1207,7 @@ class TestNonconvCertificate:
         assert _run(self.CONVENTIONAL_ONLY + "seed = 5\n", threads=2) == records
 
     def test_golden_run_forms_r_c_for_the_open_trials_alone(self, monkeypatch):
-        # TestGoldenCounts' type2_k20p64m4 config, conventional-only: R_c is
+        # TestGoldenCounts' type2_k20p64m4 config, conventional-only: H is
         # formed for the few trials the bound leaves open, never a chunk
         rows = self._dense_rows(monkeypatch)
         records = _run(self.CONVENTIONAL_ONLY + "seed = 1\n")
