@@ -240,58 +240,52 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
     count_all_users, else 1.  They are laid out once as the (M, G, D R, K)
     stack that _apply takes, detector-major in each draw's rows.
 
-    Failures are isolated.  A detector that cannot be built on the stack is
-    rebuilt draw by draw and marked as not built on the draws that fail.
+    The detectors on one stack share its weight schedule and its spectrum,
+    each computed for the first detector that needs it.  Failures are
+    isolated: a detector that cannot be built on the stack, its schedule or
+    spectrum included, is rebuilt draw by draw and marked as not built on
+    the draws that fail.
     """
     amplitudes, sigma2 = cfg.amplitudes(), cfg.sigma2()
     rows = slice(None) if cfg.count_all_users else slice(0, 1)
     counted = cfg.users if cfg.count_all_users else 1
-    weighted_stages = [d.stage for d in cfg.detectors if d.kind == "weighted_proposed"]
-    top = max(max(weighted_stages), 2) if weighted_stages else 0
+    top = max([2] + [d.stage for d in cfg.detectors if d.kind == "weighted_proposed"])
 
-    def counted_rows(spec, mats, schedule, spectra=None):
-        """(M, ..., R, K) counted rows of one detector on (M, ..., K, K) draws."""
-        if spec.kind == "weighted_proposed" and isinstance(schedule, Exception):
-            raise schedule
+    def counted_rows(spec, mats, shared):
+        """(M, ..., R, K) counted rows of one detector on (M, ..., K, K) draws.
+
+        shared memoises the build_filter arguments the detectors on mats
+        share: the weight schedule and the eigenvalues.
+        """
+        if spec.kind == "weighted_proposed" and "schedule" not in shared:
+            shared["schedule"] = compute_weight_schedule(mats, amplitudes, sigma2, top)[0]
+        if spec.kind in SPECTRAL_KINDS and "eigenvalues" not in shared:
+            shared["eigenvalues"] = np.linalg.eigvalsh(mats)
         return np.stack([
             build_filter(
                 spec.kind,
                 mats[i],
                 spec.stage,
                 sigma2=sigma2,
-                schedule=schedule[i] if spec.kind == "weighted_proposed" else None,
-                eigenvalues=None if spectra is None else spectra[i],
                 rows=rows,
+                **{name: value[i] for name, value in shared.items()},
             )
             for i in range(cfg.subcarriers)
         ])
 
-    def schedule_of(mats):
-        if not top:
-            return None
-        try:
-            return compute_weight_schedule(mats, amplitudes, sigma2, top)[0]
-        except _BUILD_ERRORS as exc:  # schedule failure downs only the weighted detectors
-            return exc
-
     draws = correlations.shape[1]
-    schedule = schedule_of(correlations)
-    spectra = None  # eigvalsh of the correlations, shared by SPECTRAL_KINDS
+    shared = {}
     specs, combined = _split(cfg)
     filters = np.zeros((cfg.subcarriers, draws, len(specs), counted, cfg.users))
     built = np.ones((len(specs), draws), dtype=bool)
     for d, spec in enumerate(specs):
         try:
-            if spec.kind in SPECTRAL_KINDS and spectra is None:
-                spectra = np.linalg.eigvalsh(correlations)
-            filters[:, :, d] = counted_rows(spec, correlations, schedule, spectra)
+            filters[:, :, d] = counted_rows(spec, correlations, shared)
         except _BUILD_ERRORS:
             # rebuild draw by draw, so one bad draw costs only itself
-            weighted = spec.kind == "weighted_proposed"
             for b in range(draws):
-                one = correlations[:, b]
                 try:
-                    filters[:, b, d] = counted_rows(spec, one, schedule_of(one) if weighted else None)
+                    filters[:, b, d] = counted_rows(spec, correlations[:, b], {})
                 except _BUILD_ERRORS:
                     built[d, b] = False
 
@@ -478,9 +472,9 @@ def _detect_combined(ctx: _Context, bits, h, y, bound):
     trials with lambda_max(H) >= 2.  h and y are the chunk's (2, B, M, K)
     planes; a dense H is formed only for the detectors that need the matrix
     form, or for the trials the low-rank bound leaves open.  bound is that
-    bound while the block keeps it, else None.  Returns the (2, C) errors
-    and counted trials of ctx.combined, nonconv, and the bound for the
-    block's next chunk.
+    bound while the block keeps it, else None; _nonconvergent applies it.
+    Returns the (2, C) errors and counted trials of ctx.combined, nonconv,
+    and the bound for the block's next chunk.
     """
     wrong = bits[:, ctx.rows] < 0
     dense = any(spec.kind in ("proposed", "decorrelator") for spec in ctx.combined)
@@ -492,10 +486,7 @@ def _detect_combined(ctx: _Context, bits, h, y, bound):
     u = np.sum(np.conj(x_t) * _complex(y), axis=0)
     x = x_t.transpose(1, 0, 2)
     herm = _combined_matrix(mats, x) if dense else None
-    open_rows = None if bound is None else _unsettled(bound, x)
-    if open_rows is not None and 2 * np.count_nonzero(open_rows) > len(open_rows):
-        bound = None  # settles too few trials of this draw to pay for itself
-    nonconv = _nonconvergent(open_rows, mats, x, herm)
+    nonconv, bound = _nonconvergent(bound, mats, x, herm)
     stats = _proposed_stats(herm, u, proposed, ctx.rows) if proposed else {}
     counts = np.empty((2, len(ctx.combined)), dtype=np.int64)
     for j, spec in enumerate(ctx.combined):
@@ -539,21 +530,26 @@ def _combined_matrix(correlations, x):
     return out
 
 
-def _nonconvergent(open_rows, mats, x, herm) -> int:
-    """nonconv of one chunk whose other trials the low-rank bound settled.
+def _nonconvergent(bound, correlations, x, herm):
+    """nonconv of one chunk, and the low-rank bound for the block's next chunk.
 
-    open_rows masks the trials it left open (None: all of them, as without
-    a bound).  Only those go to _count_nonconvergent, on their rows of herm,
-    which is formed here for those rows alone when the chunk has none.
+    bound is the low-rank bound (see _low_rank_bound) while the block keeps
+    it, else None.  Only the trials it leaves open (_unsettled; all of them
+    without a bound) go to _count_nonconvergent, on their rows of herm,
+    which is formed here for those rows alone when the chunk has none.  A
+    bound that leaves more than half of the chunk open is dropped.
     """
-    if open_rows is not None:
+    if bound is not None:
+        open_rows = _unsettled(bound, x)
+        if 2 * np.count_nonzero(open_rows) > len(open_rows):
+            bound = None  # settles too few trials of this draw to pay for itself
         if not open_rows.any():
-            return 0
+            return 0, bound
         x = x[open_rows]
         herm = None if herm is None else herm[open_rows]
     if herm is None:
-        herm = _combined_matrix(mats, x)
-    return _count_nonconvergent(herm)
+        herm = _combined_matrix(correlations, x)
+    return _count_nonconvergent(herm), bound
 
 
 def _unsettled(bound, x):

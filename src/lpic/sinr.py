@@ -192,14 +192,13 @@ def compute_weight_schedule(
     amps = np.asarray(amplitudes, dtype=float)
     if max_stage < 2:
         raise ValueError("max_stage must be >= 2")
-    rows = np.zeros(r.shape[:-2] + (0, r.shape[-1]))
-    degen = np.zeros(rows.shape, dtype=bool)
+    weights = np.empty(r.shape[:-2] + (max_stage - 1, r.shape[-1]))
+    degen = np.empty(weights.shape, dtype=bool)
     for m in range(2, max_stage + 1):
-        prior = rows if m > 2 else None
+        prior = weights[..., : m - 2, :] if m > 2 else None
         *_, w_row, d_row = _breakdown_terms(r, q_matrix(r, prior, m), amps, sigma2)
-        rows = np.concatenate([rows, w_row[..., None, :]], axis=-2)
-        degen = np.concatenate([degen, d_row[..., None, :]], axis=-2)
-    return _checked_schedule(rows, r.shape[-1], max_stage), degen
+        weights[..., m - 2, :], degen[..., m - 2, :] = w_row, d_row
+    return _checked_schedule(weights, r.shape[-1], max_stage), degen
 
 
 @dataclass(frozen=True)

@@ -173,8 +173,8 @@ class TestDeterminism:
         assert all(r.bit_errors > 0 for r in a)  # 150 trials at 8 dB always err
 
 
-# One full type1 block; a fixed type2 draw whose low-rank bound leaves trials
-# to the trial-by-trial Cholesky at seed 1; a per_trial type2 run counting
+# One full type1 block; a fixed type2 draw at P = 48 whose low-rank bound
+# leaves trials to the dense test at seed 1; a per_trial type2 run counting
 # every user, with nonconvergent draws.
 _HOST_CONFIGS = [
     "K = 20\nP = 64\nM = 4\nnear_far = tenfold\nsnr_db = 14\nreceiver = type1\n"
@@ -192,37 +192,90 @@ _HOST_SCRIPT = (
     "for text in json.load(sys.stdin):\n"
     "    sys.stdout.write(render_ber_csv(run_ber_experiment(parse_config(text), threads=1)))\n"
 )
-_HOST_SETTINGS = ("OPENBLAS_NUM_THREADS", "NPY_DISABLE_CPU_FEATURES")
+_HOST_SETTINGS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
 _WIDE_FEATURES = ("X86_V4", "AVX512_ICL", "AVX512_SPR", "X86_V3")
+# OpenBLAS kernels to force, each with the CPU features its code needs
+_CORETYPES = (("Haswell", ("AVX2", "FMA3")), ("Sandybridge", ("AVX",)))
+_CORENAME_SCRIPT = (
+    "import ctypes, glob, os, numpy as np\n"
+    "libs = os.path.join(os.path.dirname(np.__file__), os.pardir, 'numpy.libs')\n"
+    "for path in glob.glob(os.path.join(libs, 'libscipy_openblas*.so*')):\n"
+    "    try:\n"
+    "        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_\n"
+    "    except (OSError, AttributeError):\n"
+    "        continue\n"
+    "    corename.argtypes, corename.restype = [], ctypes.c_char_p\n"
+    "    print(corename().decode())\n"
+    "    break\n"
+)
+
+
+def _host_env(**env) -> dict:
+    """The environment of a fresh interpreter: env set on the defaults, src importable."""
+    full = {k: v for k, v in os.environ.items() if k not in _HOST_SETTINGS}
+    src = str(Path(simulate.__file__).resolve().parent.parent)
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full.get("PYTHONPATH")]))
+    return {**full, **env}
 
 
 def _host_records(**env) -> str:
     """render_ber_csv of _HOST_CONFIGS in a fresh interpreter with env set on the defaults."""
-    full = {k: v for k, v in os.environ.items() if k not in _HOST_SETTINGS}
-    src = str(Path(simulate.__file__).resolve().parent.parent)
-    full["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", _HOST_SCRIPT], input=json.dumps(_HOST_CONFIGS),
-        env={**full, **env}, capture_output=True, text=True, timeout=120,
+        env=_host_env(**env), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
 
 
-def _blas_threads(threads):
+def _require_openblas():
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
     if "openblas" not in str(blas.get("name", "")).lower():
         pytest.skip("NumPy does not use OpenBLAS")
+
+
+def _blas_threads(threads):
+    _require_openblas()
     if (os.cpu_count() or 1) < 2:
         pytest.skip("one CPU: OpenBLAS runs one thread whatever is asked")
     return {"OPENBLAS_NUM_THREADS": str(threads)}
 
 
-def _narrow_simd_setting():
+def _umath():
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # NumPy < 2
         from numpy.core import _multiarray_umath as umath
+    return umath
+
+
+def _corename(**env) -> str:
+    """The kernel name NumPy's OpenBLAS reports in a fresh interpreter ("" if unknown)."""
+    done = subprocess.run(
+        [sys.executable, "-c", _CORENAME_SCRIPT], env=_host_env(**env),
+        capture_output=True, text=True, timeout=60,
+    )
+    return done.stdout.strip() if done.returncode == 0 else ""
+
+
+def _forced_coretype():
+    """OPENBLAS_CORETYPE set to a kernel other than the host's, confirmed in the child."""
+    _require_openblas()
+    default = _corename()
+    if not default:
+        pytest.skip("NumPy's OpenBLAS does not report its kernel")
+    features = _umath().__cpu_features__
+    for name, needs in _CORETYPES:
+        if name.lower() != default.lower() and all(features.get(f) for f in needs):
+            forced = _corename(OPENBLAS_CORETYPE=name)
+            if forced.lower() != name.lower():
+                pytest.skip(f"OPENBLAS_CORETYPE={name} read back as {forced!r}")
+            return {"OPENBLAS_CORETYPE": name}
+    pytest.skip(f"no kernel other than {default} that this CPU can run")
+
+
+def _narrow_simd_setting():
+    umath = _umath()
     wide = [f for f in _WIDE_FEATURES if f in umath.__cpu_dispatch__ and umath.__cpu_features__.get(f)]
     if not wide:
         pytest.skip(f"the host runs none of NumPy's {'/'.join(_WIDE_FEATURES)} kernels")
@@ -230,18 +283,29 @@ def _narrow_simd_setting():
 
 
 class TestHostIndependence:
-    """Records do not depend on the BLAS thread count or NumPy's SIMD kernels."""
+    """Records do not depend on the BLAS thread count or kernel, or NumPy's SIMD kernels."""
 
     @pytest.fixture(scope="class")
     def default_records(self):
         return _host_records()
 
     # OpenBLAS defaults to one thread per core, so on most hosts only one
-    # of the two thread counts differs from the default run
+    # of the two thread counts differs from the default run.  Under another
+    # OpenBLAS kernel the per_trial config's records move: model.noise_transform
+    # factors a singular R by Cholesky or by eigenvectors depending on
+    # whether that kernel's Cholesky happens to succeed, and the eigenvector
+    # factor depends on the basis LAPACK returns.
     @pytest.mark.parametrize(
         "setting",
-        [lambda: _blas_threads(1), lambda: _blas_threads(2), _narrow_simd_setting],
-        ids=["blas1", "blas2", "narrow_simd"],
+        [
+            pytest.param(lambda: _blas_threads(1), id="blas1"),
+            pytest.param(lambda: _blas_threads(2), id="blas2"),
+            pytest.param(
+                _forced_coretype, id="blas_coretype",
+                marks=pytest.mark.xfail(reason="noise_transform of a singular R is kernel-dependent"),
+            ),
+            pytest.param(_narrow_simd_setting, id="narrow_simd"),
+        ],
     )
     def test_records_match_the_default_run(self, default_records, setting):
         assert _host_records(**setting()) == default_records
@@ -995,10 +1059,8 @@ class TestNonconvCertificate:
     @staticmethod
     def _two_tier(correlations, h):
         """nonconv of one chunk on fixed (M, K, K) correlations, bound first."""
-        x = _scaled(h)
         bound = simulate._low_rank_bound(correlations)
-        open_rows = None if bound is None else simulate._unsettled(bound, x)
-        return simulate._nonconvergent(open_rows, correlations[:, None], x, None)
+        return simulate._nonconvergent(bound, correlations[:, None], _scaled(h), None)[0]
 
     def test_unsettled_chunk_falls_back_and_counts_zero(self, rng, monkeypatch):
         # R_1 and R_2 share eigenvectors.  Each has eigenvalue 2.8 on three
