@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import _indefinite
+from .model import _indefinite, singular_draws
 
 FILTER_KINDS = (
     "mf",
@@ -53,9 +53,6 @@ SPECTRAL_KINDS = ("mmse_converging", "modified_mmse")
 # R_eff (a public API, and the tests' reference for the type2 harness) or
 # the Hermitian H that the harness cancels with
 _COMPLEX_KINDS = ("mf", "conventional", "proposed")
-
-_PIVOT_RTOL = 1e3 * np.finfo(float).eps  # singularity threshold for inversions
-_CERT_MARGIN = 1e-9  # Cholesky certificate margin, far above rounding
 
 
 class SingularMatrixError(ValueError):
@@ -174,32 +171,6 @@ def mmse_stage_weights(
     if np.any(_indefinite(lams)):
         raise ValueError("correlation must be PSD for the mmse stage weights")
     return 1.0 / (lams[..., ::-1] + sigma2)
-
-
-def _factorizes(shifted, shift) -> bool:
-    """Whether every draw of shifted + diag(shift) has a Cholesky factor; overwrites shifted."""
-    diag = np.arange(shifted.shape[-1])
-    shifted[..., diag, diag] += shift
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def singular_draws(matrix: np.ndarray) -> np.ndarray:
-    """Mask of the draws of a (..., K, K) Hermitian stack that fail the pivot threshold.
-
-    That is min |eigenvalue| <= _PIVOT_RTOL max |eigenvalue|, for every
-    inversion.  A positive definite A has lambda_max <= tr(A), so one batched
-    Cholesky of A - (rtol tr(A) + margin) I proves the whole stack regular;
-    only a stack where it fails pays for eigvalsh, whose mask it equals.
-    """
-    trace = np.trace(matrix, axis1=-2, axis2=-1).real
-    if _factorizes(matrix.copy(), -(_PIVOT_RTOL * trace + _CERT_MARGIN)[..., None]):
-        return np.zeros(matrix.shape[:-2], dtype=bool)
-    vals = np.abs(np.linalg.eigvalsh(matrix))
-    return vals.min(axis=-1) <= _PIVOT_RTOL * vals.max(axis=-1)
 
 
 def _guarded_inverse(matrix: np.ndarray, what: str, rows=None) -> np.ndarray:

@@ -83,27 +83,66 @@ def equicorrelated_matrix(users: int, rho: float) -> np.ndarray:
     return r
 
 
-def noise_transform(correlation: np.ndarray) -> np.ndarray:
-    """Real factor L with L L^T = R, used to shape white noise.
+_PIVOT_RTOL = 1e3 * np.finfo(float).eps  # singularity threshold for inversions and noise shaping
+_CERT_MARGIN = 1e-9  # Cholesky certificate margin, far above rounding
 
-    Cholesky when R is positive definite; an eigenvalue square root otherwise
-    (tiny negative eigenvalues from roundoff are clipped).  A (..., K, K)
-    stack gives the stack of the per-matrix factors: one batched Cholesky,
-    or, if any draw fails it, the rule above draw by draw.  Raises
-    NotPositiveSemidefiniteError for genuinely indefinite input.
+
+def _factorizes(shifted, shift) -> bool:
+    """Whether every draw of shifted + diag(shift) has a Cholesky factor; overwrites shifted."""
+    diag = np.arange(shifted.shape[-1])
+    shifted[..., diag, diag] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _proved_regular(matrix: np.ndarray) -> bool:
+    """Whether one batched Cholesky proves every draw of a Hermitian stack regular.
+
+    A positive definite A has lambda_max <= tr(A), so a Cholesky of
+    A - (rtol tr(A) + margin) I proves lambda_min > _PIVOT_RTOL lambda_max.
+    """
+    trace = np.trace(matrix, axis1=-2, axis2=-1).real
+    return _factorizes(matrix.copy(), -(_PIVOT_RTOL * trace + _CERT_MARGIN)[..., None])
+
+
+def singular_draws(matrix: np.ndarray) -> np.ndarray:
+    """Mask of the draws of a Hermitian (..., K, K) stack with min |eig| <= _PIVOT_RTOL max |eig|.
+
+    The pivot threshold of every inversion; eigvalsh runs only where _proved_regular fails.
+    """
+    if _proved_regular(matrix):
+        return np.zeros(matrix.shape[:-2], dtype=bool)
+    vals = np.abs(np.linalg.eigvalsh(matrix))
+    return vals.min(axis=-1) <= _PIVOT_RTOL * vals.max(axis=-1)
+
+
+def noise_transform(correlation: np.ndarray) -> np.ndarray:
+    """Real factor L with L L^T = R, used to shape white noise; a stack gives a stack.
+
+    A draw whose eigenvalues clear the pivot threshold takes its Cholesky
+    factor.  Any other (a singular one, on a PSD stack) takes the unique PSD
+    root U sqrt(Lambda) U^T, sub-threshold eigenvalues zeroed, so neither
+    LAPACK's eigenbasis nor whether a kernel's Cholesky passes can change it.
+    Raises NotPositiveSemidefiniteError, naming the draw, for indefinite input.
     """
     r = _real_correlation(correlation, "noise_transform")
-    try:
+    if _proved_regular(r):
         return np.linalg.cholesky(r)
-    except np.linalg.LinAlgError:
-        if r.ndim <= 2:
-            return _eigen_factor(r, "")
-    out = np.empty_like(r)
-    for at in np.ndindex(r.shape[:-2]):
-        try:
-            out[at] = np.linalg.cholesky(r[at])
-        except np.linalg.LinAlgError:
-            out[at] = _eigen_factor(r[at], f" at draw {','.join(map(str, at))}")
+    vals, vecs = np.linalg.eigh(r)
+    indefinite = _indefinite(vals)
+    if np.any(indefinite):
+        at = np.unravel_index(np.argmax(indefinite), indefinite.shape)
+        where = f" at draw {','.join(str(int(i)) for i in at)}" if at else ""
+        raise NotPositiveSemidefiniteError(
+            f"correlation matrix is not PSD{where} (min eigenvalue {vals[at][0]:.3e})"
+        )
+    floor = _PIVOT_RTOL * np.abs(vals).max(axis=-1, keepdims=True)
+    out = (vecs * np.sqrt(np.where(vals > floor, vals, 0.0))[..., None, :]) @ vecs.swapaxes(-1, -2)
+    regular = vals[..., 0] > floor[..., 0]
+    out[regular] = np.linalg.cholesky(r[regular])
     return out
 
 
@@ -113,16 +152,6 @@ def _indefinite(eigenvalues: np.ndarray) -> np.ndarray:
     That is lambda_min < -1e-10 max(lambda_max, 1).
     """
     return eigenvalues[..., 0] < -1e-10 * np.maximum(eigenvalues[..., -1], 1.0)
-
-
-def _eigen_factor(r: np.ndarray, where: str) -> np.ndarray:
-    """The clipped eigenvalue square root of one PSD matrix that Cholesky refused."""
-    vals, vecs = np.linalg.eigh(r)
-    if _indefinite(vals):
-        raise NotPositiveSemidefiniteError(
-            f"correlation matrix is not PSD{where} (min eigenvalue {vals[0]:.3e})"
-        )
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
 def convergence_check(correlation: np.ndarray) -> ConvergenceReport:

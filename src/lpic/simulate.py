@@ -24,16 +24,16 @@ from math import log10, sqrt
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .filters import (
+from .filters import SPECTRAL_KINDS, _identities, build_filter, cancellation_partials
+from .model import (
     _CERT_MARGIN,
-    SPECTRAL_KINDS,
     _factorizes,
-    _identities,
-    build_filter,
-    cancellation_partials,
+    convergence_check,
+    correlation_matrix,
+    generate_spreading_set,
+    noise_transform,
     singular_draws,
 )
-from .model import convergence_check, correlation_matrix, generate_spreading_set, noise_transform
 from .sinr import compute_weight_schedule, sinr_breakdown
 
 THREADS_ENV = "LPIC_THREADS"
@@ -694,7 +694,7 @@ def _conventional_type2(correlations, x, u, stage: int, rows):
 def _decorrelate(herm, u):
     """Decorrelator statistics H^-1 u and the mask of trials solved.
 
-    A trial whose H fails the filters' pivot threshold (singular_draws) is
+    A trial whose H fails the pivot threshold (model.singular_draws) is
     left unsolved, as a singular R is for the single-carrier decorrelator.
     The mask is None when every trial was solved.
     """

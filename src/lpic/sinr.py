@@ -195,9 +195,8 @@ def compute_weight_schedule(
     weights = np.empty(r.shape[:-2] + (max_stage - 1, r.shape[-1]))
     degen = np.empty(weights.shape, dtype=bool)
     for m in range(2, max_stage + 1):
-        prior = weights[..., : m - 2, :] if m > 2 else None
-        *_, w_row, d_row = _breakdown_terms(r, q_matrix(r, prior, m), amps, sigma2)
-        weights[..., m - 2, :], degen[..., m - 2, :] = w_row, d_row
+        *_, w, d = _breakdown_terms(r, q_matrix(r, weights[..., : m - 2, :], m), amps, sigma2)
+        weights[..., m - 2, :], degen[..., m - 2, :] = w, d
     return _checked_schedule(weights, r.shape[-1], max_stage), degen
 
 

@@ -8,13 +8,11 @@ from lpic.filters import (
     SPECTRAL_KINDS,
     STAGED_KINDS,
     SingularMatrixError,
-    _PIVOT_RTOL,
     build_filter,
     cancellation_partials,
     mmse_stage_weights,
-    singular_draws,
 )
-from lpic.model import equicorrelated_matrix
+from lpic.model import _PIVOT_RTOL, equicorrelated_matrix, singular_draws
 from lpic.sinr import q_matrix
 
 from limit_scaling import limit_scaling_matrix

@@ -166,6 +166,23 @@ class TestNoise:
         ell = noise_transform(r)
         assert np.allclose(ell @ ell.T, r, atol=1e-10)
 
+    @pytest.mark.parametrize("draw", ["equicorrelated", "chips"])
+    def test_singular_factor_is_the_symmetric_root(self, rng, draw):
+        # the unique PSD root commutes with every signed permutation Q, and so
+        # depends neither on a Cholesky that rounding lets pass nor on the
+        # eigenbasis LAPACK returns
+        if draw == "equicorrelated":
+            r = equicorrelated_matrix(4, -1.0 / 3)
+        else:
+            r = correlation_matrix(generate_spreading_set(6, 4, rng))
+        ell = noise_transform(r)
+        assert np.allclose(ell, ell.T, rtol=0.0, atol=1e-12)
+        assert np.allclose(ell @ ell.T, r, rtol=0.0, atol=1e-12)
+        k = len(r)
+        for _ in range(5):
+            q = np.eye(k)[rng.permutation(k)] * rng.choice([-1.0, 1.0], k)
+            assert np.allclose(noise_transform(q @ r @ q.T), q @ ell @ q.T, rtol=0.0, atol=1e-12)
+
     def test_transform_rejects_a_complex_correlation(self):
         # a cast to real would factor I and drop the imaginary part
         antisym = np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1)
@@ -193,8 +210,8 @@ class TestNoise:
 
     @pytest.mark.parametrize("users, chips", [(5, 24), (6, 4)], ids=["definite", "singular"])
     def test_stack_equals_per_matrix_factors(self, rng, users, chips):
-        # K > P: every draw is singular, the batched Cholesky fails and each
-        # draw takes the eigh square root, as a 2-D call does
+        # K > P: every draw is singular and takes the symmetric root, as a
+        # 2-D call does
         rs = np.stack(
             [
                 [correlation_matrix(generate_spreading_set(users, chips, rng)) for _ in range(7)]
@@ -207,11 +224,15 @@ class TestNoise:
         assert np.array_equal(got, want)
 
     def test_stack_mixing_definite_and_singular_draws(self, rng):
+        # every regular draw keeps its Cholesky factor bit for bit, as the
+        # records of the benchmark's regular draws rest on that
         rs = np.stack([correlation_matrix(generate_spreading_set(4, 16, rng)) for _ in range(6)])
         rs[2] = equicorrelated_matrix(4, -1.0 / 3)  # exact zero eigenvalue
         got = noise_transform(rs)
         assert np.array_equal(got, np.stack([noise_transform(r) for r in rs]))
-        assert np.array_equal(got[0], np.linalg.cholesky(rs[0]))
+        for i in (0, 1, 3, 4, 5):
+            assert np.array_equal(got[i], np.linalg.cholesky(rs[i]))
+        assert np.allclose(got[2], got[2].T, rtol=0.0, atol=1e-12)
 
     def test_stack_names_the_indefinite_draw(self, rng):
         rs = np.stack([correlation_matrix(generate_spreading_set(2, 16, rng)) for _ in range(6)])

@@ -175,7 +175,8 @@ class TestDeterminism:
 
 # One full type1 block; a fixed type2 draw at P = 48 whose low-rank bound
 # leaves trials to the dense test at seed 1; a per_trial type2 run counting
-# every user, with nonconvergent draws.
+# every user, with nonconvergent draws and singular R; a fixed type1 draw
+# at P = 1, whose R are singular.
 _HOST_CONFIGS = [
     "K = 20\nP = 64\nM = 4\nnear_far = tenfold\nsnr_db = 14\nreceiver = type1\n"
     "trials = 8192\nseed = 1\ndetectors = mf, conventional:2..4, proposed:3, mmse\n",
@@ -184,6 +185,8 @@ _HOST_CONFIGS = [
     "K = 6\nP = 8\nM = 2\nreceiver = type2\nsnr_db = 8\ntrials = 300\nseed = 4\n"
     "sequence_mode = per_trial\ncount_all_users = true\n"
     "detectors = mf, conventional:2, proposed:2, decorrelator, mmse\n",
+    "K = 3\nP = 1\nM = 2\nreceiver = type1\nsnr_db = 6\ntrials = 400\nseed = 2\n"
+    "detectors = mf, conventional:2, proposed:2, mmse\n",
 ]
 _HOST_SCRIPT = (
     "import json, sys\n"
@@ -290,20 +293,18 @@ class TestHostIndependence:
         return _host_records()
 
     # OpenBLAS defaults to one thread per core, so on most hosts only one
-    # of the two thread counts differs from the default run.  Under another
-    # OpenBLAS kernel the per_trial config's records move: model.noise_transform
-    # factors a singular R by Cholesky or by eigenvectors depending on
-    # whether that kernel's Cholesky happens to succeed, and the eigenvector
-    # factor depends on the basis LAPACK returns.
+    # of the two thread counts differs from the default run.  The per_trial
+    # and K = 3, P = 1 configs draw singular R: model.noise_transform shapes
+    # those with the symmetric root, not with a Cholesky factor that another
+    # OpenBLAS kernel's rounding may or may not produce, nor with an
+    # eigenvector basis LAPACK chooses, so they keep their records under a
+    # forced kernel too.
     @pytest.mark.parametrize(
         "setting",
         [
             pytest.param(lambda: _blas_threads(1), id="blas1"),
             pytest.param(lambda: _blas_threads(2), id="blas2"),
-            pytest.param(
-                _forced_coretype, id="blas_coretype",
-                marks=pytest.mark.xfail(reason="noise_transform of a singular R is kernel-dependent"),
-            ),
+            pytest.param(_forced_coretype, id="blas_coretype"),
             pytest.param(_narrow_simd_setting, id="narrow_simd"),
         ],
     )
