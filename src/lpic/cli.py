@@ -8,10 +8,10 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config
-from .filters import FILTER_KINDS, STAGED_KINDS, build_filter
+from .filters import FILTER_KINDS, build_filter
 from .model import equicorrelated_matrix
-from .simulate import render_ber_csv, render_sinr_csv, run_ber_experiment, run_sinr_experiment
-from .sinr import compute_weight_schedule, equicorr_sir_report
+from .simulate import _csv, render_ber_csv, render_sinr_csv, run_ber_experiment, run_sinr_experiment
+from .sinr import EquicorrSirReport, compute_weight_schedule, equicorr_sir_report
 
 
 def _write(text: str, path: str | None) -> None:
@@ -61,13 +61,7 @@ def _cmd_filter_dump(args) -> int:
 
 
 def _cmd_analyze_equicorr(args) -> int:
-    report = equicorr_sir_report(args.K, args.rho)
-    text = (
-        "users,rho,sir_conventional,sir_proposed,sir_gain,converges\n"
-        f"{report.users},{report.rho:.17g},{report.sir_conventional:.17g},"
-        f"{report.sir_proposed:.17g},{report.sir_gain:.17g},{report.converges}\n"
-    )
-    _write(text, args.output)
+    _write(_csv(EquicorrSirReport, [equicorr_sir_report(args.K, args.rho)]), args.output)
     return 0
 
 

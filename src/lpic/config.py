@@ -16,7 +16,7 @@ amplitude with user 0 the unit-amplitude desired user.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 import math
 
 import numpy as np
@@ -29,9 +29,6 @@ SEQUENCE_MODES = ("fixed", "per_trial")
 SUBCARRIER_MODES = ("independent", "identical")
 # filter kinds with a combined-domain (receiver=type2) form
 TYPE2_KINDS = ("mf", "conventional", "proposed", "decorrelator", "mmse")
-
-_DEFAULT_TRIALS = 100_000
-_DEFAULT_SEED = 1
 
 
 class ConfigError(ValueError):
@@ -53,8 +50,8 @@ class ExperimentConfig:
     subcarriers: int = 1
     near_far: str = "none"
     receiver: str = "single"
-    trials: int = _DEFAULT_TRIALS
-    seed: int = _DEFAULT_SEED
+    trials: int = 100_000
+    seed: int = 1
     sequence_mode: str = "fixed"
     subcarrier_sequences: str = "independent"
     count_all_users: bool = False
@@ -148,14 +145,54 @@ def parse_detectors(value: str) -> tuple[DetectorSpec, ...]:
     return tuple(sorted(specs))
 
 
-def _parse_sweep_weights(value: str) -> tuple[float, float, float]:
+def _parse_stage_list(value: str, key: str) -> tuple[int, ...]:
+    flat: set[int] = set()
+    for token in value.split(","):
+        flat.update(_parse_stage_range(token.strip(), key))
+    return tuple(sorted(flat))
+
+
+def _parse_sweep_weights(value: str, key: str) -> tuple[float, float, float]:
     parts = value.split(":")
     if len(parts) != 3:
-        raise ConfigError("sweep_weights: expected start:stop:step")
-    start, stop, step = (_parse_float(p, "sweep_weights") for p in parts)
+        raise ConfigError(f"{key}: expected start:stop:step")
+    start, stop, step = (_parse_float(p, key) for p in parts)
     if step <= 0 or stop < start:
-        raise ConfigError("sweep_weights: need step > 0 and stop >= start")
+        raise ConfigError(f"{key}: need step > 0 and stop >= start")
     return (start, stop, step)
+
+
+def _choice(options: tuple[str, ...]):
+    """Parser for a key that takes one of `options`; case-blind, `-` read as `_`."""
+    def parse(value: str, key: str) -> str:
+        out = value.lower().replace("-", "_")
+        if out not in options:
+            raise ConfigError(f"{key} must be one of {options}")
+        return out
+    return parse
+
+
+# config key -> (ExperimentConfig field, parser(value, key)).  A key left out
+# of the file takes the field's default; a field without one is required.
+_KEYS = {
+    "K": ("users", _parse_int),
+    "P": ("chips", _parse_int),
+    "snr_db": ("snr_db", _parse_float),
+    "detectors": ("detectors", lambda value, key: parse_detectors(value)),
+    "M": ("subcarriers", _parse_int),
+    "receiver": ("receiver", _choice(RECEIVERS)),
+    "near_far": ("near_far", _choice(NEAR_FAR_PROFILES)),
+    "trials": ("trials", _parse_int),
+    "seed": ("seed", _parse_int),
+    "sequence_mode": ("sequence_mode", _choice(SEQUENCE_MODES)),
+    "subcarrier_sequences": ("subcarrier_sequences", _choice(SUBCARRIER_MODES)),
+    "count_all_users": ("count_all_users", _parse_bool),
+    "require_convergent": ("require_convergent", _parse_bool),
+    "output": ("output", lambda value, key: value),
+    "sweep_user": ("sweep_user", _parse_int),
+    "sweep_stages": ("sweep_stages", _parse_stage_list),
+    "sweep_weights": ("sweep_weights", _parse_sweep_weights),
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -175,95 +212,42 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    known = {
-        "K", "P", "M", "snr_db", "detectors", "near_far", "receiver", "trials",
-        "seed", "sequence_mode", "subcarrier_sequences", "count_all_users",
-        "require_convergent", "output", "sweep_user", "sweep_stages", "sweep_weights",
-    }
-    unknown = set(raw) - known
+    unknown = raw.keys() - _KEYS
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
-    missing = {"K", "P", "snr_db", "detectors"} - set(raw)
+    required = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
+    missing = [key for key, (name, _) in _KEYS.items() if name in required and key not in raw]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(sorted(missing))}")
 
-    users = _parse_int(raw["K"], "K")
-    chips = _parse_int(raw["P"], "P")
-    subcarriers = _parse_int(raw.get("M", "1"), "M")
-    if users < 1 or chips < 1 or subcarriers < 1:
+    cfg = ExperimentConfig(
+        **{name: parse(raw[key], key) for key, (name, parse) in _KEYS.items() if key in raw}
+    )
+    if min(cfg.users, cfg.chips, cfg.subcarriers) < 1:
         raise ConfigError("K, P and M must all be >= 1")
-
-    near_far = raw.get("near_far", "none").lower()
-    if near_far not in NEAR_FAR_PROFILES:
-        raise ConfigError(f"near_far must be one of {NEAR_FAR_PROFILES}")
-    receiver = raw.get("receiver", "single").lower()
-    if receiver not in RECEIVERS:
-        raise ConfigError(f"receiver must be one of {RECEIVERS}")
-    if receiver == "single" and subcarriers != 1:
+    if cfg.receiver == "single" and cfg.subcarriers != 1:
         raise ConfigError("receiver=single requires M=1 (use type1 or type2)")
-
-    sequence_mode = raw.get("sequence_mode", "fixed").lower().replace("-", "_")
-    if sequence_mode not in SEQUENCE_MODES:
-        raise ConfigError(f"sequence_mode must be one of {SEQUENCE_MODES}")
-    subcarrier_sequences = raw.get("subcarrier_sequences", "independent").lower()
-    if subcarrier_sequences not in SUBCARRIER_MODES:
-        raise ConfigError(f"subcarrier_sequences must be one of {SUBCARRIER_MODES}")
-
-    trials = _parse_int(raw.get("trials", str(_DEFAULT_TRIALS)), "trials")
-    if trials < 1:
+    if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
-
-    require_convergent = _parse_bool(raw.get("require_convergent", "false"), "require_convergent")
-    if require_convergent and sequence_mode != "fixed":
+    if cfg.require_convergent and cfg.sequence_mode != "fixed":
         raise ConfigError("require_convergent needs sequence_mode=fixed")
-
-    detectors = parse_detectors(raw["detectors"])
-    for spec in detectors:
-        if spec.kind in ("mmse_converging", "modified_mmse") and spec.stage > users:
+    for spec in cfg.detectors:
+        if spec.kind in ("mmse_converging", "modified_mmse") and spec.stage > cfg.users:
             raise ConfigError(
-                f"detectors: {spec.kind} stage {spec.stage} exceeds K={users} "
+                f"detectors: {spec.kind} stage {spec.stage} exceeds K={cfg.users} "
                 "(the schedule has only K stages)"
             )
-        if receiver == "type2" and spec.kind not in TYPE2_KINDS:
+        if cfg.receiver == "type2" and spec.kind not in TYPE2_KINDS:
             raise ConfigError(
                 f"detectors: {spec.kind} has no combined-domain form; "
                 f"receiver=type2 supports {', '.join(TYPE2_KINDS)}"
             )
-
-    flat: set[int] = set()
-    for token in raw.get("sweep_stages", "2..6").split(","):
-        flat.update(_parse_stage_range(token.strip(), "sweep_stages"))
-    sweep_stages = tuple(sorted(flat))
-    if any(s < 2 for s in sweep_stages):
+    if any(s < 2 for s in cfg.sweep_stages):
         raise ConfigError("sweep_stages: weight sweeps start at stage 2")
-
-    sweep_user = _parse_int(raw.get("sweep_user", "0"), "sweep_user")
-    if not 0 <= sweep_user < users:
-        raise ConfigError(f"sweep_user {sweep_user} out of range for K={users}")
-
-    seed = _parse_int(raw.get("seed", str(_DEFAULT_SEED)), "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
-    cfg = ExperimentConfig(
-        users=users,
-        chips=chips,
-        snr_db=_parse_float(raw["snr_db"], "snr_db"),
-        detectors=detectors,
-        subcarriers=subcarriers,
-        near_far=near_far,
-        receiver=receiver,
-        trials=trials,
-        seed=seed,
-        sequence_mode=sequence_mode,
-        subcarrier_sequences=subcarrier_sequences,
-        count_all_users=_parse_bool(raw.get("count_all_users", "false"), "count_all_users"),
-        require_convergent=require_convergent,
-        output=raw.get("output"),
-        sweep_user=sweep_user,
-        sweep_stages=sweep_stages,
-        sweep_weights=_parse_sweep_weights(raw.get("sweep_weights", "0:2:0.01")),
-    )
+    if not 0 <= cfg.sweep_user < cfg.users:
+        raise ConfigError(f"sweep_user {cfg.sweep_user} out of range for K={cfg.users}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     try:
         sigma2 = cfg.sigma2()
     except (OverflowError, ZeroDivisionError):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import _indefinite, singular_draws
+from .model import _first_draw, _indefinite, singular_draws
 
 FILTER_KINDS = (
     "mf",
@@ -182,8 +182,7 @@ def _guarded_inverse(matrix: np.ndarray, what: str, rows=None) -> np.ndarray:
     """
     singular = singular_draws(matrix)
     if np.any(singular):
-        at = np.unravel_index(np.argmax(singular), singular.shape)
-        where = f" at draw {','.join(str(int(i)) for i in at)}" if at else ""
+        at, where = _first_draw(singular)
         mags = np.abs(np.linalg.eigvalsh(matrix[at]))
         raise SingularMatrixError(
             f"{what} is singular to working precision{where} "

@@ -119,6 +119,12 @@ def singular_draws(matrix: np.ndarray) -> np.ndarray:
     return vals.min(axis=-1) <= _PIVOT_RTOL * vals.max(axis=-1)
 
 
+def _first_draw(mask: np.ndarray) -> tuple[tuple, str]:
+    """Index of a mask's first flagged draw, and its " at draw i,j" suffix ("" for one draw)."""
+    at = np.unravel_index(np.argmax(mask), mask.shape)
+    return at, f" at draw {','.join(str(int(i)) for i in at)}" if at else ""
+
+
 def noise_transform(correlation: np.ndarray) -> np.ndarray:
     """Real factor L with L L^T = R, used to shape white noise; a stack gives a stack.
 
@@ -134,8 +140,7 @@ def noise_transform(correlation: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(r)
     indefinite = _indefinite(vals)
     if np.any(indefinite):
-        at = np.unravel_index(np.argmax(indefinite), indefinite.shape)
-        where = f" at draw {','.join(str(int(i)) for i in at)}" if at else ""
+        at, where = _first_draw(indefinite)
         raise NotPositiveSemidefiniteError(
             f"correlation matrix is not PSD{where} (min eigenvalue {vals[at][0]:.3e})"
         )

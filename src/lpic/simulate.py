@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import log10, sqrt
 
 import numpy as np
@@ -48,9 +48,6 @@ _MAX_REDRAWS = 1000    # sequence redraw attempts before giving up
 # indefinite matrix, non-finite weight schedule)
 _BUILD_ERRORS = (ValueError, np.linalg.LinAlgError)
 _Z95 = 1.959963984540054
-
-BER_CSV_HEADER = "detector,stage,receiver,snr_db,trials,bit_errors,ber,ci_low,ci_high,nonconv"
-SINR_CSV_HEADER = "user,stage,weight,sinr_db"
 
 
 @dataclass(frozen=True)
@@ -111,18 +108,24 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
 
 # --- CSV ------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+BER_CSV_HEADER = ",".join(f.name for f in fields(BerRecord))
+_CSV_TYPES = {"str": str, "int": int, "float": float}  # field annotations are strings here
+
+
+def _csv(kind: type, records: list) -> str:
+    """One column per field of the dataclass `kind`; floats at 17 digits, the rest as str."""
+    columns = fields(kind)
+    lines = [",".join(f.name for f in columns)]
+    for rec in records:
+        lines.append(",".join(
+            f"{getattr(rec, f.name):.17g}" if f.type == "float" else str(getattr(rec, f.name))
+            for f in columns
+        ))
+    return "\n".join(lines) + "\n"
 
 
 def render_ber_csv(records: list[BerRecord]) -> str:
-    lines = [BER_CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.detector},{r.stage},{r.receiver},{_fmt(r.snr_db)},{r.trials},"
-            f"{r.bit_errors},{_fmt(r.ber)},{_fmt(r.ci_low)},{_fmt(r.ci_high)},{r.nonconv}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(BerRecord, records)
 
 
 def parse_records(text: str) -> list[BerRecord]:
@@ -130,33 +133,18 @@ def parse_records(text: str) -> list[BerRecord]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != BER_CSV_HEADER:
         raise ValueError("not a BER record CSV (bad header)")
+    columns = [(f.name, _CSV_TYPES[f.type]) for f in fields(BerRecord)]
     out = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 10:
+        if len(parts) != len(columns):
             raise ValueError(f"bad record line: {ln!r}")
-        out.append(
-            BerRecord(
-                detector=parts[0],
-                stage=int(parts[1]),
-                receiver=parts[2],
-                snr_db=float(parts[3]),
-                trials=int(parts[4]),
-                bit_errors=int(parts[5]),
-                ber=float(parts[6]),
-                ci_low=float(parts[7]),
-                ci_high=float(parts[8]),
-                nonconv=int(parts[9]),
-            )
-        )
+        out.append(BerRecord(**{name: parse(v) for (name, parse), v in zip(columns, parts)}))
     return out
 
 
 def render_sinr_csv(points: list[SinrPoint]) -> str:
-    lines = [SINR_CSV_HEADER]
-    for p in points:
-        lines.append(f"{p.user},{p.stage},{_fmt(p.weight)},{_fmt(p.sinr_db)}")
-    return "\n".join(lines) + "\n"
+    return _csv(SinrPoint, points)
 
 
 # --- experiment setup -----------------------------------------------------

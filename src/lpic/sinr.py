@@ -15,7 +15,6 @@ equicorrelated SIR comparison live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 

@@ -3,11 +3,13 @@
 ``perfbench/spans.py`` wraps callees that ``lpic.cli`` and ``lpic.simulate``
 look up at call time.  A refactor that renames or removes one of them would
 leave the traced benchmark timing nothing, so the names are checked here.
-The file is loaded by path and only read.  The benchmark's four workloads are
-checked here too: their traced call counts, and their seed-1 records against
-``perfbench/reference/``, which the benchmark's correctness gate compares.
+The file is loaded by path and only read.  The benchmark's four workloads,
+as ``perfbench/run.py`` defines them, are checked here too: their traced call
+counts, and their seed-1 records against ``perfbench/reference/``, which the
+benchmark's correctness gate compares.
 """
 
+import ast
 import importlib.util
 from collections import Counter
 from pathlib import Path
@@ -37,22 +39,25 @@ def test_every_patched_name_exists():
         assert callable(getattr(MODULES[module], name, None)), f"{module}.{name}"
 
 
-# perfbench/run.py's workloads, copied: importing run.py sets BLAS variables
-FAMILY = (
-    "mf, conventional:2..5, proposed:2..5, mmse_converging:4, modified_mmse:4, "
-    "weighted_proposed:4, decorrelator, mmse"
-)
-COMMON = {"K": 20, "P": 64, "near_far": "tenfold"}
-WORKLOADS = {
-    "single_family": {"snr_db": 15, "detectors": FAMILY, "receiver": "single",
-                      "trials": 65536},
-    "type1_m4": {"M": 4, "snr_db": 14, "detectors": "conventional:4",
-                 "receiver": "type1", "trials": 32768},
-    "type2_m4": {"M": 4, "snr_db": 14, "detectors": "conventional:4",
-                 "receiver": "type2", "trials": 16384},
-    "per_trial_family": {"snr_db": 15, "detectors": FAMILY, "receiver": "single",
-                         "sequence_mode": "per_trial", "trials": 128},
-}
+def _benchmark_workloads():
+    """`COMMON` and `WORKLOADS` of perfbench/run.py.
+
+    Only the `FAMILY`, `COMMON` and `WORKLOADS` assignments are executed:
+    running the whole file would set BLAS variables in this process.
+    """
+    wanted = {"FAMILY", "COMMON", "WORKLOADS"}
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    body = [
+        node for node in tree.body
+        if isinstance(node, ast.Assign) and {getattr(t, "id", None) for t in node.targets} & wanted
+    ]
+    namespace = {}
+    exec(compile(ast.Module(body=body, type_ignores=[]), "run.py", "exec"), namespace)
+    assert wanted <= namespace.keys()
+    return namespace["COMMON"], namespace["WORKLOADS"]
+
+
+COMMON, WORKLOADS = _benchmark_workloads()
 
 
 def _config(workload, trials=None):

@@ -1,9 +1,14 @@
 """Config file parsing and validation."""
 
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from lpic.config import (
+    _KEYS,
     ConfigError,
     DetectorSpec,
     ExperimentConfig,
@@ -11,6 +16,8 @@ from lpic.config import (
     parse_config,
     parse_detectors,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL = """
 K = 4
@@ -171,3 +178,19 @@ class TestDerivedQuantities:
     def test_sweep_stage_forms(self):
         cfg = parse_config(MINIMAL + "sweep_stages = 2..3, 5\n")
         assert cfg.sweep_stages == (2, 3, 5)
+
+
+def test_readme_key_table_is_the_schema():
+    """README's key table lists the config keys in order, with the field defaults."""
+    section = README.read_text(encoding="utf-8").split("## Config files", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\| ([^|]*?) +\|", section, flags=re.MULTILINE)
+    assert [key for key, _ in rows] == list(_KEYS)
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    for key, default in rows:
+        name, parse = _KEYS[key]
+        if default == "required":
+            assert defaults[name] is MISSING, key
+        elif default == "stdout":
+            assert (key, defaults[name]) == ("output", None)
+        else:
+            assert parse(default.strip("`"), key) == defaults[name], key
