@@ -17,8 +17,11 @@ trials field counts bits (trials x K).
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import cache
 from math import log10, sqrt
 
 import numpy as np
@@ -39,8 +42,10 @@ from .sinr import compute_weight_schedule, sinr_breakdown
 THREADS_ENV = "LPIC_THREADS"
 
 _BLOCK_TRIALS = 8192   # fixed: part of the deterministic draw structure
-_CHUNK_TRIALS = 256    # cache-sized slice of a fixed-mode block: receive, count, combine
-_DRAW_CHUNK = 32       # per_trial draws built and detected as one stack (<= _CHUNK_TRIALS)
+_CHUNK_TRIALS = 256    # cache-sized slice of a fixed-mode block where y is formed: receive,
+                       # count from y, combine (see _detect)
+_COUNT_TRIALS = 1024   # slice of a fixed-mode block counted from the folded rows (see _fold)
+_DRAW_CHUNK = 32       # per_trial draws built and detected as one stack, in one slice
 _CERT_RANK = 3         # eigenpairs per subcarrier in the low-rank nonconv bound
 _WS_ALLOWANCE = 1e-12  # rounding allowance of the trace tier, relative to ||G||_F^2
 _MAX_REDRAWS = 1000    # sequence redraw attempts before giving up
@@ -83,6 +88,60 @@ def default_threads() -> int:
     if threads < 1:
         raise ConfigError(f"{THREADS_ENV} must be >= 1")
     return threads
+
+
+@cache
+def _openblas_threads():
+    """(get, set) of NumPy's bundled OpenBLAS thread count, or None when it is not found.
+
+    Looked up on first use, so importing the package loads nothing.
+    """
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+_BLAS_LOCK = threading.Lock()
+_blas_pin = {"runs": 0, "saved": None}  # runs inside _one_blas_thread, the count to restore
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread inside the block, then restore its thread count.
+
+    Each harness worker then runs one compute thread: BLAS threads on top
+    of the workers would oversubscribe the cores.  The first of concurrent
+    runs saves the count and the last restores it.  Without the bundled
+    OpenBLAS this does nothing.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    with _BLAS_LOCK:
+        if _blas_pin["runs"] == 0:
+            _blas_pin["saved"] = get()
+            set_(1)
+        _blas_pin["runs"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_pin["runs"] -= 1
+            if _blas_pin["runs"] == 0:
+                set_(_blas_pin["saved"])
 
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
@@ -164,7 +223,8 @@ class _Context:
     amplitudes: np.ndarray
     sigma2: float
     rows: slice                # counted users: all K, or user 0 alone
-    filters: np.ndarray        # (M, G, D R, K) counted rows of the matrix forms (see _split)
+    filters: tuple             # counted rows F of the matrix forms (see _split), each stack
+                               # (M, G, D R, K): (F R, F L) folded, else (F,) (see _fold)
     built: np.ndarray          # (D, G) draws each detector was built on
     combined: list             # type2 detectors evaluated in the combined domain
     bound: tuple | None        # low-rank nonconv bound (see _low_rank_bound)
@@ -226,7 +286,8 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
     schedule take as one stack.  A detector builds only the counted rows of
     its filter on each subcarrier (single carrier is M = 1): R = K with
     count_all_users, else 1.  They are laid out once as the (M, G, D R, K)
-    stack that _apply takes, detector-major in each draw's rows.
+    stack that _apply takes, detector-major in each draw's rows, and folded
+    into R and L when that leaves fewer rows to apply (see _fold).
 
     The detectors on one stack share its weight schedule and its spectrum,
     each computed for the first detector that needs it.  Failures are
@@ -286,11 +347,24 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
         amplitudes=amplitudes,
         sigma2=sigma2,
         rows=rows,
-        filters=filters.reshape(cfg.subcarriers, draws, -1, cfg.users),
+        filters=_fold(filters.reshape(cfg.subcarriers, draws, -1, cfg.users), correlations, factors),
         built=built,
         combined=combined,
         bound=_low_rank_bound(correlations[:, 0]) if type2_fixed else None,
     )
+
+
+def _fold(filters, correlations, factors):
+    """The counted rows F in the form the count applies: (F R, F L), or (F,).
+
+    Every matrix-form statistic is F y = (F R) x + (F L) w (see _receive).
+    When the D R stacked rows are fewer than the K users, the folded pair is
+    thinner than y, so the count reads the drawn planes and never forms y.
+    Otherwise applying F to y is cheaper.  Each stack is (M, G, D R, K).
+    """
+    if filters.shape[-2] < filters.shape[-1]:
+        return filters @ correlations, filters @ factors
+    return (filters,)
 
 
 def _low_rank_bound(correlations):
@@ -390,50 +464,78 @@ def _apply(mats, v):
 def _receive(ctx: _Context, bits, h, w):
     """Matched-filter outputs y = R x + L w of the (2, T, M, K) planes h and w.
 
-    Real GEMMs apply R_i and L_i to each plane.  y comes back as a
-    (2, T, M, K) view of an (M, 2, T, K) array.
+    y comes back as a (2, T, M, K) view of an (M, 2, T, K) array.
     """
-    y = _apply(ctx.correlations, (ctx.amplitudes * bits) * h.transpose(2, 0, 1, 3))
-    y += _apply(ctx.factors, w.transpose(2, 0, 1, 3))
+    y = _linear((ctx.correlations, ctx.factors), ctx.amplitudes * bits, h, w)
     return y.transpose(1, 2, 0, 3)
 
 
-def _detect_chunk(ctx: _Context, bits, planes, bound):
-    """Receive and evaluate every detector on one chunk of trials.
+def _linear(pair, scale, h, w):
+    """A x + B w of the (2, T, M, K) planes h and w, with x = scale * h.
 
-    planes are the chunk's (4, T, M, K) fading and noise planes (see
-    _draw_symbols); each of ctx's G draws serves T / G consecutive trials.
-    bound is the low-rank nonconv bound while the block keeps it (type2,
-    see _detect_combined).  Returns (counts, nonconv, bound): counts is the
-    (2, D) array of bit errors and counted trials per detector in _split
-    order, nonconv the chunk's diagnostic, and bound the one for the next
-    chunk.  A detector keeps the trials whose draws it was built on (and,
-    for the type2 decorrelator, whose H was invertible).
+    pair is (A, B), each (M, G, R, K).  Real GEMMs (see _apply) apply A_i
+    and B_i to each plane; the result is (M, 2, T, R).
     """
-    h = planes[:2]
-    y = _receive(ctx, bits, h, planes[2:])
-    counts = _count_matrix_forms(ctx, bits, h, y)
-    if ctx.cfg.receiver != "type2":
-        return counts, 0, bound
-    combined, nonconv, bound = _detect_combined(ctx, bits, h, y, bound)
-    return np.concatenate([counts, combined], axis=1), nonconv, bound
+    out = _apply(pair[0], scale * h.transpose(2, 0, 1, 3))
+    out += _apply(pair[1], w.transpose(2, 0, 1, 3))
+    return out
 
 
-def _count_matrix_forms(ctx: _Context, bits, h, y):
+def _detect(ctx: _Context, bits, planes, count: int, chunk: int):
+    """Evaluate every detector on the T trials of a block or per_trial stack.
+
+    planes are the (4, T, M, K) fading and noise planes (see _draw_symbols).
+    Each of ctx's G draws serves T / G consecutive trials, so with G > 1 a
+    slice must be the whole stack (count = chunk = T).  Folded matrix forms
+    (see _fold) are counted straight from the planes, count trials at a
+    time.  y = R x + L w is formed only where it is needed, chunk trials at
+    a time: the unfolded count and type2's combined domain share it, and
+    the low-rank nonconv bound (see _detect_combined) carries from one chunk
+    to the next.  Returns (counts, nonconv): counts is the (2, D + C) array
+    of bit errors and counted trials per detector in _split order.  A
+    detector keeps the trials whose draws it was built on (and, for the
+    type2 decorrelator, whose H was invertible).
+    """
+    matrix, size = len(ctx.built), len(bits)
+    counts = np.zeros((2, matrix + len(ctx.combined)), dtype=np.int64)
+    from_y = len(ctx.filters) == 1
+    if matrix and not from_y:
+        for lo in range(0, size, count):
+            part = slice(lo, lo + count)
+            h = planes[:2, part]
+            z = _linear(ctx.filters, ctx.amplitudes * bits[part], h, planes[2:, part])
+            counts[:, :matrix] += _count_matrix_forms(ctx, bits[part], h, z)
+    nonconv, bound = 0, ctx.bound
+    if not (from_y or ctx.combined):
+        return counts, nonconv
+    for lo in range(0, size, chunk):
+        part = slice(lo, lo + chunk)
+        h = planes[:2, part]
+        y = _receive(ctx, bits[part], h, planes[2:, part])
+        if from_y:  # z = F y is dropped once counted: it is D R / K times the size of y
+            counts[:, :matrix] += _count_matrix_forms(
+                ctx, bits[part], h, _apply(ctx.filters[0], y.transpose(2, 0, 1, 3))
+            )
+        if ctx.combined:
+            got, more, bound = _detect_combined(ctx, bits[part], h, y, bound)
+            counts[:, matrix:] += got
+            nonconv += more
+    return counts, nonconv
+
+
+def _count_matrix_forms(ctx: _Context, bits, h, z):
     """Bit errors and counted trials of every matrix-form detector, in _split order.
 
-    h and y are (2, T, M, K) real planes, y a view of an (M, 2, T, K) array
-    (see _receive), the filter rows real.  One _apply evaluates every
-    detector on every subcarrier, draw and plane (z = F y_i), and the
-    statistic Re(conj(h_i) z) = h_re z_re + h_im z_im accumulates in
-    subcarrier order 0..M-1.  An exact zero (or NaN) decides +1.
+    h is the (2, T, M, K) fading planes and z the (M, 2, T, D R) rows F y
+    of every detector on every subcarrier and plane (see _detect); z is
+    overwritten.  The statistic Re(conj(h_i) z) = h_re z_re + h_im z_im
+    accumulates in subcarrier order 0..M-1.  An exact zero (or NaN) decides
+    +1.
     """
-    if not len(ctx.built):  # every detector runs in the combined domain
-        return np.zeros((2, 0), dtype=np.int64)
     wrong = bits[:, ctx.rows] < 0                       # (T, R)
     trials, counted = wrong.shape
-    m, g = ctx.filters.shape[:2]
-    z = _apply(ctx.filters, y.transpose(2, 0, 1, 3)).reshape(m, 2, trials, -1, counted)
+    g = ctx.built.shape[1]
+    z = z.reshape(z.shape[:3] + (-1, counted))
     z *= h[..., ctx.rows].transpose(2, 0, 1, 3)[:, :, :, None]
     z[:, 0] += z[:, 1]
     stat = z[:, 0].sum(axis=0)                          # (T, D, R)
@@ -695,20 +797,14 @@ def _decorrelate(herm, u):
 
 
 def _block_fixed(ctx: _Context, seed_seq, size: int):
-    """One fixed-mode block: drawn whole, then detected one _CHUNK_TRIALS slice at a time.
+    """One fixed-mode block: drawn whole, then detected in slices (see _detect).
 
-    The slices keep the temporaries after the draw cache-sized; the low-rank
-    bound carries from one slice to the next.  Returns (counts, nonconv).
+    The slices keep the temporaries after the draw cache-sized.  Returns
+    (counts, nonconv).
     """
     rng = np.random.default_rng(seed_seq)
     bits, planes = _draw_symbols(rng, ctx.cfg, ctx.sigma2, size)
-    counts, nonconv, bound = 0, 0, ctx.bound
-    for lo in range(0, size, _CHUNK_TRIALS):
-        chunk = slice(lo, lo + _CHUNK_TRIALS)
-        got, more, bound = _detect_chunk(ctx, bits[chunk], planes[:, chunk], bound)
-        counts += got
-        nonconv += more
-    return counts, nonconv
+    return _detect(ctx, bits, planes, _COUNT_TRIALS, _CHUNK_TRIALS)
 
 
 def _block_per_trial(cfg: ExperimentConfig, seed_seq, size: int):
@@ -716,7 +812,7 @@ def _block_per_trial(cfg: ExperimentConfig, seed_seq, size: int):
 
     Trials are drawn in chunks of _DRAW_CHUNK, each trial as a one-trial
     block would draw it (see _draw_trials); a chunk is then built and
-    detected as one stack of draws.  Returns (counts, nonconv).
+    detected as one stack of draws, in one slice.  Returns (counts, nonconv).
     """
     rng = np.random.default_rng(seed_seq)
     sigma2 = cfg.sigma2()
@@ -726,7 +822,7 @@ def _block_per_trial(cfg: ExperimentConfig, seed_seq, size: int):
             cfg, rng, sigma2, min(_DRAW_CHUNK, size - lo)
         )
         ctx = _prepare_context(cfg, correlations, factors)
-        got, more, _ = _detect_chunk(ctx, bits, planes, ctx.bound)
+        got, more = _detect(ctx, bits, planes, len(bits), len(bits))
         counts += got
         nonconv += more
     return counts, nonconv
@@ -762,7 +858,7 @@ def run_ber_experiment(cfg: ExperimentConfig, threads: int | None = None) -> lis
     if workers == 1:
         results = map(work, jobs)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, jobs))
     counts, nonconv_total = 0, 0
     for got, nonconv in results:

@@ -1,9 +1,7 @@
-import ctypes
-import glob
-import os
-
 import numpy as np
 import pytest
+
+from lpic.simulate import _openblas_threads
 
 
 def _pin_blas_to_one_thread():
@@ -15,15 +13,9 @@ def _pin_blas_to_one_thread():
     NumPy while it configured (pyproject's filterwarnings names a NumPy
     warning class), so the setting goes through the library's own call.
     """
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so*")):
-        try:
-            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        set_threads(1)
+    calls = _openblas_threads()
+    if calls is not None:
+        calls[1](1)
 
 
 _pin_blas_to_one_thread()

@@ -289,12 +289,11 @@ def _errors(h, y, bits):
 
     h and y are complex (T, M, K); the harness takes them as real planes.
     """
-    trials, subs, users = y.shape
-    rows = np.broadcast_to(np.eye(users)[:1], (subs, 1, 1, users))
-    built = np.ones((1, 1), dtype=bool)
-    ctx = SimpleNamespace(filters=rows, built=built, rows=slice(0, 1))
+    trials = y.shape[0]
+    ctx = SimpleNamespace(built=np.ones((1, 1), dtype=bool), rows=slice(0, 1))
     h, y = (np.stack([a.real, a.imag]) for a in (h, y))
-    (errors,), (kept,) = simulate._count_matrix_forms(ctx, bits, h, y)
+    z = y[..., :1].transpose(2, 0, 1, 3)  # F y of F = the identity's row 0, (M, 2, T, 1)
+    (errors,), (kept,) = simulate._count_matrix_forms(ctx, bits, h, z)
     assert kept == trials
     return errors
 

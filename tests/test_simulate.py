@@ -8,6 +8,7 @@ per-trial loops and compare error counts exactly.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -39,6 +40,8 @@ from lpic.simulate import (
 from lpic.sinr import compute_weight_schedule
 
 from oracles import random_correlation, wilson_by_bisection, zero_diagonal
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestWilsonInterval:
@@ -105,6 +108,12 @@ class TestCsv:
         want = render_ber_csv(run_ber_experiment(parse_config(text)))
         assert path.read_bytes() == want.encode("utf-8")
 
+    def test_readme_column_list_is_the_header(self):
+        """README's `ber` paragraph lists the CSV columns in header order."""
+        section = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("\n## ", 1)[0]
+        (listed,) = re.findall(r"one row per detector: `([^`]*)`", section)
+        assert re.sub(r"\s+", "", listed) == BER_CSV_HEADER
+
 
 class TestDefaultThreads:
     def test_env_controls_worker_count(self, monkeypatch):
@@ -154,12 +163,14 @@ class TestDeterminism:
     )
     @pytest.mark.parametrize("chunk", [7, 8192])
     def test_records_do_not_depend_on_the_detect_chunk_size(self, monkeypatch, text, chunk):
-        # a fixed-mode block is received and detected one _CHUNK_TRIALS slice
-        # at a time (a per_trial stack is detected whole); in type2 the
-        # low-rank bound may be dropped at another chunk
+        # a fixed-mode block is counted from its folded rows one _COUNT_TRIALS
+        # slice at a time, and forms y one _CHUNK_TRIALS slice at a time (a
+        # per_trial stack is detected whole); in type2 the low-rank bound may
+        # be dropped at another chunk
         text += "seed = 3\n"
         records = render_ber_csv(_run(text))
         monkeypatch.setattr(simulate, "_CHUNK_TRIALS", chunk)
+        monkeypatch.setattr(simulate, "_COUNT_TRIALS", chunk)
         assert render_ber_csv(_run(text)) == records
 
     def test_per_trial_mode_is_deterministic(self):
@@ -332,6 +343,71 @@ class TestWorkerPool:
         want = _run(text)
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
         assert _run(text, threads=2) == want
+
+    def test_concurrent_runs_share_one_blas_pin(self, monkeypatch):
+        # overlapping multi-worker runs: BLAS stays at one thread while any
+        # of them runs, and the count from before the first is restored after
+        # the last; a lost update would leave it at one or restore it early
+        state = {"threads": 4, "wrong": 0}
+        monkeypatch.setattr(simulate, "_openblas_threads", lambda: (
+            lambda: state["threads"], lambda n: state.update(threads=n)
+        ))
+
+        def run():
+            for _ in range(200):
+                with simulate._one_blas_thread():
+                    state["wrong"] += state["threads"] != 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert state == {"threads": 4, "wrong": 0}
+
+    def test_workers_run_blas_on_one_thread(self):
+        # in a fresh interpreter, free of conftest's pin: BLAS starts at two
+        # threads, runs on one while two workers run, and is restored after;
+        # a one-worker run leaves it alone
+        _require_openblas()
+        script = (
+            "import json\n"
+            "from lpic import simulate\n"
+            "from lpic.config import parse_config\n"
+            "calls = simulate._openblas_threads()\n"
+            "if calls is None:\n"
+            "    raise SystemExit(3)\n"
+            "get, set_ = calls\n"
+            "set_(2)\n"
+            "seen = []\n"
+            "block = simulate._block_fixed\n"
+            "def spy(*args):\n"
+            "    seen.append(get())\n"
+            "    return block(*args)\n"
+            "simulate._block_fixed = spy\n"
+            "cfg = parse_config('K = 6\\nP = 16\\nM = 2\\nreceiver = type2\\nsnr_db = 8\\n'\n"
+            "                   'trials = 9000\\ndetectors = conventional:2, proposed:2\\n')\n"
+            "out = {}\n"
+            "for threads in (2, 1):\n"
+            "    seen.clear()\n"
+            "    simulate.run_ber_experiment(cfg, threads=threads)\n"
+            "    out[threads] = [list(seen), get()]\n"
+            "print(json.dumps(out))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=_host_env(),
+            capture_output=True, text=True, timeout=120,
+        )
+        if done.returncode == 3:
+            pytest.skip("NumPy's bundled OpenBLAS is not found")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"2": [[1, 1], 2], "1": [[2, 2], 2]}
 
 
 class TestSharedStreams:
@@ -687,6 +763,103 @@ class TestReferenceRecomputation:
         for rec in records:
             assert rec.bit_errors == counts[(rec.detector, rec.stage)]
             assert rec.trials == 300
+
+
+class TestCountPaths:
+    """The matrix-form count, folded or from y, against a plain per-trial loop.
+
+    With D matrix-form detectors and R counted rows each, the harness counts
+    from the folded rows (F R, F L) exactly when D R < K, and otherwise
+    applies F to y.  Either way each statistic is sum_i Re(conj(h_i) z_i)
+    with z_i = F_i (R_i x_i + L_i w_i): the loop forms that from full
+    filters one trial at a time, on the draws the harness detected.
+    """
+
+    @pytest.mark.parametrize(
+        "text, folded",
+        [
+            ("K = 8\nP = 16\nnear_far = tenfold\ntrials = 1500\ndetectors = mf, "
+             "conventional:3, proposed:2, weighted_proposed:3, decorrelator, mmse\n", True),
+            ("K = 3\nP = 8\ntrials = 1500\n"
+             "detectors = mf, conventional:2, proposed:2, decorrelator, mmse\n", False),
+            ("K = 4\nP = 16\nM = 2\nreceiver = type1\ncount_all_users = true\n"
+             "trials = 600\ndetectors = mf, conventional:3, weighted_proposed:3, mmse\n", False),
+            ("K = 6\nP = 16\nM = 2\nreceiver = type2\ntrials = 600\n"
+             "detectors = mf, conventional:2, proposed:2, mmse\n", True),
+            ("K = 4\nP = 16\nM = 2\nreceiver = type2\ncount_all_users = true\n"
+             "trials = 600\ndetectors = mf, conventional:2, mmse\n", False),
+            ("K = 6\nP = 16\nM = 2\nreceiver = type1\nnear_far = tenfold\n"
+             "sequence_mode = per_trial\ntrials = 70\n"
+             "detectors = mf, conventional:2, weighted_proposed:3, mmse\n", True),
+        ],
+        ids=["single", "single_long_list", "type1_all_users", "type2", "type2_all_users",
+             "per_trial"],
+    )
+    def test_statistics_and_counts_match_a_plain_loop(self, monkeypatch, text, folded):
+        cfg = parse_config(text + "snr_db = 6\nseed = 4\n")
+        matrix = [d for d in cfg.detectors if cfg.receiver != "type2" or d.kind in ("mf", "mmse")]
+        counted = cfg.users if cfg.count_all_users else 1
+        assert folded == (len(matrix) * counted < cfg.users)
+
+        steps, stats, received = [], [], []
+        detect, count, receive = simulate._detect, simulate._count_matrix_forms, simulate._receive
+
+        def spy_detect(ctx, bits, planes, *slices):
+            steps.append((ctx, bits, planes))
+            return detect(ctx, bits, planes, *slices)
+
+        def spy_count(ctx, bits, h, z):
+            # the harness's statistic, taken before the count overwrites z
+            z = z.reshape(z.shape[:3] + (-1, counted))
+            hh = h[..., ctx.rows].transpose(2, 0, 1, 3)[:, :, :, None]
+            stats.append((z * hh).sum(axis=(0, 1)))
+            return count(ctx, bits, h, z.copy())
+
+        def spy_receive(*args):
+            received.append(1)
+            return receive(*args)
+
+        monkeypatch.setattr(simulate, "_detect", spy_detect)
+        monkeypatch.setattr(simulate, "_count_matrix_forms", spy_count)
+        monkeypatch.setattr(simulate, "_receive", spy_receive)
+        records = {(r.detector.removesuffix("[all-users]"), r.stage): r
+                   for r in run_ber_experiment(cfg)}
+
+        # y is formed only for the unfolded count or type2's combined domain
+        assert bool(received) == (not folded or cfg.receiver == "type2")
+        sigma2, amps = cfg.sigma2(), cfg.amplitudes()
+        want, errors = [], Counter()
+        for ctx, bits, planes in steps:
+            assert len(ctx.filters) == (2 if folded else 1)
+            assert ctx.built.all()
+            draws = ctx.correlations.shape[1]
+            per = len(bits) // draws
+            h = planes[0] + 1j * planes[1]
+            w = planes[2] + 1j * planes[3]
+            for g in range(draws):
+                rs, ells = ctx.correlations[:, g], ctx.factors[:, g]
+                schedules = [compute_weight_schedule(r, amps, sigma2, 3)[0] for r in rs]
+                filters = [
+                    [build_filter(d.kind, rs[i], d.stage, sigma2=sigma2, schedule=schedules[i])
+                     for i in range(cfg.subcarriers)]
+                    for d in matrix
+                ]
+                for t in range(g * per, (g + 1) * per):
+                    ys = [rs[i] @ (amps * bits[t] * h[t, i]) + ells[i] @ w[t, i]
+                          for i in range(cfg.subcarriers)]
+                    stat = np.array([
+                        sum((np.conj(h[t, i]) * (f[i] @ ys[i])).real
+                            for i in range(cfg.subcarriers))[:counted]
+                        for f in filters
+                    ])
+                    want.append(stat)
+                    for d, row in zip(matrix, stat):
+                        errors[(d.kind, d.stage)] += int(np.sum((row < 0) != (bits[t, :counted] < 0)))
+        got, want = np.concatenate(stats), np.array(want)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0))
+        for d in matrix:
+            assert records[(d.kind, d.stage)].bit_errors == errors[(d.kind, d.stage)]
 
 
 def _per_trial_plain_loop(cfg):
