@@ -43,7 +43,7 @@ THREADS_ENV = "LPIC_THREADS"
 
 _BLOCK_TRIALS = 8192   # fixed: part of the deterministic draw structure
 _CHUNK_TRIALS = 256    # cache-sized slice of a fixed-mode block where y is formed: receive,
-                       # count from y, combine (see _detect)
+                       # count from y, combine; the size of type2's workspace (see _detect)
 _COUNT_TRIALS = 1024   # slice of a fixed-mode block counted from the folded rows (see _fold)
 _DRAW_CHUNK = 32       # per_trial draws built and detected as one stack, in one slice
 _CERT_RANK = 3         # eigenpairs per subcarrier in the low-rank nonconv bound
@@ -224,7 +224,8 @@ class _Context:
     sigma2: float
     rows: slice                # counted users: all K, or user 0 alone
     filters: tuple             # counted rows F of the matrix forms (see _split), each stack
-                               # (M, G, D R, K): (F R, F L) folded, else (F,) (see _fold)
+                               # (M, G, D R, K): (F R, F L) when folded, else (F,), applied
+                               # to y (see _fold and _detect)
     built: np.ndarray          # (D, G) draws each detector was built on
     combined: list             # type2 detectors evaluated in the combined domain
     bound: tuple | None        # low-rank nonconv bound (see _low_rank_bound)
@@ -286,8 +287,8 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
     schedule take as one stack.  A detector builds only the counted rows of
     its filter on each subcarrier (single carrier is M = 1): R = K with
     count_all_users, else 1.  They are laid out once as the (M, G, D R, K)
-    stack that _apply takes, detector-major in each draw's rows, and folded
-    into R and L when that leaves fewer rows to apply (see _fold).
+    stack that _apply and _users take, detector-major in each draw's rows,
+    and folded into R and L when the count then never needs y (see _fold).
 
     The detectors on one stack share its weight schedule and its spectrum,
     each computed for the first detector that needs it.  Failures are
@@ -347,22 +348,28 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
         amplitudes=amplitudes,
         sigma2=sigma2,
         rows=rows,
-        filters=_fold(filters.reshape(cfg.subcarriers, draws, -1, cfg.users), correlations, factors),
+        filters=_fold(cfg, filters.reshape(cfg.subcarriers, draws, -1, cfg.users),
+                      correlations, factors),
         built=built,
         combined=combined,
         bound=_low_rank_bound(correlations[:, 0]) if type2_fixed else None,
     )
 
 
-def _fold(filters, correlations, factors):
+def _fold(cfg: ExperimentConfig, filters, correlations, factors):
     """The counted rows F in the form the count applies: (F R, F L), or (F,).
 
-    Every matrix-form statistic is F y = (F R) x + (F L) w (see _receive).
-    When the D R stacked rows are fewer than the K users, the folded pair is
-    thinner than y, so the count reads the drawn planes and never forms y.
-    Otherwise applying F to y is cheaper.  Each stack is (M, G, D R, K).
+    Every matrix-form statistic is F y = (F R) x + (F L) w (see _receive),
+    so the folded pair lets the count read the drawn planes and never form
+    y.  It pays only when all of these hold, and otherwise F is applied to y:
+    - one draw serves a whole block (fixed mode): a per_trial draw serves
+      one trial, and its two products cost more than they save;
+    - no combined-domain detector forms y anyway (see _split);
+    - the D R stacked rows are fewer than the K users, so the pair is
+      thinner than y.
+    Each stack is (M, G, D R, K).
     """
-    if filters.shape[-2] < filters.shape[-1]:
+    if cfg.sequence_mode == "fixed" and not _split(cfg)[1] and filters.shape[-2] < cfg.users:
         return filters @ correlations, filters @ factors
     return (filters,)
 
@@ -461,6 +468,26 @@ def _apply(mats, v):
     return out.reshape(v.shape[:-1] + out.shape[-1:])
 
 
+def _users(mats, v, out=None):
+    """Per-draw products A v of real mats (M, G, R, K) and user-major complex v (M, K, B).
+
+    The result is (M, R, B) complex, C-contiguous, in out when given.  With
+    one draw (G = 1) each subcarrier's product is one real GEMM, (R, K) @
+    (K, 2B), on v's interleaved float view: no cast and no copy.  With one
+    draw per trial (G = B) it is a stacked product per draw on a trial-major
+    copy of v.  v's last axis must be contiguous.
+    """
+    m, g = mats.shape[:2]
+    if out is None:
+        out = np.empty((m, mats.shape[2], v.shape[-1]), dtype=complex)
+    if g == 1:
+        np.matmul(mats[:, 0], v.view(float), out=out.view(float))
+    else:
+        per = np.ascontiguousarray(v.transpose(0, 2, 1)).view(float).reshape(m, g, -1, 2)
+        out[...] = np.matmul(mats, per).view(complex)[..., 0].transpose(0, 2, 1)
+    return out
+
+
 def _receive(ctx: _Context, bits, h, w):
     """Matched-filter outputs y = R x + L w of the (2, T, M, K) planes h and w.
 
@@ -481,6 +508,31 @@ def _linear(pair, scale, h, w):
     return out
 
 
+def _workspace(cfg: ExperimentConfig, trials: int):
+    """Three flat complex buffers: the user-major h, w and y of up to trials trials."""
+    return np.empty((3, cfg.subcarriers * cfg.users * trials), dtype=complex)
+
+
+def _receive_users(ctx: _Context, bits, planes, space):
+    """h and y = L w + R (A b h) of one chunk, user-major: complex (M, K, B) in space.
+
+    planes are the chunk's (4, B, M, K) fading and noise planes and space a
+    _workspace; h and w are copied into it, a contiguous prefix of each
+    buffer.  Each R_i and L_i product is one real GEMM into the workspace
+    (see _users): L w goes to y, then w takes A b h.  y is the sum of the
+    two products that _receive adds.
+    """
+    _, b, m, k = planes.shape
+    h, w, y = (buf[: m * k * b].reshape(m, k, b) for buf in space)
+    for out, (re, im) in ((h, planes[:2]), (w, planes[2:])):
+        out.real = re.transpose(1, 2, 0)
+        out.imag = im.transpose(1, 2, 0)
+    _users(ctx.factors, w, out=y)
+    np.multiply(h, (ctx.amplitudes * bits).T, out=w)
+    y += _users(ctx.correlations, w)
+    return h, y
+
+
 def _detect(ctx: _Context, bits, planes, count: int, chunk: int):
     """Evaluate every detector on the T trials of a block or per_trial stack.
 
@@ -488,17 +540,19 @@ def _detect(ctx: _Context, bits, planes, count: int, chunk: int):
     Each of ctx's G draws serves T / G consecutive trials, so with G > 1 a
     slice must be the whole stack (count = chunk = T).  Folded matrix forms
     (see _fold) are counted straight from the planes, count trials at a
-    time.  y = R x + L w is formed only where it is needed, chunk trials at
-    a time: the unfolded count and type2's combined domain share it, and
-    the low-rank nonconv bound (see _detect_combined) carries from one chunk
-    to the next.  Returns (counts, nonconv): counts is the (2, D + C) array
-    of bit errors and counted trials per detector in _split order.  A
-    detector keeps the trials whose draws it was built on (and, for the
-    type2 decorrelator, whose H was invertible).
+    time.  Otherwise y = R x + L w is formed, chunk trials at a time, for
+    the unfolded count and for type2's combined domain.  Type2 forms it
+    user-major (see _receive_users) in one workspace allocated here, and
+    its matrix forms count from that y; other receivers form real planes
+    (see _receive).  The low-rank nonconv bound (see _detect_combined)
+    carries from one chunk to the next.  Returns (counts, nonconv): counts
+    is the (2, D + C) array of bit errors and counted trials per detector in
+    _split order.  A detector keeps the trials whose draws it was built on
+    (and, for the type2 decorrelator, whose H was invertible).
     """
     matrix, size = len(ctx.built), len(bits)
     counts = np.zeros((2, matrix + len(ctx.combined)), dtype=np.int64)
-    from_y = len(ctx.filters) == 1
+    from_y = matrix > 0 and len(ctx.filters) == 1
     if matrix and not from_y:
         for lo in range(0, size, count):
             part = slice(lo, lo + count)
@@ -508,19 +562,34 @@ def _detect(ctx: _Context, bits, planes, count: int, chunk: int):
     nonconv, bound = 0, ctx.bound
     if not (from_y or ctx.combined):
         return counts, nonconv
+    type2 = ctx.cfg.receiver == "type2"
+    space = _workspace(ctx.cfg, min(chunk, size)) if type2 else None
     for lo in range(0, size, chunk):
         part = slice(lo, lo + chunk)
         h = planes[:2, part]
-        y = _receive(ctx, bits[part], h, planes[2:, part])
+        if type2:
+            x, y = _receive_users(ctx, bits[part], planes[:, part], space)
+        else:
+            y = _receive(ctx, bits[part], h, planes[2:, part])
         if from_y:  # z = F y is dropped once counted: it is D R / K times the size of y
-            counts[:, :matrix] += _count_matrix_forms(
-                ctx, bits[part], h, _apply(ctx.filters[0], y.transpose(2, 0, 1, 3))
-            )
+            counts[:, :matrix] += _count_matrix_forms(ctx, bits[part], h, _filtered(ctx, y))
         if ctx.combined:
-            got, more, bound = _detect_combined(ctx, bits[part], h, y, bound)
+            got, more, bound = _detect_combined(ctx, bits[part], x, y, bound)
             counts[:, matrix:] += got
             nonconv += more
     return counts, nonconv
+
+
+def _filtered(ctx: _Context, y):
+    """The counted rows F y of every matrix form, as (M, 2, T, D R) real planes.
+
+    y is the (2, T, M, K) planes of _receive, or the user-major complex
+    (M, K, T) of _receive_users, whose product comes back as a view.
+    """
+    if np.iscomplexobj(y):
+        z = _users(ctx.filters[0], y)
+        return z.view(float).reshape(z.shape + (2,)).transpose(0, 3, 2, 1)
+    return _apply(ctx.filters[0], y.transpose(2, 0, 1, 3))
 
 
 def _count_matrix_forms(ctx: _Context, bits, h, z):
@@ -549,7 +618,7 @@ def _count_matrix_forms(ctx: _Context, bits, h, z):
     return counts
 
 
-def _detect_combined(ctx: _Context, bits, h, y, bound):
+def _detect_combined(ctx: _Context, bits, x, y, bound):
     """Type2 detectors without a fixed filter on one chunk, plus its nonconv.
 
     Combines first, then cancels in the combined domain.  With P = diag of
@@ -559,10 +628,13 @@ def _detect_combined(ctx: _Context, bits, h, y, bound):
     similarity, so each conventional, proposed and decorrelator statistic on
     y_c is sqrt(p_k) times its H form on u = P^-1/2 y_c = sum_i conj(x_i) y_i,
     with the same sign: every helper takes x and u, and nonconv counts the
-    trials with lambda_max(H) >= 2.  h and y are the chunk's (2, B, M, K)
-    planes; a dense H is formed only for the detectors that need the matrix
-    form, or for the trials the low-rank bound leaves open.  bound is that
-    bound while the block keeps it, else None; _nonconvergent applies it.
+    trials with lambda_max(H) >= 2.  x holds the chunk's user-major h and is
+    scaled into x in place; y is its user-major y (see _receive_users), both
+    complex (M, K, B), and u is summed in y's buffer.  The helpers take the
+    (B, M, K) and (B, K) views of x and u.  A dense H is formed only for the
+    detectors that need the matrix form, or for the trials the low-rank
+    bound leaves open.  bound is that bound while the block keeps it, else
+    None; _nonconvergent applies it.
     Returns the (2, C) errors and counted trials of ctx.combined, nonconv,
     and the bound for the block's next chunk.
     """
@@ -570,14 +642,15 @@ def _detect_combined(ctx: _Context, bits, h, y, bound):
     dense = any(spec.kind in ("proposed", "decorrelator") for spec in ctx.combined)
     proposed = {spec.stage: spec for spec in ctx.combined if spec.kind == "proposed"}
     mats = ctx.correlations
-    # x = h / sqrt(p), p summed from the planes; the helpers take (B, M, K) views
-    x_t = _complex(h)
-    x_t *= 1.0 / np.sqrt(np.sum(h[0] * h[0] + h[1] * h[1], axis=1))
-    u = np.sum(np.conj(x_t) * _complex(y), axis=0)
-    x = x_t.transpose(1, 0, 2)
+    # p = sum_i |h_i|^2, then x = h / sqrt(p) in place and u = sum_i conj(x_i) y_i
+    square = np.square(x.view(float))
+    x *= 1.0 / np.sqrt(_subcarrier_sum(square[..., ::2] + square[..., 1::2]))
+    u = _subcarrier_sum(np.multiply(np.conj(x), y, out=y))
+    x, u = x.transpose(2, 0, 1), u.T
     herm = _combined_matrix(mats, x) if dense else None
     nonconv, bound = _nonconvergent(bound, mats, x, herm)
-    stats = _proposed_stats(herm, u, proposed, ctx.rows) if proposed else {}
+    u_dense = np.ascontiguousarray(u) if dense else None
+    stats = _proposed_stats(herm, u_dense, proposed, ctx.rows) if proposed else {}
     counts = np.empty((2, len(ctx.combined)), dtype=np.int64)
     for j, spec in enumerate(ctx.combined):
         solved = None
@@ -586,7 +659,7 @@ def _detect_combined(ctx: _Context, bits, h, y, bound):
         elif spec.kind == "proposed":
             stat = stats[spec]
         else:
-            stat, solved = _decorrelate(herm, u)
+            stat, solved = _decorrelate(herm, u_dense)
             stat = stat[:, ctx.rows]
         bad = (stat.real < 0) != wrong
         if solved is not None:
@@ -595,11 +668,11 @@ def _detect_combined(ctx: _Context, bits, h, y, bound):
     return counts, nonconv, bound
 
 
-def _complex(planes):
-    """The contiguous (M, B, K) complex array of (2, B, M, K) real planes."""
-    out = np.empty(planes.shape[2:3] + planes.shape[1:2] + planes.shape[3:], dtype=complex)
-    out.real = planes[0].transpose(1, 0, 2)
-    out.imag = planes[1].transpose(1, 0, 2)
+def _subcarrier_sum(terms):
+    """terms[0] + terms[1] + ... of an (M, ...) stack, added in subcarrier order into terms[0]."""
+    out = terms[0]
+    for term in terms[1:]:
+        out += term
     return out
 
 
@@ -609,8 +682,11 @@ def _combined_matrix(correlations, x):
     That is H for x = h / sqrt(p) (see _detect_combined), R_c for x = h.
     correlations is (M, 1, K, K) shared by the slice, or (M, B, K, K).
     """
+    trials, _, users = x.shape
+    x = np.ascontiguousarray(x)  # trial-major rows, when x views user-major memory
     xc = np.conj(x)
-    out = xc[:, 0, :, None] * correlations[0]
+    out = np.empty((trials, users, users), dtype=complex)
+    np.multiply(xc[:, 0, :, None], correlations[0], out=out)
     out *= x[:, 0, None, :]
     term = np.empty_like(out)
     for i in range(1, correlations.shape[0]):
@@ -674,8 +750,7 @@ def _unsettled(bound, x):
     """
     headroom, weights = bound[:2]                             # weights (M, r, K)
     n = weights.shape[0] * weights.shape[1]
-    x_t = x.transpose(1, 0, 2)
-    trace, frob2 = _gram_moments(bound, x_t.real, x_t.imag)
+    trace, frob2 = _gram_moments(bound, x.transpose(1, 2, 0))
     unsettled = ~_trace_settled(trace, frob2, n, headroom)
     if unsettled.any():
         open_x = x[unsettled]
@@ -697,35 +772,34 @@ def _trace_settled(trace, frob2, n, headroom):
     return mean + np.sqrt(np.maximum(spread, 0.0)) < headroom
 
 
-def _gram_moments(bound, re, im):
+def _gram_moments(bound, x):
     """tr G and ||G||_F^2 of each trial's G = V^H V (see _unsettled), without G.
 
-    re and im are the (M, B, K) real and imaginary parts of x = h / sqrt(p).
-    Block (i, i) of G is |x_i|^2 against the table w_ijk w_ij'k, and block
-    (i, i') is x_i conj(x_i') against w_ijk w_i'j'k: one real GEMM per
-    subcarrier for |x_i|^2, and one per subcarrier pair i < i' for the real
-    and imaginary parts of x_i conj(x_i') stacked.  Block (i', i) is the
-    conjugate transpose of (i, i').
+    x is the user-major (M, K, B) x = h / sqrt(p).  Block (i, i) of G is
+    |x_i|^2 against the table w_ijk w_ij'k, and block (i, i') is
+    x_i conj(x_i') against w_ijk w_i'j'k: one real GEMM per subcarrier,
+    (r^2, K) @ (K, B), for |x_i|^2, and one per subcarrier pair i < i',
+    (r^2, K) @ (K, 2B), on the interleaved float view of the complex
+    conj(x_i) x_i', whose block has the same squared magnitudes.  Block
+    (i', i) is the conjugate transpose of (i, i').  The squares are summed
+    over trial-contiguous rows.
     """
     rank, diagonal, pairs = bound[1].shape[1], bound[2], bound[3]
-    blocks = np.matmul(re * re + im * im, diagonal)                  # (M, B, r^2)
-    trace = np.einsum("mbj,j->b", blocks, np.eye(rank).ravel())
-    frob2 = np.einsum("mbj,mbj->b", blocks, blocks)
+    m, users, trials = x.shape
+    square = np.square(np.ascontiguousarray(x).view(float))
+    blocks = np.matmul(diagonal.transpose(0, 2, 1), square[..., ::2] + square[..., 1::2])
+    trace = blocks[:, :: rank + 1].sum(axis=(0, 1))                 # blocks (M, r^2, B)
+    frob2 = np.square(blocks).reshape(-1, trials).sum(axis=0)
     if len(pairs):
-        # [Re; Im] of x_i conj(x_i') as (pairs, 2, B, K), pairs in triu_indices order
-        m, b, k = re.shape
-        z = np.empty((len(pairs), 2, b, k))
+        # conj(x_i) x_i' as (pairs, K, B), pairs in triu_indices order
+        z = np.empty((len(pairs), users, trials), dtype=complex)
         at = 0
         for i in range(m - 1):
-            out = z[at : at + m - 1 - i]
-            np.multiply(re[i], re[i + 1 :], out=out[:, 0])
-            out[:, 0] += im[i] * im[i + 1 :]
-            np.multiply(im[i], re[i + 1 :], out=out[:, 1])
-            out[:, 1] -= re[i] * im[i + 1 :]
+            np.multiply(np.conj(x[i]), x[i + 1 :], out=z[at : at + m - 1 - i])
             at += m - 1 - i
-        parts = np.matmul(z.reshape(len(pairs), 2 * b, k), pairs)       # (pairs, 2B, r^2)
-        parts = parts.reshape(len(pairs), 2, b, -1)
-        frob2 += 2.0 * np.einsum("pcbj,pcbj->b", parts, parts)
+        parts = np.matmul(pairs.transpose(0, 2, 1), z.view(float))     # (pairs, r^2, 2B)
+        sums = np.square(parts).reshape(-1, 2 * trials).sum(axis=0)
+        frob2 += 2.0 * (sums[::2] + sums[1::2])
     return trace, frob2
 
 
@@ -764,21 +838,24 @@ def _count_nonconvergent(herm) -> int:
 def _conventional_type2(correlations, x, u, stage: int, rows):
     """rows of the conventional statistics on H (see _detect_combined), without forming H.
 
-    H v = sum_i conj(x_i) * (R_i (x_i * v)): stacked GEMMs per stage over a
-    subcarrier-major view of the draws (see _apply), fastest when x is a
-    (B, M, K) view of an (M, B, K) array.  Stages 2..m-1 need every row;
-    the last stage applies only the rows of each R_i it returns.
+    x is (B, M, K) and u (B, K); the result is (B, R).  Each stage applies
+    H v = sum_i conj(x_i) * (R_i (x_i * v)) user-major, on x as (M, K, B)
+    and v as (K, B), so each R_i product is one real GEMM (see _users).
+    The views of user-major arrays that the harness passes are used without
+    a copy.  Stages 2..m-1 need every row; the last stage applies only the
+    rows of each R_i it returns.
     """
     if stage == 1:
         return u[:, rows]
-    x_t = x.transpose(1, 0, 2)
-    xc_t = np.conj(x_t)
+    x = np.ascontiguousarray(x.transpose(1, 2, 0))
+    u = np.ascontiguousarray(u.T)
+    xc = np.conj(x)
     stat = u
     for _ in range(stage - 2):
-        applied = np.sum(xc_t * _apply(correlations, x_t * stat), axis=0)
-        stat = u + stat - applied
-    last = _apply(correlations[:, :, rows], x_t * stat)
-    return u[:, rows] + stat[:, rows] - np.sum(xc_t[:, :, rows] * last, axis=0)
+        applied = _users(correlations, x * stat)
+        stat = u + stat - _subcarrier_sum(np.multiply(xc, applied, out=applied))
+    last = _users(correlations[:, :, rows], x * stat)
+    return (u[rows] + stat[rows] - _subcarrier_sum(np.multiply(xc[:, rows], last, out=last))).T
 
 
 def _decorrelate(herm, u):

@@ -26,6 +26,7 @@ from lpic.model import (
     correlation_matrix,
     generate_spreading_set,
     noise_transform,
+    singular_draws,
 )
 from lpic.simulate import (
     BER_CSV_HEADER,
@@ -444,15 +445,15 @@ class TestAllUsersCounting:
 class TestCombinedOnlyCounting:
     def test_no_filter_rows_are_applied_without_a_matrix_form(self, monkeypatch):
         # type2 conventional alone (the type2_m4 workload) has no matrix-form
-        # detector: every _apply receives or cancels, none counts zero rows
+        # detector: every _users product receives or cancels, none counts zero rows
         shapes = []
-        apply = simulate._apply
+        users = simulate._users
 
-        def record(mats, v):
+        def record(mats, v, out=None):
             shapes.append(mats.shape)
-            return apply(mats, v)
+            return users(mats, v, out)
 
-        monkeypatch.setattr(simulate, "_apply", record)
+        monkeypatch.setattr(simulate, "_users", record)
         text = (
             "K = 20\nP = 64\nM = 4\nnear_far = tenfold\nsnr_db = 14\nreceiver = type2\n"
             "trials = 600\nseed = 1\ndetectors = conventional:4\n"
@@ -769,10 +770,11 @@ class TestCountPaths:
     """The matrix-form count, folded or from y, against a plain per-trial loop.
 
     With D matrix-form detectors and R counted rows each, the harness counts
-    from the folded rows (F R, F L) exactly when D R < K, and otherwise
-    applies F to y.  Either way each statistic is sum_i Re(conj(h_i) z_i)
-    with z_i = F_i (R_i x_i + L_i w_i): the loop forms that from full
-    filters one trial at a time, on the draws the harness detected.
+    from the folded rows (F R, F L) exactly when a fixed-mode run has no
+    combined-domain detector and D R < K, and otherwise applies F to y.
+    Either way each statistic is sum_i Re(conj(h_i) z_i) with
+    z_i = F_i (R_i x_i + L_i w_i): the loop forms that from full filters
+    one trial at a time, on the draws the harness detected.
     """
 
     @pytest.mark.parametrize(
@@ -785,12 +787,12 @@ class TestCountPaths:
             ("K = 4\nP = 16\nM = 2\nreceiver = type1\ncount_all_users = true\n"
              "trials = 600\ndetectors = mf, conventional:3, weighted_proposed:3, mmse\n", False),
             ("K = 6\nP = 16\nM = 2\nreceiver = type2\ntrials = 600\n"
-             "detectors = mf, conventional:2, proposed:2, mmse\n", True),
+             "detectors = mf, conventional:2, proposed:2, mmse\n", False),
             ("K = 4\nP = 16\nM = 2\nreceiver = type2\ncount_all_users = true\n"
              "trials = 600\ndetectors = mf, conventional:2, mmse\n", False),
             ("K = 6\nP = 16\nM = 2\nreceiver = type1\nnear_far = tenfold\n"
              "sequence_mode = per_trial\ntrials = 70\n"
-             "detectors = mf, conventional:2, weighted_proposed:3, mmse\n", True),
+             "detectors = mf, conventional:2, weighted_proposed:3, mmse\n", False),
         ],
         ids=["single", "single_long_list", "type1_all_users", "type2", "type2_all_users",
              "per_trial"],
@@ -799,7 +801,10 @@ class TestCountPaths:
         cfg = parse_config(text + "snr_db = 6\nseed = 4\n")
         matrix = [d for d in cfg.detectors if cfg.receiver != "type2" or d.kind in ("mf", "mmse")]
         counted = cfg.users if cfg.count_all_users else 1
-        assert folded == (len(matrix) * counted < cfg.users)
+        combined = len(matrix) < len(cfg.detectors)
+        assert folded == (
+            cfg.sequence_mode == "fixed" and not combined and len(matrix) * counted < cfg.users
+        )
 
         steps, stats, received = [], [], []
         detect, count, receive = simulate._detect, simulate._count_matrix_forms, simulate._receive
@@ -825,8 +830,9 @@ class TestCountPaths:
         records = {(r.detector.removesuffix("[all-users]"), r.stage): r
                    for r in run_ber_experiment(cfg)}
 
-        # y is formed only for the unfolded count or type2's combined domain
-        assert bool(received) == (not folded or cfg.receiver == "type2")
+        # y is formed only for the unfolded count or type2's combined domain,
+        # and type2 forms it user-major
+        assert bool(received) == (not folded and cfg.receiver != "type2")
         sigma2, amps = cfg.sigma2(), cfg.amplitudes()
         want, errors = [], Counter()
         for ctx, bits, planes in steps:
@@ -860,6 +866,127 @@ class TestCountPaths:
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0))
         for d in matrix:
             assert records[(d.kind, d.stage)].bit_errors == errors[(d.kind, d.stage)]
+
+
+_TYPE2_DETECTORS = "mf, conventional:1..5, proposed:2..4, decorrelator, mmse\n"
+
+
+class TestType2CombinedDomain:
+    """The type2 combined domain against a plain per-trial loop on the same draws.
+
+    The loop forms each trial's y_i, p, x = h / sqrt(p), u = sum_i
+    conj(x_i) y_i and the dense H = sum_i D(conj x_i) R_i D(x_i).  It takes
+    every combined-domain statistic from build_filter(kind, H, m, rows=...)
+    @ u, the decorrelator's from solve (skipping a trial whose H
+    singular_draws flags), and nonconv from eigvalsh.  mf is the first
+    stage's u, and mmse is type1's matrix form on each subcarrier.
+    """
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "K = 4\nP = 8\nM = 1\ntrials = 300\n",
+            "K = 6\nP = 8\nM = 2\ntrials = 300\ncount_all_users = true\n",
+            "K = 6\nP = 12\nM = 3\ntrials = 300\nsubcarrier_sequences = identical\n",
+            # M r < K: the low-rank bound, with open trials, over two full chunks and a short one
+            "K = 14\nP = 32\nM = 4\ntrials = 600\nnear_far = tenfold\n",
+            "K = 5\nP = 8\nM = 3\ntrials = 70\nsequence_mode = per_trial\n",
+            "K = 6\nP = 8\nM = 4\ntrials = 40\nsequence_mode = per_trial\n"
+            "count_all_users = true\n",
+        ],
+        ids=["M1", "M2_all_users", "M3_identical", "M4_bound", "M3_per_trial",
+             "M4_per_trial_all_users"],
+    )
+    def test_counts_and_nonconv_match_a_plain_loop(self, monkeypatch, text):
+        cfg = parse_config(
+            text + "receiver = type2\nsnr_db = 4\nseed = 6\ndetectors = " + _TYPE2_DETECTORS
+        )
+        steps = []
+        detect = simulate._detect
+
+        def spy(ctx, bits, planes, *slices):
+            steps.append((ctx, bits, planes))
+            return detect(ctx, bits, planes, *slices)
+
+        monkeypatch.setattr(simulate, "_detect", spy)
+        records = {(r.detector.removesuffix("[all-users]"), r.stage): r
+                   for r in run_ber_experiment(cfg)}
+
+        counted = cfg.users if cfg.count_all_users else 1
+        rows = slice(0, counted)
+        subs, sigma2, amps = cfg.subcarriers, cfg.sigma2(), cfg.amplitudes()
+        errors, kept, nonconv = Counter(), Counter(), 0
+        for ctx, bits, planes in steps:
+            draws = ctx.correlations.shape[1]
+            per = len(bits) // draws
+            h = planes[0] + 1j * planes[1]
+            w = planes[2] + 1j * planes[3]
+            for g in range(draws):
+                rs, ells = ctx.correlations[:, g], ctx.factors[:, g]
+                mmse = [build_filter("mmse", r, 1, sigma2=sigma2) for r in rs]
+                for t in range(g * per, (g + 1) * per):
+                    ys = [rs[i] @ (amps * bits[t] * h[t, i]) + ells[i] @ w[t, i]
+                          for i in range(subs)]
+                    x = h[t] / np.sqrt(sum(np.abs(h[t, i]) ** 2 for i in range(subs)))
+                    u = sum(np.conj(x[i]) * ys[i] for i in range(subs))
+                    herm = sum(np.conj(x[i])[:, None] * rs[i] * x[i][None, :]
+                               for i in range(subs))
+                    nonconv += int(np.linalg.eigvalsh(herm)[-1] >= 2.0)
+                    stats = {
+                        ("mf", 1): u[rows],
+                        ("mmse", 1): sum(np.conj(h[t, i]) * (mmse[i] @ ys[i])
+                                         for i in range(subs))[rows],
+                    }
+                    for kind, stages in (("conventional", range(1, 6)), ("proposed", range(2, 5))):
+                        for m in stages:
+                            stats[(kind, m)] = build_filter(kind, herm, m, rows=rows) @ u
+                    if not singular_draws(herm[None])[0]:
+                        stats[("decorrelator", 1)] = np.linalg.solve(herm, u)[rows]
+                    for key, stat in stats.items():
+                        errors[key] += int(np.count_nonzero((stat.real < 0) != (bits[t, rows] < 0)))
+                        kept[key] += 1
+
+        assert set(records) == set(kept) | {("decorrelator", 1)}
+        for key, rec in records.items():
+            trials = kept[key]
+            if cfg.sequence_mode == "fixed" and trials < cfg.trials:
+                trials = 0  # a fixed-mode detector that failed on some trial is flagged
+            assert rec.trials == trials * counted
+            assert rec.bit_errors == (errors[key] if trials else 0)
+            assert rec.nonconv == (nonconv if trials else 0)
+
+
+class TestType2Layout:
+    """Type2 forms y once per chunk, user-major, in a workspace allocated once per detect step."""
+
+    @pytest.mark.parametrize(
+        "text, steps, chunks",
+        [
+            # two blocks: 8192 trials in 32 chunks, then 600 in 3, the last one short
+            ("K = 20\nP = 64\nM = 4\ntrials = 8792\ndetectors = mf, conventional:3, mmse\n",
+             2, 35),
+            # no combined-domain detector, every user counted: the count reads y
+            ("K = 6\nP = 16\nM = 2\ntrials = 600\ncount_all_users = true\n"
+             "detectors = mf, mmse\n", 1, 3),
+            # per_trial stacks of 32, 32 and 6 draws, each detected in one slice
+            ("K = 6\nP = 8\nM = 2\ntrials = 70\nsequence_mode = per_trial\n"
+             "detectors = mf, conventional:2, proposed:2, decorrelator, mmse\n", 3, 3),
+        ],
+        ids=["fixed", "matrix_forms_all_users", "per_trial"],
+    )
+    def test_y_is_formed_user_major_once_per_chunk(self, monkeypatch, text, steps, chunks):
+        calls = Counter()
+        for name in ("_receive", "_receive_users", "_workspace"):
+            original = getattr(simulate, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(simulate, name, spy)
+        records = _run(text + "receiver = type2\nsnr_db = 8\nseed = 2\n")
+        assert all(r.trials > 0 for r in records)
+        assert calls == {"_workspace": steps, "_receive_users": chunks}
 
 
 def _per_trial_plain_loop(cfg):
@@ -1361,8 +1488,7 @@ class TestNonconvCertificate:
         x = _scaled(_fading(rng, 256, subs, users))
         bound = simulate._low_rank_bound(rs)
         assert bound[3].shape == (subs * (subs - 1) // 2, users, 9)
-        x_t = x.transpose(1, 0, 2)
-        trace, frob2 = simulate._gram_moments(bound, x_t.real, x_t.imag)
+        trace, frob2 = simulate._gram_moments(bound, x.transpose(1, 2, 0))
         gram = self._gram(bound, x)
         assert np.allclose(trace, np.trace(gram, axis1=1, axis2=2).real, rtol=1e-13, atol=0)
         assert np.allclose(frob2, np.sum(np.abs(gram) ** 2, axis=(1, 2)), rtol=1e-13, atol=0)
@@ -1389,8 +1515,7 @@ class TestNonconvCertificate:
         x = _scaled(h)
         bound = simulate._low_rank_bound(rs)
         headroom, weights = bound[:2]
-        x_t = x.transpose(1, 0, 2)
-        moments = simulate._gram_moments(bound, x_t.real, x_t.imag)
+        moments = simulate._gram_moments(bound, x.transpose(1, 2, 0))
         tier = simulate._trace_settled(*moments, weights.shape[0] * weights.shape[1], headroom)
         lam_max = np.linalg.eigvalsh(self._gram(bound, x))[:, -1]
         assert np.count_nonzero(tier) == settled
