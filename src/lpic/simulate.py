@@ -224,8 +224,8 @@ class _Context:
     sigma2: float
     rows: slice                # counted users: all K, or user 0 alone
     filters: tuple             # counted rows F of the matrix forms (see _split), each stack
-                               # (M, G, D R, K): (F R, F L) when folded, else (F,), applied
-                               # to y (see _fold and _detect)
+                               # (M, G, D R, K): (F R, F L) when folded (see _fold), read
+                               # from the drawn planes, else (F,), applied to y (see _detect)
     built: np.ndarray          # (D, G) draws each detector was built on
     combined: list             # type2 detectors evaluated in the combined domain
     bound: tuple | None        # low-rank nonconv bound (see _low_rank_bound)
@@ -364,12 +364,13 @@ def _fold(cfg: ExperimentConfig, filters, correlations, factors):
     y.  It pays only when all of these hold, and otherwise F is applied to y:
     - one draw serves a whole block (fixed mode): a per_trial draw serves
       one trial, and its two products cost more than they save;
-    - no combined-domain detector forms y anyway (see _split);
+    - the receiver is not type2: every type2 slice forms y and
+      x = h / sqrt(p) for its combined domain and nonconv (see _detect);
     - the D R stacked rows are fewer than the K users, so the pair is
       thinner than y.
     Each stack is (M, G, D R, K).
     """
-    if cfg.sequence_mode == "fixed" and not _split(cfg)[1] and filters.shape[-2] < cfg.users:
+    if cfg.sequence_mode == "fixed" and cfg.receiver != "type2" and filters.shape[-2] < cfg.users:
         return filters @ correlations, filters @ factors
     return (filters,)
 
@@ -491,10 +492,9 @@ def _users(mats, v, out=None):
 def _receive(ctx: _Context, bits, h, w):
     """Matched-filter outputs y = R x + L w of the (2, T, M, K) planes h and w.
 
-    y comes back as a (2, T, M, K) view of an (M, 2, T, K) array.
+    y comes back as (M, 2, T, K) real planes, the layout _apply takes.
     """
-    y = _linear((ctx.correlations, ctx.factors), ctx.amplitudes * bits, h, w)
-    return y.transpose(1, 2, 0, 3)
+    return _linear((ctx.correlations, ctx.factors), ctx.amplitudes * bits, h, w)
 
 
 def _linear(pair, scale, h, w):
@@ -533,47 +533,44 @@ def _receive_users(ctx: _Context, bits, planes, space):
     return h, y
 
 
-def _detect(ctx: _Context, bits, planes, count: int, chunk: int):
+def _detect(ctx: _Context, bits, planes):
     """Evaluate every detector on the T trials of a block or per_trial stack.
 
     planes are the (4, T, M, K) fading and noise planes (see _draw_symbols).
-    Each of ctx's G draws serves T / G consecutive trials, so with G > 1 a
-    slice must be the whole stack (count = chunk = T).  Folded matrix forms
-    (see _fold) are counted straight from the planes, count trials at a
-    time.  Otherwise y = R x + L w is formed, chunk trials at a time, for
-    the unfolded count and for type2's combined domain.  Type2 forms it
-    user-major (see _receive_users) in one workspace allocated here, and
-    its matrix forms count from that y; other receivers form real planes
-    (see _receive).  The low-rank nonconv bound (see _detect_combined)
-    carries from one chunk to the next.  Returns (counts, nonconv): counts
-    is the (2, D + C) array of bit errors and counted trials per detector in
-    _split order.  A detector keeps the trials whose draws it was built on
-    (and, for the type2 decorrelator, whose H was invertible).
+    A per_trial stack, whose G draws serve one trial each, is one slice; a
+    fixed-mode block runs _COUNT_TRIALS trials at a time when folded (see
+    _fold), else _CHUNK_TRIALS.  ctx fixes each slice's receive form: the
+    folded count reads the planes; an unfolded single-carrier or type1
+    count applies F to the real planes of _receive; type2 forms h and y
+    user-major (see _receive_users) in one workspace allocated here, counts
+    its matrix forms from F y (see _filtered), then takes the combined-domain
+    step, which counts nonconv with or without a combined-domain detector
+    (see _detect_combined).  The low-rank bound carries from slice to slice.
+    Returns (counts, nonconv): counts is the (2, D + C) array of bit errors
+    and counted trials per detector in _split order.  A detector keeps the
+    trials whose draws it was built on (and, for the type2 decorrelator,
+    whose H was invertible).
     """
-    matrix, size = len(ctx.built), len(bits)
+    cfg, matrix, size = ctx.cfg, len(ctx.built), len(bits)
+    type2, folded = cfg.receiver == "type2", len(ctx.filters) == 2
+    step = size if cfg.sequence_mode == "per_trial" else _COUNT_TRIALS if folded else _CHUNK_TRIALS
+    space = _workspace(cfg, min(step, size)) if type2 else None
     counts = np.zeros((2, matrix + len(ctx.combined)), dtype=np.int64)
-    from_y = matrix > 0 and len(ctx.filters) == 1
-    if matrix and not from_y:
-        for lo in range(0, size, count):
-            part = slice(lo, lo + count)
-            h = planes[:2, part]
-            z = _linear(ctx.filters, ctx.amplitudes * bits[part], h, planes[2:, part])
-            counts[:, :matrix] += _count_matrix_forms(ctx, bits[part], h, z)
     nonconv, bound = 0, ctx.bound
-    if not (from_y or ctx.combined):
-        return counts, nonconv
-    type2 = ctx.cfg.receiver == "type2"
-    space = _workspace(ctx.cfg, min(chunk, size)) if type2 else None
-    for lo in range(0, size, chunk):
-        part = slice(lo, lo + chunk)
-        h = planes[:2, part]
-        if type2:
-            x, y = _receive_users(ctx, bits[part], planes[:, part], space)
+    for lo in range(0, size, step):
+        part = slice(lo, lo + step)
+        h, w = planes[:2, part], planes[2:, part]
+        # z = F y is dropped once counted: it is D R / K times the size of y
+        if folded:
+            z = _linear(ctx.filters, ctx.amplitudes * bits[part], h, w)
+        elif not type2:
+            z = _apply(ctx.filters[0], _receive(ctx, bits[part], h, w))
         else:
-            y = _receive(ctx, bits[part], h, planes[2:, part])
-        if from_y:  # z = F y is dropped once counted: it is D R / K times the size of y
-            counts[:, :matrix] += _count_matrix_forms(ctx, bits[part], h, _filtered(ctx, y))
-        if ctx.combined:
+            x, y = _receive_users(ctx, bits[part], planes[:, part], space)
+            z = _filtered(ctx, y) if matrix else None
+        if matrix:
+            counts[:, :matrix] += _count_matrix_forms(ctx, bits[part], h, z)
+        if type2:
             got, more, bound = _detect_combined(ctx, bits[part], x, y, bound)
             counts[:, matrix:] += got
             nonconv += more
@@ -583,13 +580,11 @@ def _detect(ctx: _Context, bits, planes, count: int, chunk: int):
 def _filtered(ctx: _Context, y):
     """The counted rows F y of every matrix form, as (M, 2, T, D R) real planes.
 
-    y is the (2, T, M, K) planes of _receive, or the user-major complex
-    (M, K, T) of _receive_users, whose product comes back as a view.
+    y is the user-major complex (M, K, T) of _receive_users; the product
+    comes back as a real-plane view, the layout _count_matrix_forms takes.
     """
-    if np.iscomplexobj(y):
-        z = _users(ctx.filters[0], y)
-        return z.view(float).reshape(z.shape + (2,)).transpose(0, 3, 2, 1)
-    return _apply(ctx.filters[0], y.transpose(2, 0, 1, 3))
+    z = _users(ctx.filters[0], y)
+    return z.view(float).reshape(z.shape + (2,)).transpose(0, 3, 2, 1)
 
 
 def _count_matrix_forms(ctx: _Context, bits, h, z):
@@ -881,7 +876,7 @@ def _block_fixed(ctx: _Context, seed_seq, size: int):
     """
     rng = np.random.default_rng(seed_seq)
     bits, planes = _draw_symbols(rng, ctx.cfg, ctx.sigma2, size)
-    return _detect(ctx, bits, planes, _COUNT_TRIALS, _CHUNK_TRIALS)
+    return _detect(ctx, bits, planes)
 
 
 def _block_per_trial(cfg: ExperimentConfig, seed_seq, size: int):
@@ -899,7 +894,7 @@ def _block_per_trial(cfg: ExperimentConfig, seed_seq, size: int):
             cfg, rng, sigma2, min(_DRAW_CHUNK, size - lo)
         )
         ctx = _prepare_context(cfg, correlations, factors)
-        got, more = _detect(ctx, bits, planes, len(bits), len(bits))
+        got, more = _detect(ctx, bits, planes)
         counts += got
         nonconv += more
     return counts, nonconv

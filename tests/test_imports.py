@@ -1,12 +1,16 @@
-"""Every name a `src/lpic` module imports is used in that module's code.
+"""Every name a `src/lpic` module imports is used in that module's code, and
+every top-level function and class is used somewhere in the package.
 
 An unused import costs import time in every `lpic` process and reads as a
 dependency that is not there.  A mention in a docstring or comment is not a
 use.  `__init__.py` imports only to re-export, and `from __future__` binds
-nothing, so both are exempt.
+nothing, so both are exempt.  A helper that no code of the package refers
+to, such as one a refactor leaves behind, is dead code; a re-export in
+`__init__.py` counts as a use.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,43 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _references(node) -> Counter:
+    """Names node refers to: bare names, attributes and imported names."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name] += 1
+    return found
+
+
+def _unreferenced(sources: dict[str, str]) -> list[str]:
+    """module.name of each top-level function or class in sources (module: text)
+    that no code in sources refers to outside its own definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and everywhere[node.name] == _references(node)[node.name]
+    ]
+
+
+def test_the_check_sees_a_dead_helper():
+    sources = {
+        "a": "def f(n):\n    return f(n - 1)\n'''g()'''\ndef g():\n    pass\n",
+        "b": "from .a import g\nclass C:\n    pass\n",
+    }
+    assert _unreferenced(sources) == ["a.f", "b.C"]
+
+
+def test_every_top_level_definition_is_used():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert _unreferenced(sources) == []

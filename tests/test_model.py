@@ -273,8 +273,8 @@ class TestMatchedFilter:
         ells = np.stack([noise_transform(r) for r in rs])
         ctx = SimpleNamespace(amplitudes=amps, correlations=rs[:, None], factors=ells[:, None])
         y = simulate._receive(ctx, bits, planes[:2], planes[2:])
-        assert y.shape == (2, trials, subs, users)
-        h, w, y = _joined(planes[:2]), _joined(planes[2:]), _joined(y)
+        assert y.shape == (subs, 2, trials, users)
+        h, w, y = _joined(planes[:2]), _joined(planes[2:]), _joined(y.transpose(1, 2, 0, 3))
         for t in range(trials):
             for i in range(subs):
                 x = amps * bits[t] * h[t, i]

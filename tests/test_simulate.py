@@ -164,10 +164,11 @@ class TestDeterminism:
     )
     @pytest.mark.parametrize("chunk", [7, 8192])
     def test_records_do_not_depend_on_the_detect_chunk_size(self, monkeypatch, text, chunk):
-        # a fixed-mode block is counted from its folded rows one _COUNT_TRIALS
-        # slice at a time, and forms y one _CHUNK_TRIALS slice at a time (a
-        # per_trial stack is detected whole); in type2 the low-rank bound may
-        # be dropped at another chunk
+        # a fixed-mode block takes _COUNT_TRIALS slices when its matrix forms
+        # are folded (single_family), else _CHUNK_TRIALS slices, in which y is
+        # formed (type1_all_users, and every type2 block); a per_trial stack is
+        # one slice (type2_per_trial); in type2 the low-rank bound may be
+        # dropped at another chunk
         text += "seed = 3\n"
         records = render_ber_csv(_run(text))
         monkeypatch.setattr(simulate, "_CHUNK_TRIALS", chunk)
@@ -770,8 +771,9 @@ class TestCountPaths:
     """The matrix-form count, folded or from y, against a plain per-trial loop.
 
     With D matrix-form detectors and R counted rows each, the harness counts
-    from the folded rows (F R, F L) exactly when a fixed-mode run has no
-    combined-domain detector and D R < K, and otherwise applies F to y.
+    from the folded rows (F R, F L) exactly when a fixed-mode run is not
+    type2 and D R < K, and otherwise applies F to y, which type2 forms
+    user-major.
     Either way each statistic is sum_i Re(conj(h_i) z_i) with
     z_i = F_i (R_i x_i + L_i w_i): the loop forms that from full filters
     one trial at a time, on the draws the harness detected.
@@ -790,28 +792,30 @@ class TestCountPaths:
              "detectors = mf, conventional:2, proposed:2, mmse\n", False),
             ("K = 4\nP = 16\nM = 2\nreceiver = type2\ncount_all_users = true\n"
              "trials = 600\ndetectors = mf, conventional:2, mmse\n", False),
+            ("K = 6\nP = 16\nM = 2\nreceiver = type2\ntrials = 600\n"
+             "detectors = mf, mmse\n", False),
             ("K = 6\nP = 16\nM = 2\nreceiver = type1\nnear_far = tenfold\n"
              "sequence_mode = per_trial\ntrials = 70\n"
              "detectors = mf, conventional:2, weighted_proposed:3, mmse\n", False),
         ],
         ids=["single", "single_long_list", "type1_all_users", "type2", "type2_all_users",
-             "per_trial"],
+             "type2_matrix_forms", "per_trial"],
     )
     def test_statistics_and_counts_match_a_plain_loop(self, monkeypatch, text, folded):
         cfg = parse_config(text + "snr_db = 6\nseed = 4\n")
         matrix = [d for d in cfg.detectors if cfg.receiver != "type2" or d.kind in ("mf", "mmse")]
         counted = cfg.users if cfg.count_all_users else 1
-        combined = len(matrix) < len(cfg.detectors)
+        type2 = cfg.receiver == "type2"
         assert folded == (
-            cfg.sequence_mode == "fixed" and not combined and len(matrix) * counted < cfg.users
+            cfg.sequence_mode == "fixed" and not type2 and len(matrix) * counted < cfg.users
         )
 
-        steps, stats, received = [], [], []
-        detect, count, receive = simulate._detect, simulate._count_matrix_forms, simulate._receive
+        steps, stats, received = [], [], Counter()
+        detect, count = simulate._detect, simulate._count_matrix_forms
 
-        def spy_detect(ctx, bits, planes, *slices):
+        def spy_detect(ctx, bits, planes):
             steps.append((ctx, bits, planes))
-            return detect(ctx, bits, planes, *slices)
+            return detect(ctx, bits, planes)
 
         def spy_count(ctx, bits, h, z):
             # the harness's statistic, taken before the count overwrites z
@@ -820,19 +824,22 @@ class TestCountPaths:
             stats.append((z * hh).sum(axis=(0, 1)))
             return count(ctx, bits, h, z.copy())
 
-        def spy_receive(*args):
-            received.append(1)
-            return receive(*args)
+        for name in ("_receive", "_receive_users"):
+            original = getattr(simulate, name)
 
+            def spy_receive(*args, _name=name, _original=original):
+                received[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(simulate, name, spy_receive)
         monkeypatch.setattr(simulate, "_detect", spy_detect)
         monkeypatch.setattr(simulate, "_count_matrix_forms", spy_count)
-        monkeypatch.setattr(simulate, "_receive", spy_receive)
         records = {(r.detector.removesuffix("[all-users]"), r.stage): r
                    for r in run_ber_experiment(cfg)}
 
-        # y is formed only for the unfolded count or type2's combined domain,
-        # and type2 forms it user-major
-        assert bool(received) == (not folded and cfg.receiver != "type2")
+        # y is formed only where the count is unfolded, and type2 forms it user-major
+        assert bool(received["_receive"]) == (not folded and not type2)
+        assert bool(received["_receive_users"]) == type2
         sigma2, amps = cfg.sigma2(), cfg.amplitudes()
         want, errors = [], Counter()
         for ctx, bits, planes in steps:
@@ -879,7 +886,9 @@ class TestType2CombinedDomain:
     every combined-domain statistic from build_filter(kind, H, m, rows=...)
     @ u, the decorrelator's from solve (skipping a trial whose H
     singular_draws flags), and nonconv from eigvalsh.  mf is the first
-    stage's u, and mmse is type1's matrix form on each subcarrier.
+    stage's u, and mmse is type1's matrix form on each subcarrier.  nonconv
+    is counted for every type2 run, also one whose detectors are all matrix
+    forms (mf and mmse).
     """
 
     @pytest.mark.parametrize(
@@ -893,20 +902,26 @@ class TestType2CombinedDomain:
             "K = 5\nP = 8\nM = 3\ntrials = 70\nsequence_mode = per_trial\n",
             "K = 6\nP = 8\nM = 4\ntrials = 40\nsequence_mode = per_trial\n"
             "count_all_users = true\n",
+            "K = 6\nP = 8\nM = 2\ntrials = 300\ndetectors = mf, mmse\n",
+            "K = 6\nP = 8\nM = 2\ntrials = 70\nsequence_mode = per_trial\n"
+            "detectors = mf, mmse\n",
+            "K = 6\nP = 8\nM = 2\ntrials = 300\ncount_all_users = true\n"
+            "detectors = mf, mmse\n",
         ],
         ids=["M1", "M2_all_users", "M3_identical", "M4_bound", "M3_per_trial",
-             "M4_per_trial_all_users"],
+             "M4_per_trial_all_users", "M2_matrix_forms", "M2_matrix_forms_per_trial",
+             "M2_matrix_forms_all_users"],
     )
     def test_counts_and_nonconv_match_a_plain_loop(self, monkeypatch, text):
-        cfg = parse_config(
-            text + "receiver = type2\nsnr_db = 4\nseed = 6\ndetectors = " + _TYPE2_DETECTORS
-        )
+        if "detectors" not in text:
+            text += "detectors = " + _TYPE2_DETECTORS
+        cfg = parse_config(text + "receiver = type2\nsnr_db = 4\nseed = 6\n")
         steps = []
         detect = simulate._detect
 
-        def spy(ctx, bits, planes, *slices):
+        def spy(ctx, bits, planes):
             steps.append((ctx, bits, planes))
-            return detect(ctx, bits, planes, *slices)
+            return detect(ctx, bits, planes)
 
         monkeypatch.setattr(simulate, "_detect", spy)
         records = {(r.detector.removesuffix("[all-users]"), r.stage): r
@@ -946,7 +961,7 @@ class TestType2CombinedDomain:
                         errors[key] += int(np.count_nonzero((stat.real < 0) != (bits[t, rows] < 0)))
                         kept[key] += 1
 
-        assert set(records) == set(kept) | {("decorrelator", 1)}
+        assert set(records) == {(d.kind, d.stage) for d in cfg.detectors}
         for key, rec in records.items():
             trials = kept[key]
             if cfg.sequence_mode == "fixed" and trials < cfg.trials:
@@ -954,6 +969,26 @@ class TestType2CombinedDomain:
             assert rec.trials == trials * counted
             assert rec.bit_errors == (errors[key] if trials else 0)
             assert rec.nonconv == (nonconv if trials else 0)
+
+
+    @pytest.mark.parametrize(
+        "text, nonconv",
+        [
+            ("K = 6\nP = 8\nM = 2\ntrials = 3000\nseed = 4\n",
+             {"fixed": 1262, "per_trial": 917}),
+            ("K = 6\nP = 16\nM = 2\ntrials = 2000\nseed = 2\ncount_all_users = true\n",
+             {"fixed": 2, "per_trial": 28}),
+        ],
+        ids=["P8", "P16_all_users"],
+    )
+    @pytest.mark.parametrize("mode", ["fixed", "per_trial"])
+    def test_nonconv_does_not_depend_on_the_other_detectors(self, text, nonconv, mode):
+        # nonconv is a property of the draws: a type2 run of matrix forms
+        # alone reports the same count as one with a combined-domain detector
+        for detectors in ("mf", "mf, mmse", "mf, mmse, conventional:2"):
+            records = _run(text + f"receiver = type2\nsnr_db = 8\nsequence_mode = {mode}\n"
+                           f"detectors = {detectors}\n")
+            assert {r.nonconv for r in records} == {nonconv[mode]}, detectors
 
 
 class TestType2Layout:
@@ -965,14 +1000,16 @@ class TestType2Layout:
             # two blocks: 8192 trials in 32 chunks, then 600 in 3, the last one short
             ("K = 20\nP = 64\nM = 4\ntrials = 8792\ndetectors = mf, conventional:3, mmse\n",
              2, 35),
-            # no combined-domain detector, every user counted: the count reads y
+            # no combined-domain detector: the count reads y, and the combined
+            # domain counts nonconv
+            ("K = 6\nP = 16\nM = 2\ntrials = 600\ndetectors = mf, mmse\n", 1, 3),
             ("K = 6\nP = 16\nM = 2\ntrials = 600\ncount_all_users = true\n"
              "detectors = mf, mmse\n", 1, 3),
             # per_trial stacks of 32, 32 and 6 draws, each detected in one slice
             ("K = 6\nP = 8\nM = 2\ntrials = 70\nsequence_mode = per_trial\n"
              "detectors = mf, conventional:2, proposed:2, decorrelator, mmse\n", 3, 3),
         ],
-        ids=["fixed", "matrix_forms_all_users", "per_trial"],
+        ids=["fixed", "matrix_forms", "matrix_forms_all_users", "per_trial"],
     )
     def test_y_is_formed_user_major_once_per_chunk(self, monkeypatch, text, steps, chunks):
         calls = Counter()
