@@ -359,9 +359,10 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
 def _fold(cfg: ExperimentConfig, filters, correlations, factors):
     """The counted rows F in the form the count applies: (F R, F L), or (F,).
 
-    Every matrix-form statistic is F y = (F R) x + (F L) w (see _receive),
-    so the folded pair lets the count read the drawn planes and never form
-    y.  It pays only when all of these hold, and otherwise F is applied to y:
+    Every matrix-form statistic is F y = (F R) x + (F L) w, y = R x + L w
+    (see _linear), so the folded pair lets the count read the drawn planes
+    and never form y.  It pays only when all of these hold, and otherwise F
+    is applied to y:
     - one draw serves a whole block (fixed mode): a per_trial draw serves
       one trial, and its two products cost more than they save;
     - the receiver is not type2: every type2 slice forms y and
@@ -489,14 +490,6 @@ def _users(mats, v, out=None):
     return out
 
 
-def _receive(ctx: _Context, bits, h, w):
-    """Matched-filter outputs y = R x + L w of the (2, T, M, K) planes h and w.
-
-    y comes back as (M, 2, T, K) real planes, the layout _apply takes.
-    """
-    return _linear((ctx.correlations, ctx.factors), ctx.amplitudes * bits, h, w)
-
-
 def _linear(pair, scale, h, w):
     """A x + B w of the (2, T, M, K) planes h and w, with x = scale * h.
 
@@ -520,7 +513,7 @@ def _receive_users(ctx: _Context, bits, planes, space):
     _workspace; h and w are copied into it, a contiguous prefix of each
     buffer.  Each R_i and L_i product is one real GEMM into the workspace
     (see _users): L w goes to y, then w takes A b h.  y is the sum of the
-    two products that _receive adds.
+    two products that _linear adds for the real planes of R and L.
     """
     _, b, m, k = planes.shape
     h, w, y = (buf[: m * k * b].reshape(m, k, b) for buf in space)
@@ -541,11 +534,11 @@ def _detect(ctx: _Context, bits, planes):
     fixed-mode block runs _COUNT_TRIALS trials at a time when folded (see
     _fold), else _CHUNK_TRIALS.  ctx fixes each slice's receive form: the
     folded count reads the planes; an unfolded single-carrier or type1
-    count applies F to the real planes of _receive; type2 forms h and y
-    user-major (see _receive_users) in one workspace allocated here, counts
-    its matrix forms from F y (see _filtered), then takes the combined-domain
-    step, which counts nonconv with or without a combined-domain detector
-    (see _detect_combined).  The low-rank bound carries from slice to slice.
+    count applies F to the real planes of y = R x + L w (see _linear);
+    type2 forms h and y user-major (see _receive_users) in one workspace
+    allocated here, counts its matrix forms from F y (see _filtered), then
+    takes the combined-domain step, which counts nonconv with or without a
+    combined-domain detector (see _detect_combined).  The low-rank bound carries from slice to slice.
     Returns (counts, nonconv): counts is the (2, D + C) array of bit errors
     and counted trials per detector in _split order.  A detector keeps the
     trials whose draws it was built on (and, for the type2 decorrelator,
@@ -564,7 +557,8 @@ def _detect(ctx: _Context, bits, planes):
         if folded:
             z = _linear(ctx.filters, ctx.amplitudes * bits[part], h, w)
         elif not type2:
-            z = _apply(ctx.filters[0], _receive(ctx, bits[part], h, w))
+            y = _linear((ctx.correlations, ctx.factors), ctx.amplitudes * bits[part], h, w)
+            z = _apply(ctx.filters[0], y)
         else:
             x, y = _receive_users(ctx, bits[part], planes[:, part], space)
             z = _filtered(ctx, y) if matrix else None

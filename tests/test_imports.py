@@ -7,6 +7,10 @@ use.  `__init__.py` imports only to re-export, and `from __future__` binds
 nothing, so both are exempt.  A helper that no code of the package refers
 to, such as one a refactor leaves behind, is dead code; a re-export in
 `__init__.py` counts as a use.
+
+In `tests/`, only the reference simulator (`reference.py`) replays the seed
+tree: no other test module names `SeedSequence`, so per-path replay loops do
+not grow back, and `reference.py` imports no `_`-prefixed `lpic` name.
 """
 
 import ast
@@ -15,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lpic"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "lpic"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -78,3 +83,15 @@ def test_the_check_sees_a_dead_helper():
 def test_every_top_level_definition_is_used():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert _unreferenced(sources) == []
+
+
+
+def test_only_the_reference_replays_the_seed_tree():
+    assert _references(ast.parse("from numpy.random import SeedSequence\n"))["SeedSequence"]
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in TESTS.glob("*.py")}
+    assert [name for name, tree in trees.items()
+            if name != "reference.py" and _references(tree)["SeedSequence"]] == []
+    imported = [alias.name for node in ast.walk(trees["reference.py"])
+                if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "lpic"
+                for alias in node.names]
+    assert imported and not [name for name in imported if name.startswith("_")]

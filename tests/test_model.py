@@ -271,8 +271,7 @@ class TestMatchedFilter:
         amps = rng.uniform(0.5, 2.0, users)
         bits, planes = simulate._draw_symbols(rng, _cfg(users, subs), 0.3, trials)
         ells = np.stack([noise_transform(r) for r in rs])
-        ctx = SimpleNamespace(amplitudes=amps, correlations=rs[:, None], factors=ells[:, None])
-        y = simulate._receive(ctx, bits, planes[:2], planes[2:])
+        y = simulate._linear((rs[:, None], ells[:, None]), amps * bits, planes[:2], planes[2:])
         assert y.shape == (subs, 2, trials, users)
         h, w, y = _joined(planes[:2]), _joined(planes[2:]), _joined(y.transpose(1, 2, 0, 3))
         for t in range(trials):

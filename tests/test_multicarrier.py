@@ -8,8 +8,7 @@ sqrt(p), against u = P^-1/2 y_c, in its own forms (_combined_matrix,
 _conventional_type2, _proposed_stats, _decorrelate): each statistic is
 sqrt(p_k) times smaller than its R_eff form.  build_filter on a complex
 R_eff, a public combined-domain API, is their reference here, compared
-after scaling by sqrt(p).  These checks build R_c and R_eff independently
-and compare.
+after scaling by sqrt(p).  R_c, R_eff and H come from tests/reference.py.
 """
 
 import numpy as np
@@ -21,49 +20,22 @@ from lpic.filters import build_filter
 from lpic.simulate import run_ber_experiment
 
 from oracles import random_correlation
-
-
-def _fading(rng, shape):
-    return np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+from reference import effective, fading, hermitian, power, scaled
 
 
 def draw_setup(rng, m, users, chips=32, unit_channel=False):
     corrs = np.stack([random_correlation(rng, users, chips) for _ in range(m)])
-    h = np.ones((m, users), dtype=complex) if unit_channel else _fading(rng, (m, users))
+    h = np.ones((m, users), dtype=complex) if unit_channel else fading(rng, (m, users))
     return corrs, h
-
-
-def combined(corrs, h):
-    """R_c of one draw by the triple loop, and the combined power."""
-    m, users = h.shape
-    r_c = np.zeros((users, users), dtype=complex)
-    for i in range(m):
-        for k in range(users):
-            for j in range(users):
-                r_c[k, j] += np.conj(h[i, k]) * corrs[i, k, j] * h[i, j]
-    return r_c, np.sum(np.abs(h) ** 2, axis=0)
-
-
-def scaled(h):
-    """x = h / sqrt(p) of one (M, K) draw, and the combined power p."""
-    power = np.sum(np.abs(h) ** 2, axis=0)
-    return h / np.sqrt(power), power
-
-
-def hermitian(corrs, h):
-    """The harness's H of one draw, from x = h / sqrt(p)."""
-    return simulate._combined_matrix(corrs[:, None], scaled(h)[0][None])[0]
-
-
-def effective(corrs, h):
-    r_c, power = combined(corrs, h)
-    return r_c / power[None, :]
 
 
 class TestEffectiveMatrices:
     def test_combined_correlation_triple_loop(self, rng):
         corrs, h = draw_setup(rng, 3, 4)
-        want, _ = combined(corrs, h)
+        want = np.array([
+            [sum(np.conj(h[i, k]) * corrs[i, k, j] * h[i, j] for i in range(3)) for j in range(4)]
+            for k in range(4)
+        ])
         # the harness takes a (B, M, K) slice of draws and (M, 1, K, K) shared R_i
         # (x = h gives R_c itself)
         got = simulate._combined_matrix(corrs[:, None], h[None])
@@ -75,9 +47,8 @@ class TestEffectiveMatrices:
 
     def test_single_carrier_unit_channel_is_identity_map(self, rng):
         corrs, h = draw_setup(rng, 1, 5, unit_channel=True)
-        r_c, power = combined(corrs, h)
-        assert np.allclose(r_c / power[None, :], corrs[0], atol=1e-15)
-        assert np.allclose(power, 1.0)
+        assert np.allclose(effective(corrs, h), corrs[0], atol=1e-15)
+        assert np.allclose(power(h), 1.0)
         got = simulate._combined_matrix(corrs[:, None], h[None])
         assert np.array_equal(got[0], corrs[0].astype(complex))
 
@@ -85,11 +56,11 @@ class TestEffectiveMatrices:
         # R_eff is similar to the Hermitian P^-1/2 R_c P^-1/2, which the
         # harness forms from x = h / sqrt(p)
         corrs, h = draw_setup(rng, 4, 6)
-        r_c, power = combined(corrs, h)
-        eigs = np.linalg.eigvals(r_c / power[None, :])
+        eigs = np.linalg.eigvals(effective(corrs, h))
         assert np.max(np.abs(eigs.imag)) < 1e-10
-        herm = hermitian(corrs, h)
-        assert np.allclose(herm, r_c / np.sqrt(np.outer(power, power)), atol=1e-14)
+        herm = hermitian(corrs, scaled(h))
+        p = power(h)
+        assert np.allclose(herm, hermitian(corrs, h) / np.sqrt(np.outer(p, p)), atol=1e-14)
         assert np.allclose(herm, herm.conj().T, atol=1e-15)
         assert np.allclose(np.sort(eigs.real), np.linalg.eigvalsh(herm), atol=1e-10)
 
@@ -109,9 +80,8 @@ class TestEffectiveMatrices:
         noise = noise[:, 0] + 1j * noise[:, 1]
         z = np.sum(np.conj(h)[:, None, :] * noise, axis=0)
         emp = (z.conj().T @ z).T / draws
-        r_c, power = combined(corrs, h)
-        se = sigma2 * np.max(power) / np.sqrt(draws)
-        assert np.max(np.abs(emp - sigma2 * r_c)) < 6 * se
+        se = sigma2 * np.max(power(h)) / np.sqrt(draws)
+        assert np.max(np.abs(emp - sigma2 * hermitian(corrs, h))) < 6 * se
 
 
 class TestCombinedDomainFilters:
@@ -173,12 +143,12 @@ class TestReceivers:
         bits = rng.integers(0, 2, users) * 2 - 1
         amps = rng.uniform(0.5, 3.0, users)
         y = np.einsum("ikl,il->ik", corrs, (amps * bits) * h)
-        x, power = scaled(h)
+        x, p = scaled(h), power(h)
         u = np.sum(np.conj(x) * y, axis=0)
-        stat, solved = simulate._decorrelate(hermitian(corrs, h)[None], u[None])
+        stat, solved = simulate._decorrelate(hermitian(corrs, x)[None], u[None])
         assert solved is None
         assert np.array_equal(np.where(stat[0].real < 0, -1, 1), bits)
-        assert np.allclose(np.sqrt(power) * stat[0], power * amps * bits, atol=1e-9)
+        assert np.allclose(np.sqrt(p) * stat[0], p * amps * bits, atol=1e-9)
 
     def test_type2_conventional_approaches_decorrelator(self, rng):
         # on a convergent draw the high-stage series matches the exact solve,
@@ -186,14 +156,13 @@ class TestReceivers:
         users = 4
         while True:
             corrs, h = draw_setup(rng, 2, users, chips=128)
-            r_c, power = combined(corrs, h)
-            if np.linalg.eigvalsh(hermitian(corrs, h))[-1] < 1.8:
+            if np.linalg.eigvalsh(hermitian(corrs, scaled(h)))[-1] < 1.8:
                 break
         y_c = rng.standard_normal(users) + 1j * rng.standard_normal(users)
-        exact = np.linalg.solve(r_c / power[None, :], y_c)
-        series = build_filter("conventional", r_c / power[None, :], 120) @ y_c
+        exact = np.linalg.solve(effective(corrs, h), y_c)
+        series = build_filter("conventional", effective(corrs, h), 120) @ y_c
         assert np.allclose(series, exact, atol=1e-8)
-        x, root = h / np.sqrt(power), np.sqrt(power)
+        x, root = scaled(h), np.sqrt(power(h))
         free = simulate._conventional_type2(
             corrs[:, None], x[None], (y_c / root)[None], 120, slice(None)
         )
@@ -209,9 +178,9 @@ class TestReceivers:
             [[random_correlation(rng, users, 64) for _ in range(trials if per_draw else 1)]
              for _ in range(m)]
         )                                                        # (M, G, K, K)
-        h = _fading(rng, (m, trials, users))
+        h = fading(rng, (m, trials, users))
         x = h / np.sqrt(np.sum(np.abs(h) ** 2, axis=0))         # (M, B, K)
-        u = _fading(rng, (trials, users))
+        u = fading(rng, (trials, users))
         stat = u
         for stage in range(1, 6):
             got = simulate._conventional_type2(corrs, x.transpose(1, 0, 2), u, stage, rows)
