@@ -6,7 +6,8 @@ of them, conventional included, sum the single stage recursion
 filters.cancellation_series, and build_filter can build only the rows a
 caller counts), closed-form output SINR and optimal stage weights, and a
 deterministic Monte Carlo BER harness with single-carrier and multicarrier
-Type I / II receivers.
+Type I / II receivers.  The Type II chains sum the same kernel with a
+matrix-free step.
 """
 
 from .config import ConfigError, DetectorSpec, ExperimentConfig, load_config, parse_config

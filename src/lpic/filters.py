@@ -24,6 +24,9 @@ row i needs only row i of the term before it:
   * weighted_proposed: the proposed structure with per-user, per-stage weights.
   * decorrelator (R^-1), mmse ((R + sigma2 I)^-1), and the trivial mf identity.
     Rows of an inverse come from one solve against columns of the identity.
+
+The type2 harness sums the same kernel for its combined-domain chains, with
+a matrix-free step (a callable; see cancellation_series).
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ STAGED_KINDS = ("conventional", "proposed", "mmse_converging", "modified_mmse", 
 SPECTRAL_KINDS = ("mmse_converging", "modified_mmse")
 
 # kinds that also take a complex correlation, such as the combined-domain
-# R_eff (a public API, and the tests' reference for the type2 harness) or
-# the Hermitian H that the harness cancels with
+# R_eff or H: a public API, and the type2 reference in tests/reference.py
+# (the harness sums its type2 chains through cancellation_partials itself)
 _COMPLEX_KINDS = ("mf", "conventional", "proposed")
 
 
@@ -118,13 +121,15 @@ def _identities(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def cancellation_series(first, steps, hollow: bool, coefs=None, rows=None) -> np.ndarray:
     """The stage recursion: sum_n c_n T_n with T_0 = first and T_n = T_{n-1} S_n.
 
-    steps yields S_1, S_2, ...; with hollow set, each new product T_n (n >= 1)
-    has its diagonal zeroed before it is summed and carried on.  coefs holds
-    c_0, c_1, ... (None means every c_n = 1).  Takes (..., K, K) stacks, real
-    or complex; c_0 T_0 must already have the result's shape.  Row i of T_n
-    needs only row i of T_{n-1}, so first may hold some rows of T_0 alone,
-    (..., R, K): rows then names them (an index array into K), and hollowing
-    zeroes entry (i, rows[i]).
+    steps yields S_1, S_2, ...: each a matrix, or a callable that takes
+    T_{n-1} to T_n without forming S_n (a matrix-free step).  With hollow set,
+    each new product T_n (n >= 1) has its diagonal zeroed before it is
+    summed and carried on.  coefs holds c_0, c_1, ... (None means every
+    c_n = 1).  Takes (..., K, K) stacks, real or complex; c_0 T_0 must
+    already have the result's shape.  Row i of T_n needs only row i of
+    T_{n-1}, so first may hold some rows of T_0 alone, (..., R, K): rows
+    then names them (an index array into K), and hollowing zeroes entry
+    (i, rows[i]).
     """
     *_, total = cancellation_partials(first, steps, hollow, coefs, rows)
     return total
@@ -141,7 +146,7 @@ def cancellation_partials(first, steps, hollow: bool, coefs=None, rows=None):
     total = first.copy() if coefs is None else coefs[0] * first
     yield total
     for n, step in enumerate(steps, 1):
-        part = part @ step
+        part = step(part) if callable(step) else part @ step
         if hollow:
             _hollow(part, rows)
         total += part if coefs is None else coefs[n] * part

@@ -9,7 +9,9 @@ and noise and forms y by them):
     independent per user and per subcarrier.
   * The matched-filter bank output is y = R x + n with effective symbols
     x_k = A_k b_k h_k and noise covariance E[n n^H] = sigma2 * R.
-  * Bit decisions are sign(Re(conj(h_k) y_k)) with ties resolved to +1.
+  * Bit decisions are sign(Re(conj(h_k) y_k)), a computed zero resolved to
+    +1.  A statistic that is zero in exact arithmetic is decided by the sign
+    of its rounding, and tests/reference.py counts it as a tie.
   * Users are indexed from 0.
 """
 

@@ -587,8 +587,9 @@ def _count_matrix_forms(ctx: _Context, bits, h, z):
     h is the (2, T, M, K) fading planes and z the (M, 2, T, D R) rows F y
     of every detector on every subcarrier and plane (see _detect); z is
     overwritten.  The statistic Re(conj(h_i) z) = h_re z_re + h_im z_im
-    accumulates in subcarrier order 0..M-1.  An exact zero (or NaN) decides
-    +1.
+    accumulates in subcarrier order 0..M-1.  A computed zero (or NaN)
+    decides +1: a statistic that is zero in exact arithmetic takes the sign
+    of its rounding, which tests/reference.py counts as a tie.
     """
     wrong = bits[:, ctx.rows] < 0                       # (T, R)
     trials, counted = wrong.shape
@@ -616,42 +617,32 @@ def _detect_combined(ctx: _Context, bits, x, y, bound):
     D(x_i), x = h / sqrt(p).  Zeroing a diagonal commutes with a diagonal
     similarity, so each conventional, proposed and decorrelator statistic on
     y_c is sqrt(p_k) times its H form on u = P^-1/2 y_c = sum_i conj(x_i) y_i,
-    with the same sign: every helper takes x and u, and nonconv counts the
-    trials with lambda_max(H) >= 2.  x holds the chunk's user-major h and is
-    scaled into x in place; y is its user-major y (see _receive_users), both
-    complex (M, K, B), and u is summed in y's buffer.  The helpers take the
-    (B, M, K) and (B, K) views of x and u.  A dense H is formed only for the
-    detectors that need the matrix form, or for the trials the low-rank
-    bound leaves open.  bound is that bound while the block keeps it, else
-    None; _nonconvergent applies it.
-    Returns the (2, C) errors and counted trials of ctx.combined, nonconv,
-    and the bound for the block's next chunk.
+    with the same sign, and nonconv counts the trials with lambda_max(H) >= 2.
+    x holds the chunk's user-major h, scaled into x in place, and y the
+    chunk's y (see _receive_users), both complex (M, K, B); u is summed in
+    y's buffer.  H is formed only for the decorrelator, all-users proposed
+    (see _series_stats) and the trials that the low-rank bound (see
+    _nonconvergent; None once the block drops it) leaves open.  Returns the
+    (2, C) errors and counted trials of ctx.combined, nonconv, and the bound.
     """
     wrong = bits[:, ctx.rows] < 0
-    dense = any(spec.kind in ("proposed", "decorrelator") for spec in ctx.combined)
-    proposed = {spec.stage: spec for spec in ctx.combined if spec.kind == "proposed"}
-    mats = ctx.correlations
+    kinds = {spec.kind: spec for spec in ctx.combined}  # the decorrelator has one spec
+    dense = "decorrelator" in kinds or ("proposed" in kinds and ctx.cfg.count_all_users)
     # p = sum_i |h_i|^2, then x = h / sqrt(p) in place and u = sum_i conj(x_i) y_i
     square = np.square(x.view(float))
     x *= 1.0 / np.sqrt(_subcarrier_sum(square[..., ::2] + square[..., 1::2]))
-    u = _subcarrier_sum(np.multiply(np.conj(x), y, out=y))
-    x, u = x.transpose(2, 0, 1), u.T
-    herm = _combined_matrix(mats, x) if dense else None
-    nonconv, bound = _nonconvergent(bound, mats, x, herm)
-    u_dense = np.ascontiguousarray(u) if dense else None
-    stats = _proposed_stats(herm, u_dense, proposed, ctx.rows) if proposed else {}
+    xc = np.conj(x)
+    u = _subcarrier_sum(np.multiply(xc, y, out=y))
+    herm = _combined_matrix(ctx.correlations, x.transpose(2, 0, 1)) if dense else None
+    nonconv, bound = _nonconvergent(bound, ctx.correlations, x.transpose(2, 0, 1), herm)
+    stats, solved = _series_stats(ctx, x, xc, u, herm), None
+    if "decorrelator" in kinds:
+        stat, solved = _decorrelate(herm, np.ascontiguousarray(u.T))
+        stats[kinds["decorrelator"]] = stat[:, ctx.rows]
     counts = np.empty((2, len(ctx.combined)), dtype=np.int64)
     for j, spec in enumerate(ctx.combined):
-        solved = None
-        if spec.kind == "conventional":
-            stat = _conventional_type2(mats, x, u, spec.stage, ctx.rows)
-        elif spec.kind == "proposed":
-            stat = stats[spec]
-        else:
-            stat, solved = _decorrelate(herm, u_dense)
-            stat = stat[:, ctx.rows]
-        bad = (stat.real < 0) != wrong
-        if solved is not None:
+        bad = (stats[spec].real < 0) != wrong
+        if spec.kind == "decorrelator" and solved is not None:
             bad = bad[solved]
         counts[:, j] = np.count_nonzero(bad), len(bad)
     return counts, nonconv, bound
@@ -792,23 +783,6 @@ def _gram_moments(bound, x):
     return trace, frob2
 
 
-def _proposed_stats(herm, u, proposed, rows) -> dict:
-    """rows of the type2 proposed statistics G_m u of every configured stage m.
-
-    proposed maps stage to spec.  One series pass on I - H over the given
-    rows alone gives the partial sums of build_filter("proposed", H, m,
-    rows=rows), so each filter equals that build.
-    """
-    index = np.arange(herm.shape[-1])[rows]
-    steps = [np.eye(herm.shape[-1], dtype=herm.dtype) - herm] * (max(proposed) - 1)
-    series = cancellation_partials(_identities(herm, index), steps, hollow=True, rows=index)
-    return {
-        proposed[stage]: (g @ u[..., None])[..., 0]
-        for stage, g in enumerate(series, 1)
-        if stage in proposed
-    }
-
-
 def _count_nonconvergent(herm) -> int:
     """Count the draws of a Hermitian (B, K, K) stack with lambda_max >= 2, exactly.
 
@@ -824,27 +798,52 @@ def _count_nonconvergent(herm) -> int:
     return int(np.count_nonzero(lam_max >= 2.0))
 
 
-def _conventional_type2(correlations, x, u, stage: int, rows):
-    """rows of the conventional statistics on H (see _detect_combined), without forming H.
+def _series_stats(ctx: _Context, x, xc, u, herm) -> dict:
+    """Every configured conventional and proposed statistic, (B, R) counted rows by spec.
 
-    x is (B, M, K) and u (B, K); the result is (B, R).  Each stage applies
-    H v = sum_i conj(x_i) * (R_i (x_i * v)) user-major, on x as (M, K, B)
-    and v as (K, B), so each R_i product is one real GEMM (see _users).
-    The views of user-major arrays that the harness passes are used without
-    a copy.  Stages 2..m-1 need every row; the last stage applies only the
-    rows of each R_i it returns.
+    x, xc = conj(x) and the (K, B) u are _detect_combined's, herm H or None.
+    One cancellation_partials pass per kind yields every stage: conventional
+    sums the columns G u by _cancel_step, the last term in the counted rows
+    alone; proposed sums the hollow (B, 1, K) rows e_0 G by t (I - H), that
+    step with x and xc swapped, or with count_all_users the dense I - H.
     """
-    if stage == 1:
-        return u[:, rows]
-    x = np.ascontiguousarray(x.transpose(1, 2, 0))
-    u = np.ascontiguousarray(u.T)
-    xc = np.conj(x)
-    stat = u
-    for _ in range(stage - 2):
-        applied = _users(correlations, x * stat)
-        stat = u + stat - _subcarrier_sum(np.multiply(xc, applied, out=applied))
-    last = _users(correlations[:, :, rows], x * stat)
-    return (u[rows] + stat[rows] - _subcarrier_sum(np.multiply(xc[:, rows], last, out=last))).T
+    mats, rows, k = ctx.correlations, ctx.rows, x.shape[1]
+    index, out = np.arange(k)[rows], {}
+    for kind in sorted({spec.kind for spec in ctx.combined} - {"decorrelator"}):
+        specs = {spec.stage: spec for spec in ctx.combined if spec.kind == kind}
+        top, hollow = max(specs), kind == "proposed"
+        if hollow:
+            columns = _cancel_step(mats, xc, x)  # t (I - H) is this step on t^T
+            rowwise = lambda t: columns(t[:, 0].T).T[:, None]
+            step = np.eye(k) - herm if ctx.cfg.count_all_users else rowwise
+            first, steps = _identities(x.transpose(2, 0, 1), index), [step] * top
+            u_col = np.ascontiguousarray(u.T)[..., None]
+        else:
+            first = u
+            steps = [_cancel_step(mats, x, xc)] * (top - 2) + [_cancel_step(mats, x, xc, rows)]
+        series = cancellation_partials(first, steps[: top - 1], hollow, rows=index)
+        for stage, total in enumerate(series, 1):
+            if stage in specs:
+                out[specs[stage]] = (total @ u_col)[..., 0] if hollow else total[rows].T.copy()
+    return out
+
+
+def _cancel_step(correlations, x, xc, rows=slice(None)):
+    """The step v -> v - H v of user-major (K, B) columns, H = sum_i D(xc_i) R_i D(x_i).
+
+    x is (M, K, B) and xc = conj(x).  H v = sum_i xc_i (R_i (x_i v)) takes
+    one real GEMM per R_i (see _users).  rows, a slice, applies only those
+    rows of each R_i, and the other rows come back zero.
+    """
+
+    def step(v):
+        applied = _users(correlations[:, :, rows], x * v)
+        hv = _subcarrier_sum(np.multiply(xc[:, rows], applied, out=applied))
+        out = hv if len(hv) == len(v) else np.zeros(v.shape, dtype=complex)
+        np.subtract(v[rows], hv, out=out[rows])
+        return out
+
+    return step
 
 
 def _decorrelate(herm, u):

@@ -77,21 +77,29 @@ class TestProposed:
             assert np.allclose(np.diag(diff), 0.0, atol=0)
 
     def test_one_series_pass_gives_every_stage(self, rng):
-        # the type2 harness takes the filters of all configured stages from
-        # one pass; each partial sum is the build of its stage, bit for bit
+        # the type2 harness takes the statistics of all configured stages
+        # from one pass; each partial sum is the build of its stage, bit for
+        # bit, whether the step is a matrix or a callable that applies it,
+        # and in the given rows alone
         rs = np.stack([random_correlation(rng, 6, 24) for _ in range(2)])
         h = np.sqrt(0.5) * (rng.standard_normal((16, 2, 6)) + 1j * rng.standard_normal((16, 2, 6)))
         r_c = np.einsum("bik,ikl,bil->bkl", np.conj(h), rs, h)
         r_eff = r_c / np.sum(np.abs(h) ** 2, axis=1)[:, None, :]
         eye = np.eye(6, dtype=complex)
-        series = cancellation_partials(
-            np.broadcast_to(eye, r_eff.shape), [eye - r_eff] * 5, hollow=True
-        )
-        stages = 0
-        for stage, got in enumerate(series, 1):
-            assert np.array_equal(got, build_filter("proposed", r_eff, stage)), stage
-            stages += 1
-        assert stages == 6
+        step = eye - r_eff
+        for rows in (None, np.array([0, 3])):
+            first = eye if rows is None else eye[rows]
+            for s in (step, lambda t: t @ step):
+                series = cancellation_partials(
+                    np.broadcast_to(first, r_eff.shape[:1] + first.shape), [s] * 5,
+                    hollow=True, rows=rows,
+                )
+                stages = 0
+                for stage, got in enumerate(series, 1):
+                    want = build_filter("proposed", r_eff, stage, rows=rows)
+                    assert np.array_equal(got, want), (stage, rows, callable(s))
+                    stages += 1
+                assert stages == 6
 
 
 class TestMmseFamily:

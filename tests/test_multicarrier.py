@@ -5,17 +5,20 @@ y_c and cancels with R_eff = R_c P^-1, R_c = sum_i D(conj h_i) R_i D(h_i),
 P = diag of the combined power p.  simulate runs it on the similar
 Hermitian H = P^-1/2 R_c P^-1/2 = sum_i D(conj x_i) R_i D(x_i), x = h /
 sqrt(p), against u = P^-1/2 y_c, in its own forms (_combined_matrix,
-_conventional_type2, _proposed_stats, _decorrelate): each statistic is
-sqrt(p_k) times smaller than its R_eff form.  build_filter on a complex
-R_eff, a public combined-domain API, is their reference here, compared
-after scaling by sqrt(p).  R_c, R_eff and H come from tests/reference.py.
+_series_stats, which sums the conventional and proposed stages through
+filters.cancellation_partials with a matrix-free step, and _decorrelate):
+each statistic is sqrt(p_k) times smaller than its R_eff form.
+build_filter on a complex R_eff, a public combined-domain API, is their
+reference here, compared after scaling by sqrt(p).  R_c, R_eff and H come from tests/reference.py.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lpic import simulate
-from lpic.config import ConfigError, parse_config
+from lpic.config import ConfigError, DetectorSpec, parse_config
 from lpic.filters import build_filter
 from lpic.simulate import run_ber_experiment
 
@@ -27,6 +30,21 @@ def draw_setup(rng, m, users, chips=32, unit_channel=False):
     corrs = np.stack([random_correlation(rng, users, chips) for _ in range(m)])
     h = np.ones((m, users), dtype=complex) if unit_channel else fading(rng, (m, users))
     return corrs, h
+
+
+def series_stats(corrs, x, u, specs, rows, herm=None):
+    """simulate._series_stats on (M, G, K, K) correlations, (M, B, K) x and (B, K) u.
+
+    rows is slice(None) (count_all_users, which takes herm for proposed) or
+    slice(0, 1); the harness's arrays are user-major, so x and u go in as
+    C-contiguous (M, K, B) and (K, B) copies.
+    """
+    ctx = SimpleNamespace(
+        correlations=corrs, combined=specs, rows=rows,
+        cfg=SimpleNamespace(count_all_users=rows == slice(None)),
+    )
+    x = np.ascontiguousarray(x.transpose(0, 2, 1))
+    return simulate._series_stats(ctx, x, np.conj(x), np.ascontiguousarray(u.T), herm)
 
 
 class TestEffectiveMatrices:
@@ -163,33 +181,54 @@ class TestReceivers:
         series = build_filter("conventional", effective(corrs, h), 120) @ y_c
         assert np.allclose(series, exact, atol=1e-8)
         x, root = scaled(h), np.sqrt(power(h))
-        free = simulate._conventional_type2(
-            corrs[:, None], x[None], (y_c / root)[None], 120, slice(None)
-        )
-        assert np.allclose(root * free[0], exact, atol=1e-8)
+        spec = DetectorSpec("conventional", 120)
+        free = series_stats(corrs[:, None], x[:, None], (y_c / root)[None], [spec], slice(None))
+        assert np.allclose(root * free[spec][0], exact, atol=1e-8)
 
-    @pytest.mark.parametrize("per_draw", [False, True], ids=["fixed", "per_trial"])
-    @pytest.mark.parametrize("rows", [slice(0, 1), slice(None)], ids=["user0", "all"])
-    def test_counted_last_stage_keeps_the_full_chains_rows(self, rng, per_draw, rows):
-        # the last stage applies only the counted rows of each R_i; every
-        # stage before it, and the full chain here, applies whole matrices
+    @staticmethod
+    def _chains(rng, per_draw):
+        """(M, G, K, K) correlations, (M, B, K) scaled channel and (B, K) u of 64 trials."""
         m, users, trials = 4, 20, 64
         corrs = np.stack(
             [[random_correlation(rng, users, 64) for _ in range(trials if per_draw else 1)]
              for _ in range(m)]
-        )                                                        # (M, G, K, K)
+        )
         h = fading(rng, (m, trials, users))
-        x = h / np.sqrt(np.sum(np.abs(h) ** 2, axis=0))         # (M, B, K)
-        u = fading(rng, (trials, users))
+        x = h / np.sqrt(np.sum(np.abs(h) ** 2, axis=0))
+        return corrs, x, fading(rng, (trials, users))
+
+    @pytest.mark.parametrize("per_draw", [False, True], ids=["fixed", "per_trial"])
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(None)], ids=["user0", "all"])
+    def test_counted_last_stage_keeps_the_full_chains_rows(self, rng, per_draw, rows):
+        # one pass gives every stage; the top stage's last term applies only
+        # the counted rows of each R_i, and every stage before it, and the
+        # full chain here, applies whole matrices
+        corrs, x, u = self._chains(rng, per_draw)
+        specs = [DetectorSpec("conventional", stage) for stage in range(1, 6)]
+        got = series_stats(corrs, x, u, specs, rows)
         stat = u
-        for stage in range(1, 6):
-            got = simulate._conventional_type2(corrs, x.transpose(1, 0, 2), u, stage, rows)
+        for spec in specs:
             want = stat[:, rows]
-            assert got.shape == want.shape
-            assert np.array_equal(got.real < 0, want.real < 0)
-            assert np.allclose(got, want, rtol=1e-13, atol=0)
+            assert got[spec].shape == want.shape
+            assert np.array_equal(got[spec].real < 0, want.real < 0)
+            assert np.allclose(got[spec], want, rtol=1e-13, atol=0)
             applied = np.sum(np.conj(x) * simulate._apply(corrs, x * stat), axis=0)
             stat = u + stat - applied
+
+    @pytest.mark.parametrize("per_draw", [False, True], ids=["fixed", "per_trial"])
+    def test_matrix_free_proposed_row_is_the_dense_row(self, rng, per_draw):
+        # user 0's proposed statistics, summed matrix-free on the hollow rows
+        # e_0 G (the step with x and conj(x) swapped), against row 0 of the
+        # dense series on H that count_all_users takes
+        corrs, x, u = self._chains(rng, per_draw)
+        specs = [DetectorSpec("proposed", stage) for stage in range(1, 6)]
+        herm = simulate._combined_matrix(corrs, x.transpose(1, 0, 2))
+        free = series_stats(corrs, x, u, specs, slice(0, 1))
+        dense = series_stats(corrs, x, u, specs, slice(None), herm)
+        for spec in specs:
+            assert free[spec].shape == (len(u), 1)
+            assert np.array_equal(free[spec].real < 0, dense[spec][:, :1].real < 0)
+            assert np.allclose(free[spec], dense[spec][:, :1], rtol=1e-13, atol=0)
 
     def test_type2_rejects_unsupported_kinds(self):
         for kind in ("mmse_converging", "modified_mmse", "weighted_proposed"):

@@ -773,10 +773,10 @@ class TestType2CombinedDomain:
     every combined-domain statistic from build_filter(kind, H, m, rows=...)
     @ u, the decorrelator's from solve (skipping a trial whose H
     singular_draws flags), and nonconv from eigvalsh.  The statistics of
-    _conventional_type2, _proposed_stats and _decorrelate must lie within
-    its rounding bands, with the same trials skipped, and the records must
-    match.  nonconv is counted for every type2 run, also one whose
-    detectors are all matrix forms (mf and mmse).
+    _series_stats (every conventional and proposed stage) and _decorrelate
+    must lie within its rounding bands, with the same trials skipped, and
+    the records must match.  nonconv is counted for every type2 run, also
+    one whose detectors are all matrix forms (mf and mmse).
     """
 
     @pytest.mark.parametrize(
@@ -789,16 +789,10 @@ class TestType2CombinedDomain:
         cfg = _config("combined_" + name)
         rows = slice(0, cfg.users if cfg.count_all_users else 1)
         stats = {spec: [] for spec in cfg.detectors if spec.kind not in ("mf", "mmse")}
-        conventional, proposed = simulate._conventional_type2, simulate._proposed_stats
-        decorrelate = simulate._decorrelate
+        series, decorrelate = simulate._series_stats, simulate._decorrelate
 
-        def spy_conventional(correlations, x, u, stage, counted):
-            stat = conventional(correlations, x, u, stage, counted)
-            stats[DetectorSpec("conventional", stage)].append(stat.real.copy())  # may view u
-            return stat
-
-        def spy_proposed(herm, u, specs, counted):
-            got = proposed(herm, u, specs, counted)
+        def spy_series(*args):
+            got = series(*args)
             for spec, stat in got.items():
                 stats[spec].append(stat.real)
             return got
@@ -811,8 +805,7 @@ class TestType2CombinedDomain:
             stats[DetectorSpec("decorrelator", 1)].append(kept)
             return stat, solved
 
-        for attr, spy in (("_conventional_type2", spy_conventional),
-                          ("_proposed_stats", spy_proposed), ("_decorrelate", spy_decorrelate)):
+        for attr, spy in (("_series_stats", spy_series), ("_decorrelate", spy_decorrelate)):
             monkeypatch.setattr(simulate, attr, spy)
         records = run_ber_experiment(cfg)
 
@@ -1335,18 +1328,39 @@ class TestNonconvCertificate:
     )
 
     def test_conventional_only_run_never_forms_r_c(self, monkeypatch):
-        # the bound settles every trial at this seed; the counts come from
-        # the harness that formed the dense matrix for every trial
+        # the bound settles every trial at this seed, and with user 0 counted
+        # the conventional and proposed chains step matrix-free; the counts
+        # come from the harness that formed the dense matrix for every trial
         def fail(*args):
             raise AssertionError("formed H")
 
         monkeypatch.setattr(simulate, "_combined_matrix", fail)
-        records = _run(self.CONVENTIONAL_ONLY + "seed = 5\n")
-        assert {r.detector: r.bit_errors for r in records} == {
-            "mf": 2558, "conventional": 63, "mmse": 918,
+        common = {("mf", 1): 2558, ("conventional", 4): 63, ("mmse", 1): 918}
+        proposed = {("proposed", m): e for m, e in ((2, 403), (3, 85), (4, 57), (5, 57))}
+        for detectors, errors in (
+            ("mf, conventional:4, mmse", common),
+            ("mf, conventional:4, proposed:2..5, mmse", common | proposed),
+        ):
+            text = self.CONVENTIONAL_ONLY.replace("mf, conventional:4, mmse", detectors)
+            text += "seed = 5\n"
+            records = _run(text)
+            assert {(r.detector, r.stage): r.bit_errors for r in records} == errors
+            assert all(r.trials == 12000 and r.nonconv == 0 for r in records)
+            assert _run(text, threads=2) == records
+
+    def test_all_users_proposed_steps_with_the_dense_h(self, monkeypatch):
+        # with every user counted, proposed takes the dense I - H step: H is
+        # formed for every trial, though the bound settles them all
+        rows = self._dense_rows(monkeypatch)
+        text = self.CONVENTIONAL_ONLY.replace("conventional:4,", "conventional:4, proposed:3,")
+        text += "seed = 5\ncount_all_users = true\n"
+        records = _run(text)
+        assert {(r.detector, r.stage): r.bit_errors for r in records} == {
+            ("mf[all-users]", 1): 29885, ("conventional[all-users]", 4): 733,
+            ("mmse[all-users]", 1): 11867, ("proposed[all-users]", 3): 960,
         }
-        assert all(r.trials == 12000 and r.nonconv == 0 for r in records)
-        assert _run(self.CONVENTIONAL_ONLY + "seed = 5\n", threads=2) == records
+        assert all(r.trials == 240000 and r.nonconv == 0 for r in records)
+        assert sum(rows) == 12000
 
     def test_golden_run_forms_r_c_for_the_open_trials_alone(self, monkeypatch):
         # TestGoldenCounts' type2_k20p64m4 config, conventional-only: H is
