@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -65,7 +66,9 @@ def _cmd_analyze_equicorr(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; each parse_args gives a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="lpic",
         description="Linear parallel interference cancellation: simulation and analysis",
@@ -102,8 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:

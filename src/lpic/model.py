@@ -49,6 +49,58 @@ def generate_spreading_set(users: int, length: int, rng: np.random.Generator) ->
     return rng.integers(0, 2, size=(users, length)).astype(np.int8) * 2 - 1
 
 
+# row 2 h + l: the +/-1 draws (low half, high half) of a word whose halves give bits l, h
+_SIGN_PAIRS = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+
+
+class _SignDraws:
+    """+/-1 draws of rng.integers(0, 2) * 2 - 1 read straight from PCG64's raw words.
+
+    For a range of 2, integers(0, 2) (int64) is Lemire's multiply-shift on
+    successive 32-bit halves of the 64-bit outputs, low half first, so each
+    value is half >> 31.  A word's high half waits in the generator's 32-bit
+    buffer (has_uint32, uinteger) for the next value; normals and doubles
+    read whole words and leave it there.  read(n) queues the next n values
+    with at most one random_raw call; values() returns every queued value,
+    in order, as float64 +/-1, and leaves the generator in the state the
+    integers calls would have.  Between the two, draw nothing that reads
+    32-bit halves.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        assert isinstance(bitgen, np.random.PCG64), "raw sign draws read PCG64 words"
+        state = bitgen.state
+        self._bitgen, self._raw = bitgen, bitgen.random_raw
+        self._buffer = (state["has_uint32"], state["uinteger"])
+        self._head = self._pending = state["has_uint32"]
+        # a buffered half is the high half of a word: the code reads it as one
+        self._words = [np.array([state["uinteger"] << 32], np.uint64)] if self._head else []
+        self._count = 0
+
+    def read(self, n: int) -> None:
+        if n:
+            take = n - self._pending  # values the buffered half does not serve
+            self._pending = take & 1
+            self._count += n
+            if take:
+                self._words.append(self._raw((take + 1) >> 1))
+
+    def values(self) -> np.ndarray:
+        state = self._bitgen.state
+        assert (state["has_uint32"], state["uinteger"]) == self._buffer, "halves read meanwhile"
+        if not self._words:
+            return np.empty(0)
+        words = np.concatenate(self._words)
+        code = words >> 62
+        code &= 2
+        code |= words >> 31 & 1
+        pairs = _SIGN_PAIRS.take(code.view(np.int64), axis=0)
+        state["has_uint32"], state["uinteger"] = self._pending, int(words[-1]) >> 32
+        self._bitgen.state = state
+        return pairs.reshape(-1)[self._head : self._head + self._count]
+
+
 def correlation_matrix(chips: np.ndarray) -> np.ndarray:
     """Normalized cross-correlation R = C C^T / P (unit diagonal) of (..., K, P) +/-1 chips.
 
@@ -61,7 +113,7 @@ def correlation_matrix(chips: np.ndarray) -> np.ndarray:
         raise ValueError(f"chips must be a (..., K, P) array, got shape {c.shape}")
     if not np.all((c == 1) | (c == -1)):
         raise ValueError("chips must be +/-1 valued")
-    c = c.astype(np.float64)
+    c = c.astype(np.float64, copy=False)
     return c @ c.swapaxes(-1, -2) / c.shape[-1]
 
 

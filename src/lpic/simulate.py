@@ -30,6 +30,7 @@ from .config import ConfigError, ExperimentConfig
 from .filters import SPECTRAL_KINDS, _identities, build_filter, cancellation_partials
 from .model import (
     _CERT_MARGIN,
+    _SignDraws,
     _factorizes,
     convergence_check,
     correlation_matrix,
@@ -239,7 +240,8 @@ def _draw_correlations(cfg: ExperimentConfig, rng: np.random.Generator):
     (M, 1, K, K) correlations and noise factors.
     """
     for _ in range(_MAX_REDRAWS):
-        mats, factors = _correlate(cfg, np.stack([_spreading_sets(cfg, rng)]))
+        chips = [generate_spreading_set(cfg.users, cfg.chips, rng) for _ in range(_sets(cfg))]
+        mats, factors = _correlate(cfg, np.stack([chips]))
         if cfg.require_convergent and not all(
             convergence_check(r).converges for r in mats[:, 0]
         ):
@@ -248,10 +250,9 @@ def _draw_correlations(cfg: ExperimentConfig, rng: np.random.Generator):
     raise RuntimeError(f"no acceptable spreading draw in {_MAX_REDRAWS} attempts")
 
 
-def _spreading_sets(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
-    """One trial's spreading sets: one per subcarrier, or one for all (identical)."""
-    sets = 1 if cfg.subcarrier_sequences == "identical" else cfg.subcarriers
-    return [generate_spreading_set(cfg.users, cfg.chips, rng) for _ in range(sets)]
+def _sets(cfg: ExperimentConfig) -> int:
+    """Spreading sets in a draw: one per subcarrier, or one for all (identical)."""
+    return 1 if cfg.subcarrier_sequences == "identical" else cfg.subcarriers
 
 
 def _correlate(cfg: ExperimentConfig, chips: np.ndarray):
@@ -418,12 +419,16 @@ def _low_rank_bound(correlations):
 def _draw_symbols(rng: np.random.Generator, cfg: ExperimentConfig, sigma2: float, size: int):
     """Bits, fading and noise of size trials; fixed draw order (bits, channel, noise).
 
-    Each of fading and noise draws its real parts, then its imaginary parts,
-    into one (4, size, M, K) buffer of real planes: h_re, h_im, w_re, w_im.
+    The bits are the +/-1 values of integers(0, 2, size=(size, K)), read
+    from the generator's raw words (see model._SignDraws).  Each of fading
+    and noise draws its real parts, then its imaginary parts, into one
+    (4, size, M, K) buffer of real planes: h_re, h_im, w_re, w_im.
     h_re + 1j h_im is bit for bit what sqrt(0.5) (a + 1j b) of the same
     reads gives, and likewise w.  Returns the bits and the planes.
     """
-    bits = (rng.integers(0, 2, size=(size, cfg.users)) * 2 - 1).astype(np.float64)
+    signs = _SignDraws(rng)
+    signs.read(size * cfg.users)
+    bits = signs.values().reshape(size, cfg.users)
     planes = np.empty((4, size, cfg.subcarriers, cfg.users))
     for plane in planes:
         rng.standard_normal(out=plane)
@@ -441,19 +446,24 @@ def _draw_trials(cfg: ExperimentConfig, rng: np.random.Generator, sigma2: float,
     """count trials, each with its own spreading draw.
 
     Every trial reads the stream of a one-trial block: its sequences, then
-    what _draw_symbols(rng, cfg, sigma2, 1) reads, taking the four normal
-    arrays in one call.  The chunk's sequences are correlated and factored
-    as one stack.  Returns (M, count, K, K) correlations and factors, then
-    the bits and the (4, count, M, K) planes of _draw_symbols.
+    what _draw_symbols(rng, cfg, sigma2, 1) reads.  Its sequences and bits
+    are consecutive integers(0, 2) reads, so they come from one raw read of
+    sets K P + K values (see model._SignDraws), and its four normal arrays
+    from one call.  The chunk's sequences are correlated and factored as one
+    stack.  Returns (M, count, K, K) correlations and factors, then the bits
+    and the (4, count, M, K) planes of _draw_symbols.
     """
-    chips, raw_bits, normals = [], [], []
-    for _ in range(count):
-        chips.append(_spreading_sets(cfg, rng))
-        raw_bits.append(rng.integers(0, 2, size=(1, cfg.users)))
-        normals.append(rng.standard_normal((4, 1, cfg.subcarriers, cfg.users)))
-    correlations, factors = _correlate(cfg, np.array(chips))
-    bits = (np.concatenate(raw_bits) * 2 - 1).astype(np.float64)
-    return correlations, factors, bits, _scaled(np.concatenate(normals, axis=1), sigma2)
+    shape = (count, _sets(cfg), cfg.users, cfg.chips)
+    chips = shape[1] * cfg.users * cfg.chips  # a trial's chip values; its K bits follow
+    signs = _SignDraws(rng)
+    normals = np.empty((count, 4, cfg.subcarriers, cfg.users))
+    for normal in normals:
+        signs.read(chips + cfg.users)
+        rng.standard_normal(out=normal)
+    values = signs.values().reshape(count, -1)
+    correlations, factors = _correlate(cfg, values[:, :chips].reshape(shape))
+    planes = np.ascontiguousarray(normals.swapaxes(0, 1))
+    return correlations, factors, values[:, chips:], _scaled(planes, sigma2)
 
 
 def _apply(mats, v):

@@ -63,6 +63,14 @@ class SinrBreakdown:
         return num / (self.interference_power(w) + self.noise_power(w))
 
 
+def _square_correlation(correlation: np.ndarray, what: str) -> np.ndarray:
+    """A real (..., K, K) correlation stack as float (see model._real_correlation)."""
+    r = _real_correlation(correlation, what)
+    if r.ndim < 2 or r.shape[-2] != r.shape[-1]:
+        raise ValueError("correlation must be square")
+    return r
+
+
 def q_matrix(
     correlation: np.ndarray,
     prior_weights: np.ndarray | None,
@@ -81,42 +89,48 @@ def q_matrix(
     cross-correlations.  A (..., K, K) stack of correlations, with a
     schedule of the same leading axes, gives a stack of Q matrices.
     """
-    r = _real_correlation(correlation, "q_matrix")
+    r = _square_correlation(correlation, "q_matrix")
     k = r.shape[-1]
-    if r.ndim < 2 or r.shape[-2] != k:
-        raise ValueError("correlation must be square")
     if stage < 2:
         raise ValueError("combining coefficients are defined for stages >= 2")
     if prior_weights is not None:
         prior_weights = _checked_schedule(prior_weights, k, stage - 1)
-    step = np.eye(k) - r
+    return _q(np.eye(k) - r, prior_weights, stage)
+
+
+def _q(step: np.ndarray, prior_weights: np.ndarray | None, stage: int) -> np.ndarray:
+    """q_matrix from the step I - R, with checked prior weights."""
     steps = _weighted_steps(step, prior_weights, stage - 1)
     return -cancellation_series(step, steps, hollow=True)
 
 
-def _breakdown_terms(
-    correlation: np.ndarray,
-    q: np.ndarray,
-    amplitudes: np.ndarray,
-    sigma2: float,
-):
+def _stage_invariants(correlation: np.ndarray, amplitudes: np.ndarray):
+    """What every stage's _breakdown_terms shares: (off, rho, a2, b).
+
+    off masks the off-diagonal, rho = R there, a2 holds the squared
+    amplitudes and b = rho^2 a2 is the stage-free interference power.
+    """
+    off = ~np.eye(correlation.shape[-1], dtype=bool)
+    rho = np.where(off, correlation, 0.0)
+    a2 = amplitudes**2
+    return off, rho, a2, rho**2 @ a2
+
+
+def _breakdown_terms(correlation: np.ndarray, q: np.ndarray, sigma2: float, invariants):
     """SINR coefficients of every user at once from the full Q matrix.
 
-    Returns (a, b, c, d, e, w_opt, degenerate), each of shape (..., K) for
+    invariants are the correlation's _stage_invariants.  Returns
+    (a, b, c, d, e, w_opt, degenerate), each of shape (..., K) for
     (..., K, K) inputs; w_opt is 1 where degenerate.  Row k of G = Q R holds
     g_i = q_i + sum_{l != i,k} q_l rho_li for user k; the interference sums
     run over i != k.
     """
     r = correlation
-    k = r.shape[-1]
-    a2 = amplitudes**2
-    off = ~np.eye(k, dtype=bool)
-    rho = np.where(off, r, 0.0)
+    off, rho, a2, b = invariants
     g = q @ r
     g_off = np.where(off, g, 0.0)
 
     a = np.sum(q * r, axis=-1)  # q[k, k] = 0 excludes the diagonal term
-    b = rho**2 @ a2
     c = g_off**2 @ a2
     d = (rho * g_off) @ a2
     e = np.sum(g * q, axis=-1)  # includes i = j terms; exact for noise cov sigma2 R
@@ -154,7 +168,9 @@ def sinr_breakdown(
         raise ValueError("sigma2 must be nonnegative")
     if not 0 <= user < k:
         raise ValueError(f"user {user} out of range for K={k}")
-    terms = _breakdown_terms(r, q_matrix(r, prior_weights, stage), amps, sigma2)
+    terms = _breakdown_terms(
+        r, q_matrix(r, prior_weights, stage), sigma2, _stage_invariants(r, amps)
+    )
     a, b, c, d, e, w_opt, degenerate = (v[user].item() for v in terms)
     return SinrBreakdown(
         user=user,
@@ -187,14 +203,16 @@ def compute_weight_schedule(
     deterministic.  A (..., K, K) stack of correlations gives both with the
     same leading axes; it fails if any draw's weights are not finite.
     """
-    r = _real_correlation(correlation, "compute_weight_schedule")
+    r = _square_correlation(correlation, "compute_weight_schedule")
     amps = np.asarray(amplitudes, dtype=float)
     if max_stage < 2:
         raise ValueError("max_stage must be >= 2")
     weights = np.empty(r.shape[:-2] + (max_stage - 1, r.shape[-1]))
     degen = np.empty(weights.shape, dtype=bool)
+    step, invariants = np.eye(r.shape[-1]) - r, _stage_invariants(r, amps)
     for m in range(2, max_stage + 1):
-        *_, w, d = _breakdown_terms(r, q_matrix(r, weights[..., : m - 2, :], m), amps, sigma2)
+        q = _q(step, _checked_schedule(weights[..., : m - 2, :], r.shape[-1], m - 1), m)
+        *_, w, d = _breakdown_terms(r, q, sigma2, invariants)
         weights[..., m - 2, :], degen[..., m - 2, :] = w, d
     return _checked_schedule(weights, r.shape[-1], max_stage), degen
 

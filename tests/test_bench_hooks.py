@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import lpic.cli
+import lpic.model
 import lpic.simulate
 from lpic.config import parse_config
 from lpic.simulate import render_ber_csv, run_ber_experiment
@@ -68,31 +69,44 @@ def _config(workload, trials=None):
 
 
 def _traced_counts(monkeypatch, cfg):
-    """(schedules, builds, spreading draws) calls of one run, as the spans count them."""
+    """(schedules, builds, spreading draws, raw sign reads) of one run.
+
+    The first three are calls as the spans count them; the last counts
+    model._SignDraws.read calls, one per random_raw read of +/-1 draws.
+    """
     counts = Counter()
-    for name in ("compute_weight_schedule", "build_filter", "generate_spreading_set"):
-        original = getattr(lpic.simulate, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
-        monkeypatch.setattr(lpic.simulate, name, counted)
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    names = ("compute_weight_schedule", "build_filter", "generate_spreading_set")
+    for name in names:
+        counting(lpic.simulate, name)
+    counting(lpic.model._SignDraws, "read")
     run_ber_experiment(cfg)
-    return counts["compute_weight_schedule"], counts["build_filter"], counts["generate_spreading_set"]
+    return tuple(counts[name] for name in names + ("read",))
 
 
-# (trials, (schedules, builds, spreading draws)): one schedule per stack of
-# draws and one build per detector and subcarrier, so a fixed run builds on
-# its one draw and a 3-trial per_trial run on its one chunk.  type2
-# conventional builds nothing, and anything the type2 harness adds on the way
-# (such as the nonconv bound's eigendecomposition) must not pass through
-# these names.  The first three are the smoke run's pins.
+# (trials, (schedules, builds, spreading draws, raw sign reads)): one schedule
+# per stack of draws and one build per detector and subcarrier, so a fixed run
+# builds on its one draw and a 3-trial per_trial run on its one chunk.  A
+# fixed run draws its sequences once and reads each block's bits in one raw
+# read; a per_trial trial reads its sequences and bits in one, so
+# generate_spreading_set never runs there.  type2 conventional builds nothing,
+# and anything the type2 harness adds on the way (such as the nonconv bound's
+# eigendecomposition) must not pass through these names.  The first three
+# counts of the first three workloads are the smoke run's pins.
 TRACED_COUNTS = {
-    "single_family": (300, (1, 14, 1)),
-    "type1_m4": (200, (0, 4, 4)),
-    "type2_m4": (200, (0, 0, 4)),
-    "per_trial_family": (3, (1, 14, 3)),
+    "single_family": (300, (1, 14, 1, 1)),
+    "type1_m4": (200, (0, 4, 4, 1)),
+    "type2_m4": (200, (0, 0, 4, 1)),
+    "per_trial_family": (3, (1, 14, 0, 3)),
 }
 
 

@@ -3,7 +3,8 @@
 Each output is pinned byte for byte against a literal header and the library
 call the subcommand wraps, formatted the way the CSV contract states: floats
 at 17 significant digits (so they round-trip), everything else as `str`.
-The `ber` subcommand is checked in test_simulate.py.
+The `ber` subcommand is checked in test_simulate.py; here only that one
+process's calls share nothing but the parser.
 """
 
 import numpy as np
@@ -79,3 +80,15 @@ def test_analyze_equicorr(tmp_path, capsys):
     out = tmp_path / "sir.csv"
     assert cli.main(["analyze-equicorr", "--K", "6", "--rho", "0.3", "--output", str(out)]) == 0
     assert out.read_text().endswith(",False\n")
+
+
+def test_ber_options_do_not_carry_over(tmp_path, capsys):
+    # the parser is built once per process: each call parses its own options
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+    cfg.write_text("K = 3\nP = 8\nsnr_db = 6\ntrials = 40\nseed = 2\ndetectors = mf\n")
+    assert cli.main(["ber", str(cfg), "--verbose", "--output", str(out)]) == 0
+    first = capsys.readouterr()
+    assert first.out == "" and first.err.startswith("mf stage 1: ber=")
+    assert cli.main(["ber", str(cfg)]) == 0
+    second = capsys.readouterr()
+    assert second.err == "" and second.out.encode("utf-8") == out.read_bytes()

@@ -15,6 +15,7 @@ from lpic.config import parse_config
 from lpic.model import (
     ConvergenceReport,
     NotPositiveSemidefiniteError,
+    _SignDraws,
     convergence_check,
     correlation_matrix,
     equicorrelated_matrix,
@@ -34,6 +35,48 @@ def _cfg(users, subcarriers=1):
         f"K = {users}\nP = 16\nM = {subcarriers}\nreceiver = {rx}\n"
         "snr_db = 0\ndetectors = mf\n"
     )
+
+
+def _signs_of_integers(rng, n):
+    return (rng.integers(0, 2, size=n) * 2 - 1).astype(np.float64)
+
+
+class TestSignDraws:
+    """_SignDraws reads the values and leaves the state of rng.integers(0, 2)."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_each_count_reads_the_integers_stream(self, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in range(71):  # an odd n leaves a half buffered for the next n
+            signs = _SignDraws(rng)
+            signs.read(n)
+            got = signs.values()
+            want = _signs_of_integers(ref, n)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            # normals read whole words and leave a buffered half in place
+            rng.standard_normal(n % 3)
+            ref.standard_normal(n % 3)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_reads_between_normals_start_on_a_waiting_half(self, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for g in (rng, ref):
+            g.integers(0, 2, size=3)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        signs, want = _SignDraws(rng), []
+        for n in (0, 1, 4, 3, 0, 7, 2, 1):
+            signs.read(n)
+            want.append(_signs_of_integers(ref, n))
+            rng.standard_normal(2)
+            ref.standard_normal(2)
+        assert np.array_equal(signs.values(), np.concatenate(want))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_only_pcg64_words_are_read(self):
+        with pytest.raises(AssertionError, match="PCG64"):
+            _SignDraws(np.random.Generator(np.random.MT19937(1)))
 
 
 class TestSpreading:

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import reference
-from lpic import cli, simulate
+from lpic import cli, model, simulate
 from lpic.config import ConfigError, DetectorSpec, parse_config
 from lpic.model import NotPositiveSemidefiniteError, correlation_matrix, generate_spreading_set
 from lpic.simulate import (
@@ -890,6 +890,9 @@ _DRAW_CONFIGS = {
     "m3_independent": "K = 6\nP = 16\nM = 3\nreceiver = type1\n",
     "m3_identical": "K = 6\nP = 16\nM = 3\nreceiver = type1\nsubcarrier_sequences = identical\n",
     "m2_singular": "K = 6\nP = 4\nM = 2\nreceiver = type2\n",
+    # sets K P + K odd: every other trial starts on a buffered 32-bit half
+    "m1_odd": "K = 3\nP = 2\nreceiver = single\n",
+    "m3_odd_independent": "K = 3\nP = 2\nM = 3\nreceiver = type1\n",
 }
 
 
@@ -932,6 +935,17 @@ class TestPlaneDraw:
         assert got[1].shape == (4, size, subs, 6)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    def test_odd_blocks_carry_the_buffered_half(self):
+        # size K = 15 is odd: the second block starts on the first's spare half
+        cfg = parse_config("K = 3\nP = 2\nM = 2\nreceiver = type1\nsnr_db = 3\ndetectors = mf\n")
+        rng, ref_rng = np.random.default_rng(47), np.random.default_rng(47)
+        for _ in range(2):
+            got = simulate._draw_symbols(rng, cfg, cfg.sigma2(), 5)
+            bits, h, w = reference.draw_symbols(cfg, ref_rng, cfg.sigma2(), 5)
+            _assert_same_draws(got, (bits, _planes(h, w)))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.bit_generator.state["has_uint32"] == 0
+
     @pytest.mark.parametrize("subs", [1, 4])
     def test_draw_trials_reads_one_trial_blocks(self, subs):
         cfg = self._cfg(subs, "sequence_mode = per_trial\n")
@@ -956,20 +970,24 @@ class TestPerTrialDraw:
 
     @pytest.mark.parametrize("name", ["m1", "m3_independent", "m3_identical"])
     def test_one_factorisation_per_chunk(self, monkeypatch, name):
+        # and one raw read per trial, of all its sets' chips and its bits:
+        # generate_spreading_set does not run
         cfg = _draw_cfg(name)
         calls = Counter()
-        for fn in ("generate_spreading_set", "correlation_matrix", "noise_transform"):
-            original = getattr(simulate, fn)
+        spied = [(simulate, "generate_spreading_set"), (simulate, "correlation_matrix"),
+                 (simulate, "noise_transform"), (model._SignDraws, "read")]
+        for owner, fn in spied:
+            original = getattr(owner, fn)
 
             def counted(*args, _fn=fn, _original=original, **kwargs):
-                calls[_fn] += 1
+                calls[(_fn, args[1]) if _fn == "read" else _fn] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(simulate, fn, counted)
+            monkeypatch.setattr(owner, fn, counted)
         simulate._draw_trials(cfg, np.random.default_rng(3), cfg.sigma2(), 33)
         sets = 1 if name == "m3_identical" else cfg.subcarriers
-        assert calls == {"generate_spreading_set": 33 * sets, "correlation_matrix": 1,
-                         "noise_transform": 1}
+        size = sets * cfg.users * cfg.chips + cfg.users
+        assert calls == {("read", size): 33, "correlation_matrix": 1, "noise_transform": 1}
 
     @pytest.mark.parametrize("name", ["m1", "m3_independent", "m3_identical"])
     def test_a_refused_stack_is_an_error_not_a_redraw(self, monkeypatch, name):

@@ -198,6 +198,14 @@ class TestWeightSchedules:
         with pytest.raises(ValueError):
             compute_weight_schedule(random_correlation(rng, 3, 16), np.ones(3), 0.1, 1)
 
+    def test_non_square_correlation_is_refused(self):
+        # a (1, K) row would broadcast against the identity in I - R
+        row = np.full((1, 4), 0.25)
+        with pytest.raises(ValueError, match="square"):
+            compute_weight_schedule(row, np.ones(4), 0.1, 3)
+        with pytest.raises(ValueError, match="square"):
+            q_matrix(row, None, 2)
+
 
 class TestSinrSweep:
     def test_sweep_shape_and_values(self, rng):
