@@ -851,9 +851,9 @@ class TestType2Layout:
             ("K = 6\nP = 16\nM = 2\ntrials = 600\ndetectors = mf, mmse\n", 1, 3),
             ("K = 6\nP = 16\nM = 2\ntrials = 600\ncount_all_users = true\n"
              "detectors = mf, mmse\n", 1, 3),
-            # per_trial stacks of 32, 32 and 6 draws, each detected in one slice
+            # per_trial stacks of 64 and 6 draws, each detected in one slice
             ("K = 6\nP = 8\nM = 2\ntrials = 70\nsequence_mode = per_trial\n"
-             "detectors = mf, conventional:2, proposed:2, decorrelator, mmse\n", 3, 3),
+             "detectors = mf, conventional:2, proposed:2, decorrelator, mmse\n", 2, 2),
         ],
         ids=["fixed", "matrix_forms", "matrix_forms_all_users", "per_trial"],
     )
@@ -1014,6 +1014,10 @@ class TestPerTrialDraw:
 
     def test_records_do_not_depend_on_the_chunk_size(self, monkeypatch):
         texts = [
+            # the benchmark's single-carrier family, each detector counting user 0
+            "K = 16\nP = 32\nreceiver = single\nsnr_db = 8\ntrials = 70\nseed = 4\n"
+            "sequence_mode = per_trial\ndetectors = mf, conventional:2..5, proposed:2..5, "
+            "mmse_converging:4, modified_mmse:4, weighted_proposed:4, decorrelator, mmse\n",
             "K = 6\nP = 8\nM = 2\nreceiver = type1\nsnr_db = 8\ntrials = 70\nseed = 2\n"
             "sequence_mode = per_trial\ndetectors = mf, conventional:2, decorrelator, mmse\n",
             # a per_trial stack is detected whole: the chunk is the detect step's too
