@@ -1,8 +1,9 @@
 """Matrix-filter detectors for multistage linear parallel interference cancellation.
 
 Every detector here is a one-shot K x K linear filter applied to the matched
-filter bank output, a plain array built by build_filter(kind, R, stage, ...).
-It also takes a stack of correlation matrices with leading draw axes, shape
+filter bank output, a plain array built by build_filter(kind, R, stage, ...)
+from a real R (model._real_correlation refuses a complex one).  It also
+takes a stack of correlation matrices with leading draw axes, shape
 (..., K, K), and returns the stack of filters that per-draw builds would
 give, bit for bit.  build_filter(..., rows=...) builds only the given rows
 of each filter, which is all a detector that counts some users needs.  The
@@ -25,15 +26,16 @@ row i needs only row i of the term before it:
   * decorrelator (R^-1), mmse ((R + sigma2 I)^-1), and the trivial mf identity.
     Rows of an inverse come from one solve against columns of the identity.
 
-The type2 harness sums the same kernel for its combined-domain chains, with
-a matrix-free step (a callable; see cancellation_series).
+The type2 harness sums the same kernel for its chains on the complex
+combined-domain H itself, with a matrix-free step (a callable; see
+cancellation_series); no filter is built on a complex matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import _first_draw, _indefinite, singular_draws
+from .model import _first_draw, _indefinite, _real_correlation, singular_draws
 
 FILTER_KINDS = (
     "mf",
@@ -51,11 +53,6 @@ STAGED_KINDS = ("conventional", "proposed", "mmse_converging", "modified_mmse", 
 
 # kinds whose filter takes the spectrum of R (and can be handed it precomputed)
 SPECTRAL_KINDS = ("mmse_converging", "modified_mmse")
-
-# kinds that also take a complex correlation, such as the combined-domain
-# R_eff or H: a public API, and the type2 reference in tests/reference.py
-# (the harness sums its type2 chains through cancellation_partials itself)
-_COMPLEX_KINDS = ("mf", "conventional", "proposed")
 
 
 class SingularMatrixError(ValueError):
@@ -75,13 +72,6 @@ def _hollow(m: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """
     m[_diagonal(np.arange(m.shape[-1]) if rows is None else rows)] = 0
     return m
-
-
-def _check_square(correlation: np.ndarray) -> np.ndarray:
-    r = np.asarray(correlation)
-    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
-        raise ValueError("correlation must be a square matrix (in its last two axes)")
-    return r
 
 
 def _checked_schedule(schedule, users: int, stage: int) -> np.ndarray:
@@ -164,7 +154,7 @@ def mmse_stage_weights(
     and fails if any of them is not PSD.  eigenvalues, if given, must be
     np.linalg.eigvalsh(correlation); it saves decomposing R again.
     """
-    r = _check_square(correlation)
+    r = _real_correlation(correlation, "mmse_stage_weights")
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
     if eigenvalues is None:
@@ -209,7 +199,7 @@ def _power_series(r, stage, hollow, schedule, rows) -> np.ndarray:
     weights.  A stacked schedule pairs draw by draw with a stack of
     correlations.
     """
-    step = np.eye(r.shape[-1], dtype=r.dtype) - r
+    step = np.eye(r.shape[-1]) - r
     steps = _weighted_steps(step, schedule, stage)
     return cancellation_series(_identities(r, rows), steps, hollow, rows=rows)
 
@@ -257,21 +247,19 @@ def build_filter(
     sigma2 >= 0 is required for the mmse family, and mmse_converging and
     modified_mmse need stage <= K.  weighted_proposed at stage >= 2 needs a
     (..., stages-1, K) weight schedule covering the stage (row m-2 holds
-    stage m's weights).  Only the combined-domain kinds (mf,
-    conventional, proposed) take a complex correlation.  eigenvalues, if
-    given, must be np.linalg.eigvalsh(correlation): the SPECTRAL_KINDS
-    builds use it instead of decomposing R again, the others ignore it.
+    stage m's weights).  Every kind takes a real correlation only (see
+    model._real_correlation).  eigenvalues, if given, must be
+    np.linalg.eigvalsh(correlation): the SPECTRAL_KINDS builds use it
+    instead of decomposing R again, the others ignore it.
     The decorrelator and mmse test their matrix for singularity themselves
     (singular_draws), and need no spectrum.
     """
-    r = _check_square(correlation)
-    k = r.shape[-1]
     if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r}")
+    r = _real_correlation(correlation, f"filter kind {kind!r}")
+    k = r.shape[-1]
     if stage < 1:
         raise ValueError("stage must be >= 1")
-    if np.iscomplexobj(r) and kind not in _COMPLEX_KINDS:
-        raise ValueError(f"filter kind {kind!r} needs a real correlation matrix")
     if kind in ("mmse", "mmse_converging", "modified_mmse"):
         if sigma2 is None:
             raise ValueError(f"filter kind {kind!r} requires sigma2")

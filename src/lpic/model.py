@@ -27,13 +27,17 @@ class NotPositiveSemidefiniteError(ValueError):
 
 
 def _real_correlation(correlation: np.ndarray, what: str) -> np.ndarray:
-    """The correlation as a float array; a complex one is refused, not cast.
+    """A real (..., K, K) correlation stack as a float array: every real-R input's one check.
 
-    Casting would silently drop the imaginary part of a complex Hermitian R.
+    A complex array is refused, not cast: casting would silently drop the
+    imaginary part of a complex Hermitian R.  So is any array that is not
+    square in its last two axes.
     """
     r = np.asarray(correlation)
     if np.iscomplexobj(r):
         raise ValueError(f"{what} needs a real correlation matrix")
+    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
+        raise ValueError(f"{what}: correlation must be square in its last two axes, got {r.shape}")
     return r.astype(float, copy=False)
 
 
@@ -221,8 +225,8 @@ def convergence_check(correlation: np.ndarray) -> ConvergenceReport:
     so the lower edge is free).
     """
     r = _real_correlation(correlation, "convergence_check")
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError("correlation must be square")
+    if r.ndim != 2:
+        raise ValueError(f"convergence_check takes one (K, K) correlation, got {r.shape}")
     if not np.allclose(r, r.T, rtol=0.0, atol=1e-10):
         raise ValueError("correlation must be symmetric")
     lam = float(np.linalg.eigvalsh(r)[-1])

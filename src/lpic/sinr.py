@@ -63,14 +63,6 @@ class SinrBreakdown:
         return num / (self.interference_power(w) + self.noise_power(w))
 
 
-def _square_correlation(correlation: np.ndarray, what: str) -> np.ndarray:
-    """A real (..., K, K) correlation stack as float (see model._real_correlation)."""
-    r = _real_correlation(correlation, what)
-    if r.ndim < 2 or r.shape[-2] != r.shape[-1]:
-        raise ValueError("correlation must be square")
-    return r
-
-
 def q_matrix(
     correlation: np.ndarray,
     prior_weights: np.ndarray | None,
@@ -89,7 +81,7 @@ def q_matrix(
     cross-correlations.  A (..., K, K) stack of correlations, with a
     schedule of the same leading axes, gives a stack of Q matrices.
     """
-    r = _square_correlation(correlation, "q_matrix")
+    r = _real_correlation(correlation, "q_matrix")
     k = r.shape[-1]
     if stage < 2:
         raise ValueError("combining coefficients are defined for stages >= 2")
@@ -203,7 +195,7 @@ def compute_weight_schedule(
     deterministic.  A (..., K, K) stack of correlations gives both with the
     same leading axes; it fails if any draw's weights are not finite.
     """
-    r = _square_correlation(correlation, "compute_weight_schedule")
+    r = _real_correlation(correlation, "compute_weight_schedule")
     amps = np.asarray(amplitudes, dtype=float)
     if max_stage < 2:
         raise ValueError("max_stage must be >= 2")

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from lpic.filters import _check_square, cancellation_partials
+from lpic.filters import cancellation_partials
 from lpic.model import _real_correlation, convergence_check
 
 _LIMIT_MAX_STAGES = 1000  # limit_scaling_matrix gives up after this many
@@ -28,7 +28,7 @@ def limit_scaling_matrix(correlation: np.ndarray, tol: float = 1e-12) -> np.ndar
     _LIMIT_MAX_STAGES stages.  For an equicorrelated R the factors are
     f_k = 1 - (K-1) rho^2 / (1 + (K-2) rho).
     """
-    r = _real_correlation(_check_square(correlation), "limit_scaling_matrix")
+    r = _real_correlation(correlation, "limit_scaling_matrix")
     report = convergence_check(r)
     if not report.converges:
         raise ValueError(

@@ -11,10 +11,12 @@ complex arithmetic, with public lpic functions only:
 - y_i = R_i (A b h_i) + L_i w_i, with L_i = noise_transform(R_i).
 - matrix forms (all single-carrier and type1 detectors, type2 mf and mmse):
   sum_i Re(conj(h_i) F_i y_i), F_i the counted rows of build_filter on R_i.
-- the other type2 detectors: build_filter(kind, H, m) applied to
+- the other type2 detectors: chain(H, m, hollow) applied to
   u = sum_i conj(x_i) y_i, with x = h / sqrt(p), p = sum_i |h_i|^2 and
-  H = sum_i D(conj x_i) R_i D(x_i); the decorrelator solves H and skips a
-  trial whose H singular_draws flags.  nonconv counts lambda_max(H) >= 2.
+  H = sum_i D(conj x_i) R_i D(x_i).  chain is this module's own loop, so the
+  reference shares no series code with the harness.  The decorrelator
+  solves H and skips a trial whose H singular_draws flags.  nonconv counts
+  lambda_max(H) >= 2.
 - a detector skips the draws it cannot be built on; a fixed-mode row that
   skipped any trial, or a row that kept none, is flagged (trials = 0,
   ber = nan, nonconv = 0).
@@ -80,6 +82,26 @@ def hermitian(correlations, x):
 def effective(correlations, h):
     """The paper's R_eff = R_c P^-1 of one (M, K) draw."""
     return hermitian(correlations, h) / power(h)[None, :]
+
+
+def chain(herm, stage, hollow):
+    """The stage-m type2 filter sum_{n<m} T_n of one complex (K, K) matrix, by a plain loop.
+
+    T_0 = I and T_n = T_{n-1} (I - H), with the diagonal of each T_n zeroed
+    when hollow is set (proposed), summed in complex arithmetic.  It takes
+    R_eff as well as H.
+    """
+    if stage < 1:
+        raise ValueError("stage must be >= 1")
+    eye = np.eye(len(herm), dtype=complex)
+    step = eye - herm
+    term, total = eye, eye.copy()
+    for _ in range(stage - 1):
+        term = term @ step
+        if hollow:
+            np.fill_diagonal(term, 0)
+        total = total + term
+    return total
 
 
 def nonconvergent(herm):
@@ -192,20 +214,20 @@ def _decide(cfg, rows, rs, ls, forms, bits, h, w):
     herm = hermitian(rs, x)
     mag_u = (np.abs(x) * mag_y).sum(axis=0)
     mag_h = hermitian(np.abs(rs), np.abs(x))
-    chain = 2 * users + 3 * subs + 3        # u and each entry of H
+    depth = 2 * users + 3 * subs + 3        # roundings of u and of each entry of H
     for spec in cfg.detectors:
         if spec.kind in ("conventional", "proposed"):
-            stat = (build_filter(spec.kind, herm, spec.stage, rows=rows) @ u).real
+            stat = (chain(herm, spec.stage, spec.kind == "proposed")[rows] @ u).real
             # every term of stage j is bounded by the terms of (I + |H|)^j |u|
             term, scale = mag_u, mag_u.copy()
             for _ in range(spec.stage - 1):
                 term = term + mag_h @ term
                 scale += term
-            out[spec] = stat, _band(chain + (spec.stage - 1) * (users + 2 * subs + 4), scale[rows])
+            out[spec] = stat, _band(depth + (spec.stage - 1) * (users + 2 * subs + 4), scale[rows])
         elif spec.kind == "decorrelator" and not singular_draws(herm[None])[0]:
             z = np.linalg.solve(herm, u)
             scale = np.abs(np.linalg.inv(herm)) @ (mag_h @ np.abs(z) + mag_u)
-            out[spec] = z[rows].real, _band(chain + 3 * users, scale[rows])
+            out[spec] = z[rows].real, _band(depth + 3 * users, scale[rows])
     lam = np.linalg.eigvalsh(herm)[-1]
     return out, (lam, _band(users + 2 * subs + 3, np.linalg.norm(mag_h)))
 

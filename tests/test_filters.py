@@ -76,30 +76,39 @@ class TestProposed:
             diff = build_filter("proposed", r, stage) - build_filter("proposed", r, stage - 1)
             assert np.allclose(np.diag(diff), 0.0, atol=0)
 
+    @staticmethod
+    def _partials(r, rows, matrix_free):
+        """Every stage of the hollow series on a (B, K, K) stack, one pass, copied."""
+        eye = np.eye(r.shape[-1], dtype=r.dtype)
+        step = eye - r
+        first = eye if rows is None else eye[rows]
+        series = cancellation_partials(
+            np.broadcast_to(first, r.shape[:1] + first.shape),
+            [(lambda t: t @ step) if matrix_free else step] * 5, hollow=True, rows=rows,
+        )
+        return [total.copy() for total in series]
+
     def test_one_series_pass_gives_every_stage(self, rng):
         # the type2 harness takes the statistics of all configured stages
-        # from one pass; each partial sum is the build of its stage, bit for
-        # bit, whether the step is a matrix or a callable that applies it,
-        # and in the given rows alone
+        # from one pass with a callable step, on the complex combined-domain
+        # matrix; the matrix step gives the same partial sums bit for bit,
+        # in the given rows alone, and on a real R each is build_filter's
+        # filter of its stage
         rs = np.stack([random_correlation(rng, 6, 24) for _ in range(2)])
         h = np.sqrt(0.5) * (rng.standard_normal((16, 2, 6)) + 1j * rng.standard_normal((16, 2, 6)))
         r_c = np.einsum("bik,ikl,bil->bkl", np.conj(h), rs, h)
         r_eff = r_c / np.sum(np.abs(h) ** 2, axis=1)[:, None, :]
-        eye = np.eye(6, dtype=complex)
-        step = eye - r_eff
         for rows in (None, np.array([0, 3])):
-            first = eye if rows is None else eye[rows]
-            for s in (step, lambda t: t @ step):
-                series = cancellation_partials(
-                    np.broadcast_to(first, r_eff.shape[:1] + first.shape), [s] * 5,
-                    hollow=True, rows=rows,
-                )
-                stages = 0
-                for stage, got in enumerate(series, 1):
-                    want = build_filter("proposed", r_eff, stage, rows=rows)
-                    assert np.array_equal(got, want), (stage, rows, callable(s))
-                    stages += 1
-                assert stages == 6
+            free = self._partials(r_eff, rows, matrix_free=True)
+            dense = self._partials(r_eff, rows, matrix_free=False)
+            assert len(free) == len(dense) == 6
+            for stage, (got, want) in enumerate(zip(free, dense), 1):
+                assert got.dtype == complex
+                assert np.array_equal(got, want), (stage, rows)
+            for matrix_free in (True, False):
+                for stage, got in enumerate(self._partials(rs, rows, matrix_free), 1):
+                    want = build_filter("proposed", rs, stage, rows=rows)
+                    assert np.array_equal(got, want), (stage, rows, matrix_free)
 
 
 class TestMmseFamily:
@@ -353,12 +362,6 @@ class TestLimitScaling:
         scaling = limit_scaling_matrix(np.eye(4))
         assert np.allclose(scaling, 1.0)
 
-    def test_rejects_a_complex_correlation(self):
-        # a cast would drop the imaginary part and scale the real part alone
-        antisym = np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1)
-        with pytest.raises(ValueError, match="limit_scaling_matrix needs a real"):
-            limit_scaling_matrix(np.eye(3) + 0.1j * antisym)
-
 
 class TestDispatchAndTypes:
     def test_kind_lists(self):
@@ -413,25 +416,6 @@ class TestDispatchAndTypes:
             with pytest.raises(ValueError, match="nonnegative"):
                 build_filter(kind, r, 1, sigma2=-0.1)
 
-    @pytest.mark.parametrize("kind", FILTER_KINDS)
-    def test_complex_correlation_only_for_combined_domain_kinds(self, rng, kind):
-        # the type2 harness builds mf, conventional and proposed on a complex
-        # R_eff; the other kinds are defined on a real R only, and a complex
-        # one used to lose its imaginary part (decorrelator, mmse) or fail
-        # inside numpy (mmse_converging)
-        r = random_correlation(rng, 4, 16)
-        herm = r + 0.1j * (np.triu(r, 1) - np.tril(r, -1))
-        args = dict(sigma2=0.1, schedule=np.ones((1, 4)))
-        if kind == "mf":
-            assert np.array_equal(build_filter(kind, herm, 2, **args), np.eye(4))
-        elif kind in ("conventional", "proposed"):
-            got = build_filter(kind, herm, 2, **args)
-            assert got.dtype == complex
-            assert np.allclose(got, 2 * np.eye(4) - herm, atol=1e-15)
-        else:
-            with pytest.raises(ValueError, match=f"filter kind '{kind}' needs a real"):
-                build_filter(kind, herm, 2, **args)
-
     def test_zero_diagonal(self):
         m = np.arange(9.0).reshape(3, 3)
         z = zero_diagonal(m)
@@ -478,19 +462,6 @@ class TestStackedBuilds:
                 schedule=schedule.reshape(3, 4, 5, 6),
             )
             assert np.array_equal(grid.reshape(want.shape), want)
-
-    def test_complex_stack_equals_per_draw_builds(self, rng):
-        # the combined-domain R_eff = R_c P^-1 is complex and non-Hermitian
-        rs = self._draws(rng, count=8).reshape(2, 4, 6, 6)
-        h = np.sqrt(0.5) * (rng.standard_normal((2, 4, 6)) + 1j * rng.standard_normal((2, 4, 6)))
-        r_c = np.sum(np.conj(h)[..., :, None] * rs * h[..., None, :], axis=0)
-        r_eff = r_c / np.sum(np.abs(h) ** 2, axis=0)[:, None, :]
-        for kind in ("conventional", "proposed"):
-            for stage in (1, 2, 4, 6):
-                got = build_filter(kind, r_eff, stage)
-                want = np.stack([build_filter(kind, r, stage) for r in r_eff])
-                assert got.dtype == want.dtype == complex
-                assert np.array_equal(got, want), (kind, stage)
 
     def test_one_singular_draw_fails_the_stack(self, rng):
         rs = self._draws(rng)
@@ -599,18 +570,6 @@ class TestRowBuilds:
             for rows in (None, slice(0, 1), [3, 0]):
                 with pytest.raises(SingularMatrixError, match="at draw 5 "):
                     build_filter(kind, rs, 1, sigma2=sigma2, rows=rows)
-
-    @pytest.mark.parametrize("kind", ["conventional", "proposed"])
-    def test_complex_rows(self, rng, kind):
-        rs = np.stack([random_correlation(rng, 6, 24) for _ in range(8)]).reshape(2, 4, 6, 6)
-        h = np.sqrt(0.5) * (rng.standard_normal((2, 4, 6)) + 1j * rng.standard_normal((2, 4, 6)))
-        r_c = np.sum(np.conj(h)[..., :, None] * rs * h[..., None, :], axis=0)
-        r_eff = r_c / np.sum(np.abs(h) ** 2, axis=0)[:, None, :]
-        for stage in (1, 3, 6):
-            got = build_filter(kind, r_eff, stage, rows=[3, 0])
-            want = build_filter(kind, r_eff, stage)[..., [3, 0], :]
-            assert got.dtype == complex and got.shape == (4, 2, 6)
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_conventional_power_sum_equals_horner(self, rng):
         # the power sum against the recursion G <- I + (I-R) G: equal on

@@ -5,6 +5,7 @@ BER harness (simulate); those checks run on its draw and detect steps, which
 hold fading, noise and y as (2, T, M, K) real planes (real, imaginary).
 """
 
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from lpic import simulate
 from lpic.config import parse_config
+from lpic.filters import FILTER_KINDS, build_filter, mmse_stage_weights
 from lpic.model import (
     ConvergenceReport,
     NotPositiveSemidefiniteError,
@@ -22,6 +24,9 @@ from lpic.model import (
     generate_spreading_set,
     noise_transform,
 )
+from lpic.sinr import compute_weight_schedule, q_matrix, sinr_breakdown
+
+from limit_scaling import limit_scaling_matrix
 
 
 def _joined(planes):
@@ -226,12 +231,6 @@ class TestNoise:
             q = np.eye(k)[rng.permutation(k)] * rng.choice([-1.0, 1.0], k)
             assert np.allclose(noise_transform(q @ r @ q.T), q @ ell @ q.T, rtol=0.0, atol=1e-12)
 
-    def test_transform_rejects_a_complex_correlation(self):
-        # a cast to real would factor I and drop the imaginary part
-        antisym = np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1)
-        with pytest.raises(ValueError, match="noise_transform needs a real"):
-            noise_transform(np.eye(3) + 0.5j * antisym)
-
     def test_transform_rejects_indefinite(self):
         with pytest.raises(NotPositiveSemidefiniteError):
             noise_transform(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -380,14 +379,63 @@ class TestConvergence:
         rep = convergence_check(np.eye(6))
         assert rep == ConvergenceReport(1.0, True)
 
-    def test_rejects_a_complex_correlation(self):
-        # Hermitian with lambda_max = 1.866; a cast to real would report I (1.0)
-        antisym = np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1)
-        with pytest.raises(ValueError, match="convergence_check needs a real"):
-            convergence_check(np.eye(3) + 0.5j * antisym)
-
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             convergence_check(np.array([[1.0, 0.2], [0.3, 1.0]]))
         with pytest.raises(ValueError):
             convergence_check(np.ones((2, 3)))
+
+
+# every function that takes a real R, called on a K = 3 correlation, with the
+# name that opens its refusal
+_REAL_R_FUNCTIONS = [
+    *(
+        pytest.param(
+            f"filter kind {kind!r}",
+            partial(build_filter, kind, stage=2, sigma2=0.1, schedule=np.ones((1, 3))),
+            id=f"build_filter-{kind}",
+        )
+        for kind in FILTER_KINDS
+    ),
+    *(
+        pytest.param(name, call, id=name)
+        for name, call in [
+            ("mmse_stage_weights", lambda r: mmse_stage_weights(r, 0.1)),
+            ("q_matrix", lambda r: q_matrix(r, None, 3)),
+            ("compute_weight_schedule", lambda r: compute_weight_schedule(r, np.ones(3), 0.1, 3)),
+            ("sinr_breakdown", lambda r: sinr_breakdown(r, np.ones(3), 0.1, None, 0, 2)),
+            ("noise_transform", noise_transform),
+            ("convergence_check", convergence_check),
+            ("limit_scaling_matrix", limit_scaling_matrix),
+        ]
+    ),
+]
+
+_ANTISYMMETRIC = np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1)
+
+
+class TestRealCorrelation:
+    """One rule, model._real_correlation, checks every real-R input.
+
+    A complex Hermitian R is refused, not cast: a cast would drop its
+    imaginary part (noise_transform would factor I, convergence_check would
+    report lambda_max = 1 for a Hermitian R whose lambda_max is 1.87).  An
+    array that is not (..., K, K) is refused as such, before any function
+    indexes it as square or checks other arguments against its K.
+    """
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.eye(3) + 0.5j * _ANTISYMMETRIC, "needs a real correlation matrix"),
+            (np.ones(3), "correlation must be square"),
+            (np.eye(3)[:2], "correlation must be square"),
+            (np.ones((3, 4)), "correlation must be square"),
+        ],
+        ids=["complex", "1d", "2x3", "3x4"],
+    )
+    @pytest.mark.parametrize("name, call", _REAL_R_FUNCTIONS)
+    def test_refuses_a_complex_or_non_square_correlation(self, name, call, bad, match):
+        with pytest.raises(ValueError, match=match) as err:
+            call(bad)
+        assert str(err.value).startswith(name)

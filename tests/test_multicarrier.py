@@ -8,8 +8,9 @@ sqrt(p), against u = P^-1/2 y_c, in its own forms (_combined_matrix,
 _series_stats, which sums the conventional and proposed stages through
 filters.cancellation_partials with a matrix-free step, and _decorrelate):
 each statistic is sqrt(p_k) times smaller than its R_eff form.
-build_filter on a complex R_eff, a public combined-domain API, is their
-reference here, compared after scaling by sqrt(p).  R_c, R_eff and H come from tests/reference.py.
+reference.chain, a plain loop on a complex R_eff, is their reference here,
+compared after scaling by sqrt(p).  R_c, R_eff, H and chain come from
+tests/reference.py; build_filter takes a real R only.
 """
 
 from types import SimpleNamespace
@@ -19,11 +20,10 @@ import pytest
 
 from lpic import simulate
 from lpic.config import ConfigError, DetectorSpec, parse_config
-from lpic.filters import build_filter
 from lpic.simulate import run_ber_experiment
 
-from oracles import random_correlation
-from reference import effective, fading, hermitian, power, scaled
+from oracles import explicit_power_series, random_correlation, zero_diagonal
+from reference import chain, effective, fading, hermitian, power, scaled
 
 
 def draw_setup(rng, m, users, chips=32, unit_channel=False):
@@ -103,31 +103,37 @@ class TestEffectiveMatrices:
 
 
 class TestCombinedDomainFilters:
+    """reference.chain on the complex R_eff and H, against explicit series."""
+
     def test_conventional_explicit_series(self, rng):
         corrs, h = draw_setup(rng, 2, 4)
-        r = effective(corrs, h)
-        eye = np.eye(4, dtype=complex)
-        for stage in (1, 2, 4):
-            want = sum(np.linalg.matrix_power(eye - r, j) for j in range(stage))
-            got = build_filter("conventional", r, stage)
-            assert got.dtype == complex
-            assert np.allclose(got, want, atol=1e-12)
+        for r in (effective(corrs, h), hermitian(corrs, scaled(h))):
+            for stage in (1, 2, 4):
+                got = chain(r, stage, hollow=False)
+                assert got.dtype == complex
+                assert np.allclose(got, explicit_power_series(r, stage), atol=1e-12)
 
     def test_proposed_agrees_at_stage_two(self, rng):
-        # R_eff's diagonal is 1 only up to rounding, so the two differ there
+        # R_eff's diagonal is 1 only up to rounding, so the two differ there;
+        # each later term of the hollow chain is zero_diagonal of the last
+        # one times I - R_eff
         corrs, h = draw_setup(rng, 2, 4)
         r = effective(corrs, h)
-        a = build_filter("conventional", r, 2)
-        b = build_filter("proposed", r, 2)
-        assert np.allclose(a, b, atol=1e-15)
+        assert np.allclose(chain(r, 2, hollow=False), chain(r, 2, hollow=True), atol=1e-15)
+        eye = np.eye(4, dtype=complex)
+        parts = [eye]
+        for stage in range(1, 6):
+            got = chain(r, stage, hollow=True)
+            assert np.allclose(got, sum(parts), atol=1e-12)
+            parts.append(zero_diagonal(parts[-1] @ (eye - r)))
 
     def test_stage_bounds(self, rng):
         corrs, h = draw_setup(rng, 2, 3)
         r = effective(corrs, h)
-        with pytest.raises(ValueError):
-            build_filter("conventional", r, 0)
-        with pytest.raises(ValueError):
-            build_filter("proposed", r, 0)
+        assert np.array_equal(chain(r, 1, hollow=True), np.eye(3))
+        for hollow in (False, True):
+            with pytest.raises(ValueError, match="stage"):
+                chain(r, 0, hollow)
 
 
 def _records(text, receiver):
@@ -178,7 +184,7 @@ class TestReceivers:
                 break
         y_c = rng.standard_normal(users) + 1j * rng.standard_normal(users)
         exact = np.linalg.solve(effective(corrs, h), y_c)
-        series = build_filter("conventional", effective(corrs, h), 120) @ y_c
+        series = chain(effective(corrs, h), 120, hollow=False) @ y_c
         assert np.allclose(series, exact, atol=1e-8)
         x, root = scaled(h), np.sqrt(power(h))
         spec = DetectorSpec("conventional", 120)

@@ -770,8 +770,8 @@ class TestType2CombinedDomain:
 
     The reference forms each trial's y_i, p, x = h / sqrt(p), u = sum_i
     conj(x_i) y_i and the dense H = sum_i D(conj x_i) R_i D(x_i).  It takes
-    every combined-domain statistic from build_filter(kind, H, m, rows=...)
-    @ u, the decorrelator's from solve (skipping a trial whose H
+    every conventional and proposed statistic from its own plain loop,
+    chain(H, m, hollow) @ u, the decorrelator's from solve (skipping a trial whose H
     singular_draws flags), and nonconv from eigvalsh.  The statistics of
     _series_stats (every conventional and proposed stage) and _decorrelate
     must lie within its rounding bands, with the same trials skipped, and

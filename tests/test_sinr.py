@@ -283,23 +283,3 @@ class TestStackedSchedule:
         rs[1, 0, 1] = rs[1, 1, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             compute_weight_schedule(rs, np.ones(4), 0.1, 3)
-
-
-class TestComplexCorrelation:
-    """A complex R is refused: casting it would drop its imaginary part."""
-
-    def _hermitian(self):
-        antisym = np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1)
-        return np.eye(3) + 0.1j * antisym
-
-    def test_q_matrix(self):
-        with pytest.raises(ValueError, match="q_matrix needs a real"):
-            q_matrix(self._hermitian(), None, 3)
-
-    def test_compute_weight_schedule(self):
-        with pytest.raises(ValueError, match="compute_weight_schedule needs a real"):
-            compute_weight_schedule(self._hermitian(), np.ones(3), 0.1, 3)
-
-    def test_sinr_breakdown(self):
-        with pytest.raises(ValueError, match="sinr_breakdown needs a real"):
-            sinr_breakdown(self._hermitian(), np.ones(3), 0.1, None, 0, 2)
