@@ -29,9 +29,10 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig
 from .filters import SPECTRAL_KINDS, _identities, build_filter, cancellation_partials
 from .model import (
-    _CERT_MARGIN,
     _SignDraws,
-    _factorizes,
+    _count_nonconvergent,
+    _low_rank_bound,
+    _unsettled,
     convergence_check,
     correlation_matrix,
     generate_spreading_set,
@@ -47,8 +48,6 @@ _CHUNK_TRIALS = 256    # cache-sized slice of a fixed-mode block where y is form
                        # count from y, combine; the size of type2's workspace (see _detect)
 _COUNT_TRIALS = 1024   # slice of a fixed-mode block counted from the folded rows (see _fold)
 _DRAW_CHUNK = 64       # per_trial draws built and detected as one stack, in one slice
-_CERT_RANK = 3         # eigenpairs per subcarrier in the low-rank nonconv bound
-_WS_ALLOWANCE = 1e-12  # rounding allowance of the trace tier, relative to ||G||_F^2
 _MAX_REDRAWS = 1000    # sequence redraw attempts before giving up
 # what a detector build raises on a draw it cannot serve (singular or
 # indefinite matrix, non-finite weight schedule)
@@ -229,7 +228,7 @@ class _Context:
                                # from the drawn planes, else (F,), applied to y (see _detect)
     built: np.ndarray          # (D, G) draws each detector was built on
     combined: list             # type2 detectors evaluated in the combined domain
-    bound: tuple | None        # low-rank nonconv bound (see _low_rank_bound)
+    bound: tuple | None        # low-rank nonconv bound (see model._low_rank_bound)
 
 
 def _draw_correlations(cfg: ExperimentConfig, rng: np.random.Generator):
@@ -377,43 +376,6 @@ def _fold(cfg: ExperimentConfig, filters, correlations, factors):
     return (filters,)
 
 
-def _low_rank_bound(correlations):
-    """What the low-rank nonconv certificate needs of one fixed (M, K, K) draw.
-
-    With the top r = _CERT_RANK eigenpairs (lambda_ij, u_ij) of each R_i and
-    c = max_i lambda_{r+1}(R_i), every R_i <= c I + sum_j (lambda_ij - c)^+
-    u_ij u_ij^T.  With w_ij = u_ij sqrt((lambda_ij - c)^+), returns
-    (2 - margin - c, W, T, S): W the (M, r, K) stack of the rows w_ij, T the
-    (M, K, r^2) tables w_ijk w_ij'k of each subcarrier, and S the
-    (M(M-1)/2, K, r^2) tables w_ijk w_i'j'k of each subcarrier pair i < i'
-    (np.triu_indices order); see _unsettled.  None when the bound could
-    settle no trial (c >= 2 - margin), or when its Mr x Mr test would be no
-    smaller than the dense K x K one (Mr >= K).
-    """
-    subcarriers, users = correlations.shape[:2]
-    if subcarriers * _CERT_RANK >= users:
-        return None
-    lam, u = np.linalg.eigh(correlations)
-    c = lam[:, -_CERT_RANK - 1].max()
-    headroom = 2.0 - _CERT_MARGIN - c
-    if headroom <= 0:
-        return None
-    scale = np.sqrt(np.maximum(lam[:, -_CERT_RANK:] - c, 0.0))
-    weights = u[:, :, -_CERT_RANK:] * scale[:, None, :]          # (M, K, r)
-
-    def tables(a, b):
-        return (a[..., :, None] * b[..., None, :]).reshape(len(a), users, _CERT_RANK**2)
-
-    first, second = np.triu_indices(subcarriers, 1)
-    # C order, so that each chunk's product with it reshapes to V^H in place
-    return (
-        headroom,
-        np.ascontiguousarray(weights.transpose(0, 2, 1)),
-        tables(weights, weights),
-        tables(weights[first], weights[second]),
-    )
-
-
 # --- block simulation -----------------------------------------------------
 
 def _draw_symbols(rng: np.random.Generator, cfg: ExperimentConfig, sigma2: float, size: int):
@@ -548,7 +510,8 @@ def _detect(ctx: _Context, bits, planes):
     type2 forms h and y user-major (see _receive_users) in one workspace
     allocated here, counts its matrix forms from F y (see _filtered), then
     takes the combined-domain step, which counts nonconv with or without a
-    combined-domain detector (see _detect_combined).  The low-rank bound carries from slice to slice.
+    combined-domain detector (see _detect_combined).  The low-rank bound
+    (see model._low_rank_bound) carries from slice to slice.
     Returns (counts, nonconv): counts is the (2, D + C) array of bit errors
     and counted trials per detector in _split order.  A detector keeps the
     trials whose draws it was built on (and, for the type2 decorrelator,
@@ -631,8 +594,8 @@ def _detect_combined(ctx: _Context, bits, x, y, bound):
     x holds the chunk's user-major h, scaled into x in place, and y the
     chunk's y (see _receive_users), both complex (M, K, B); u is summed in
     y's buffer.  H is formed only for the decorrelator, all-users proposed
-    (see _series_stats) and the trials that the low-rank bound (see
-    _nonconvergent; None once the block drops it) leaves open.  Returns the
+    (see _series_stats) and the trials that the low-rank bound leaves open
+    (model._unsettled; None once _nonconvergent drops it).  Returns the
     (2, C) errors and counted trials of ctx.combined, nonconv, and the bound.
     """
     wrong = bits[:, ctx.rows] < 0
@@ -689,11 +652,11 @@ def _combined_matrix(correlations, x):
 def _nonconvergent(bound, correlations, x, herm):
     """nonconv of one chunk, and the low-rank bound for the block's next chunk.
 
-    bound is the low-rank bound (see _low_rank_bound) while the block keeps
-    it, else None.  Only the trials it leaves open (_unsettled; all of them
-    without a bound) go to _count_nonconvergent, on their rows of herm,
-    which is formed here for those rows alone when the chunk has none.  A
-    bound that leaves more than half of the chunk open is dropped.
+    bound is the low-rank bound (see model._low_rank_bound) while the block
+    keeps it, else None.  Only the trials it leaves open (model._unsettled;
+    all of them without a bound) go to model._count_nonconvergent, on their
+    rows of herm, formed here for those rows alone when the chunk has none.
+    A bound that leaves more than half of the chunk open is dropped.
     """
     if bound is not None:
         open_rows = _unsettled(bound, x)
@@ -706,106 +669,6 @@ def _nonconvergent(bound, correlations, x, herm):
     if herm is None:
         herm = _combined_matrix(correlations, x)
     return _count_nonconvergent(herm), bound
-
-
-def _unsettled(bound, x):
-    """Mask of the trials that the low-rank bound leaves open; it proves the others convergent.
-
-    x is the (B, M, K) scaled channel h / sqrt(p).  With D_i = diag(x_i),
-    H = sum_i D_i^H R_i D_i and sum_i D_i^H D_i = I, so the bound on each R_i
-    (see _low_rank_bound) gives H <= c I + V V^H, V = [conj(x_i) w_ij], K x n
-    per trial with n = Mr.  Hence lambda_max(H) <= c + lambda_max(G),
-    G = V^H V, and lambda_max(G) < headroom = 2 - margin - c proves
-    lambda_max(H) < 2 - margin.
-
-    Most trials never form G.  With m = tr G / n and s^2 = ||G||_F^2 / n - m^2,
-    the mean and variance of G's eigenvalues, Wolkowicz and Styan (Linear
-    Algebra Appl. 29, 1980) give lambda_max(G) <= m + s sqrt(n - 1), with
-    equality for rank one and for a multiple of I.  _gram_moments takes
-    tr G and ||G||_F^2 from the tables without forming G, to O(K eps)
-    relative; as m^2 <= ||G||_F^2 / n, the computed s^2 is then off by a few
-    eps ||G||_F^2, which the allowance delta = _WS_ALLOWANCE ||G||_F^2
-    covers by orders.  So m + sqrt((n - 1)(s^2 + delta)) < headroom settles
-    a trial.  G is formed only for the others, where the same bound on G^2
-    (tr G^2 = ||G||_F^2, lambda_max(G^2) = lambda_max(G)^2) is sharper and
-    settles most of them.  What it leaves open goes to the dense test, so
-    the mask may hold a trial whose lambda_max(G) is below headroom, never
-    a settled trial whose lambda_max(G) reaches it.
-
-    Rounding in eigh of R_i and in these n x n products moves the bound by
-    O(K eps), a few 1e-15 at lambda ~ 1: six orders inside the 1e-9 margin.
-    So a settled trial's lambda_max(H) is below 2 by far more than
-    eigvalsh's own error: the dense test would count none of them, and the
-    chunk's count stays exact.
-    """
-    headroom, weights = bound[:2]                             # weights (M, r, K)
-    n = weights.shape[0] * weights.shape[1]
-    trace, frob2 = _gram_moments(bound, x.transpose(1, 2, 0))
-    unsettled = ~_trace_settled(trace, frob2, n, headroom)
-    if unsettled.any():
-        open_x = x[unsettled]
-        vh = (open_x[:, :, None, :] * weights).reshape(len(open_x), n, -1)  # V^H, (B', n, K)
-        gram = vh @ np.conj(vh).transpose(0, 2, 1)
-        # the same bound on G^2: tr G^2 = ||G||_F^2, lambda_max(G^2) = lambda_max(G)^2
-        frob4 = np.sum(np.abs(gram @ gram) ** 2, axis=(1, 2))
-        unsettled[unsettled] = ~_trace_settled(frob2[unsettled], frob4, n, headroom**2)
-    return unsettled
-
-
-def _trace_settled(trace, frob2, n, headroom):
-    """Trials whose G the Wolkowicz-Styan bound, with its allowance, puts below headroom.
-
-    trace and frob2 are tr G and ||G||_F^2 per trial; see _unsettled.
-    """
-    mean = trace / n
-    spread = (n - 1) * (frob2 / n - mean**2 + _WS_ALLOWANCE * frob2)
-    return mean + np.sqrt(np.maximum(spread, 0.0)) < headroom
-
-
-def _gram_moments(bound, x):
-    """tr G and ||G||_F^2 of each trial's G = V^H V (see _unsettled), without G.
-
-    x is the user-major (M, K, B) x = h / sqrt(p).  Block (i, i) of G is
-    |x_i|^2 against the table w_ijk w_ij'k, and block (i, i') is
-    x_i conj(x_i') against w_ijk w_i'j'k: one real GEMM per subcarrier,
-    (r^2, K) @ (K, B), for |x_i|^2, and one per subcarrier pair i < i',
-    (r^2, K) @ (K, 2B), on the interleaved float view of the complex
-    conj(x_i) x_i', whose block has the same squared magnitudes.  Block
-    (i', i) is the conjugate transpose of (i, i').  The squares are summed
-    over trial-contiguous rows.
-    """
-    rank, diagonal, pairs = bound[1].shape[1], bound[2], bound[3]
-    m, users, trials = x.shape
-    square = np.square(np.ascontiguousarray(x).view(float))
-    blocks = np.matmul(diagonal.transpose(0, 2, 1), square[..., ::2] + square[..., 1::2])
-    trace = blocks[:, :: rank + 1].sum(axis=(0, 1))                 # blocks (M, r^2, B)
-    frob2 = np.square(blocks).reshape(-1, trials).sum(axis=0)
-    if len(pairs):
-        # conj(x_i) x_i' as (pairs, K, B), pairs in triu_indices order
-        z = np.empty((len(pairs), users, trials), dtype=complex)
-        at = 0
-        for i in range(m - 1):
-            np.multiply(np.conj(x[i]), x[i + 1 :], out=z[at : at + m - 1 - i])
-            at += m - 1 - i
-        parts = np.matmul(pairs.transpose(0, 2, 1), z.view(float))     # (pairs, r^2, 2B)
-        sums = np.square(parts).reshape(-1, 2 * trials).sum(axis=0)
-        frob2 += 2.0 * (sums[::2] + sums[1::2])
-    return trace, frob2
-
-
-def _count_nonconvergent(herm) -> int:
-    """Count the draws of a Hermitian (B, K, K) stack with lambda_max >= 2, exactly.
-
-    (2 - margin) I - H is positive definite exactly when lambda_max(H) <
-    2 - margin.  So one successful batched Cholesky proves every draw
-    convergent; only a chunk where it fails pays for eigvalsh.  The margin
-    dwarfs the factorisation's rounding, so the count equals eigvalsh's on
-    every draw.
-    """
-    if _factorizes(-herm, 2.0 - _CERT_MARGIN):
-        return 0
-    lam_max = np.linalg.eigvalsh(herm)[:, -1]
-    return int(np.count_nonzero(lam_max >= 2.0))
 
 
 def _series_stats(ctx: _Context, x, xc, u, herm) -> dict:

@@ -151,7 +151,7 @@ def sinr_breakdown(
     stationary point of sinr(w); for K = 2 and equal amplitudes it reduces to
     A^2 / (A^2 + sigma2) independent of the cross-correlation.
     """
-    r = _real_correlation(correlation, "sinr_breakdown")
+    r = _real_correlation(correlation, "sinr_breakdown", single=True)
     amps = np.asarray(amplitudes, dtype=float)
     k = r.shape[0]
     if amps.shape != (k,):

@@ -11,6 +11,9 @@ to, such as one a refactor leaves behind, is dead code; a re-export in
 In `tests/`, only the reference simulator (`reference.py`) replays the seed
 tree: no other test module names `SeedSequence`, so per-path replay loops do
 not grow back, and `reference.py` imports no `_`-prefixed `lpic` name.
+
+`model.py` owns every spectral certificate: no other module defines one, or
+defines, imports or reads the thresholds and Cholesky tests they share.
 """
 
 import ast
@@ -95,3 +98,40 @@ def test_only_the_reference_replays_the_seed_tree():
                 if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "lpic"
                 for alias in node.names]
     assert imported and not [name for name in imported if name.startswith("_")]
+
+
+# what the certificates share, and the certificates themselves
+_CERT_INTERNALS = {"_PIVOT_RTOL", "_CERT_MARGIN", "_CERT_RANK", "_WS_ALLOWANCE",
+                   "_factorizes", "_proved_regular"}
+_CERTIFICATES = {"singular_draws", "_low_rank_bound", "_unsettled", "_trace_settled",
+                 "_gram_moments", "_count_nonconvergent"}
+
+
+def _defined(tree) -> set[str]:
+    """Top-level names a module defines: functions, classes and assigned names."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def _certificate_leaks(source: str) -> list[str]:
+    """Certificate names a module defines, and shared internals it defines or refers to."""
+    tree = ast.parse(source)
+    defined = _defined(tree) & (_CERT_INTERNALS | _CERTIFICATES)
+    return sorted(defined | (_references(tree).keys() & _CERT_INTERNALS))
+
+
+def test_model_alone_owns_the_spectral_certificates():
+    leaky = "from .model import _CERT_MARGIN, _factorizes, _unsettled\nmodel._PIVOT_RTOL\n"
+    assert _certificate_leaks(leaky + "_CERT_RANK = 3\n") == [
+        "_CERT_MARGIN", "_CERT_RANK", "_PIVOT_RTOL", "_factorizes"]
+    model = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+    assert _CERT_INTERNALS | _CERTIFICATES <= _defined(model)
+    leaks = {p.name: _certificate_leaks(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py")) if p.name != "model.py"}
+    assert {name: found for name, found in leaks.items() if found} == {}

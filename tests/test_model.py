@@ -439,3 +439,20 @@ class TestRealCorrelation:
         with pytest.raises(ValueError, match=match) as err:
             call(bad)
         assert str(err.value).startswith(name)
+
+    @pytest.mark.parametrize("count", (2, 3), ids=["2x3x3", "3x3x3"])
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("sinr_breakdown", lambda r: sinr_breakdown(r, np.ones(3), 0.1, None, 0, 2)),
+            ("convergence_check", convergence_check),
+        ],
+        ids=["sinr_breakdown", "convergence_check"],
+    )
+    def test_refuses_a_stack_where_one_r_is_taken(self, name, call, count):
+        # a (N, 3, 3) stack is square in its last two axes; these take one R,
+        # and (3, 3, 3) would otherwise pass the amplitudes' length check
+        stack = np.stack([np.eye(3)] * count)
+        with pytest.raises(ValueError) as err:
+            call(stack)
+        assert str(err.value) == f"{name} takes one (K, K) correlation, got {stack.shape}"

@@ -1105,14 +1105,14 @@ class TestNonconvCertificate:
         herm = hermitian(rs, scaled(fading(rng, (256, 2, 6))))
         assert nonconvergent(herm) == 0
         self._forbid_eigvalsh(monkeypatch)
-        assert simulate._count_nonconvergent(herm) == 0
+        assert model._count_nonconvergent(herm) == 0
 
     def test_mixed_chunk_matches_eigvalsh(self, rng):
         rs = np.stack([random_correlation(rng, 12, 16) for _ in range(2)])
         herm = hermitian(rs, scaled(fading(rng, (256, 2, 12))))
         want = nonconvergent(herm)
         assert 0 < want < 256
-        assert simulate._count_nonconvergent(herm) == want
+        assert model._count_nonconvergent(herm) == want
 
     def test_lambda_max_within_margin_of_two(self, rng, monkeypatch):
         # with M = 1 and unit-modulus h, herm = D(conj h) R D(h) is unitarily
@@ -1128,16 +1128,16 @@ class TestNonconvCertificate:
             h = np.exp(2j * np.pi * rng.uniform(size=(1, 1, users)))
             mats.append(hermitian(((q * lam) @ q.T)[None], scaled(h)))
         herm = np.concatenate(mats)
-        assert simulate._count_nonconvergent(herm) == nonconvergent(herm)
+        assert model._count_nonconvergent(herm) == nonconvergent(herm)
         for t, offset in enumerate(offsets):
             one = herm[t : t + 1]
             want = nonconvergent(one)
             if offset:
                 assert want == (offset > 0)
-            assert simulate._count_nonconvergent(one) == want
+            assert model._count_nonconvergent(one) == want
         # a draw more than the margin below 2 is proved without eigvalsh
         self._forbid_eigvalsh(monkeypatch)
-        assert simulate._count_nonconvergent(herm[:1]) == 0
+        assert model._count_nonconvergent(herm[:1]) == 0
 
     # the low-rank bound (fixed mode) settles trials before the dense test
 
@@ -1156,7 +1156,7 @@ class TestNonconvCertificate:
     @staticmethod
     def _two_tier(correlations, h):
         """nonconv of one chunk on fixed (M, K, K) correlations, bound first."""
-        bound = simulate._low_rank_bound(correlations)
+        bound = model._low_rank_bound(correlations)
         return simulate._nonconvergent(bound, correlations[:, None], scaled(h), None)[0]
 
     def test_unsettled_chunk_falls_back_and_counts_zero(self, rng, monkeypatch):
@@ -1171,7 +1171,7 @@ class TestNonconvCertificate:
         rs = np.stack([(q * np.array(lam)) @ q.T for lam in spectra])
         h = np.repeat(np.exp(2j * np.pi * rng.uniform(size=(64, 1, users))), 2, axis=1)
         assert nonconvergent(hermitian(rs, scaled(h))) == 0
-        assert simulate._unsettled(simulate._low_rank_bound(rs), scaled(h)).all()
+        assert model._unsettled(model._low_rank_bound(rs), scaled(h)).all()
         rows = self._dense_rows(monkeypatch)
         assert self._two_tier(rs, h) == 0
         assert rows == [64]
@@ -1184,7 +1184,7 @@ class TestNonconvCertificate:
         top = int(np.argmax(np.linalg.eigvalsh(rs)[:, -1]))
         assert np.linalg.eigvalsh(rs[top])[-1] > 2.0
         h[:8, np.arange(4) != top] *= 1e-3
-        open_rows = simulate._unsettled(simulate._low_rank_bound(rs), scaled(h))
+        open_rows = model._unsettled(model._low_rank_bound(rs), scaled(h))
         assert open_rows[:8].all() and np.count_nonzero(open_rows) < 16
         rows = self._dense_rows(monkeypatch)
         assert self._two_tier(rs, h) == nonconvergent(hermitian(rs, scaled(h))) >= 8
@@ -1215,9 +1215,9 @@ class TestNonconvCertificate:
         q, _ = np.linalg.qr(rng.standard_normal((users, users)))
         # c = lambda_4 = 2: no trial could be proved convergent
         rs = ((q * np.array([0.1] * 4 + [2.0, 2.1, 2.2, 2.3])) @ q.T)[None]
-        assert simulate._low_rank_bound(rs) is None
+        assert model._low_rank_bound(rs) is None
         # M r >= K: the bound's test would be no smaller than the dense one
-        assert simulate._low_rank_bound(np.stack([np.eye(9)] * 3)) is None
+        assert model._low_rank_bound(np.stack([np.eye(9)] * 3)) is None
         h = fading(rng, (64, 1, users))
         rows = self._dense_rows(monkeypatch)
         assert self._two_tier(rs, h) == nonconvergent(hermitian(rs, scaled(h)))
@@ -1242,12 +1242,12 @@ class TestNonconvCertificate:
         gram = (q * spectra[:, None, :]) @ np.conj(q).transpose(0, 2, 1)
         trace = np.trace(gram, axis1=1, axis2=2).real
         frob2 = np.sum(np.abs(gram) ** 2, axis=(1, 2))
-        settled = simulate._trace_settled(trace, frob2, n, headroom)
+        settled = model._trace_settled(trace, frob2, n, headroom)
         lam_max = np.linalg.eigvalsh(gram)[:, -1]
         assert not np.any(lam_max[settled] >= headroom)
         # the same bound on G^2, as _unsettled applies it to the G it forms
         frob4 = np.sum(np.abs(gram @ gram) ** 2, axis=(1, 2))
-        assert not np.any(lam_max[simulate._trace_settled(frob2, frob4, n, headroom**2)] >= headroom)
+        assert not np.any(lam_max[model._trace_settled(frob2, frob4, n, headroom**2)] >= headroom)
         # the bound m + s sqrt(n - 1) is exact for rank one and for a multiple
         # of I (s = 0), the stacks where the allowance alone keeps it sound
         rank_one, scalar = slice(3 * draws, 4 * draws), slice(4 * draws, None)
@@ -1272,7 +1272,7 @@ class TestNonconvCertificate:
 
     @staticmethod
     def _gram(bound, x):
-        """Each trial's G = V^H V (see simulate._unsettled), formed explicitly."""
+        """Each trial's G = V^H V (see model._unsettled), formed explicitly."""
         weights = bound[1]
         vh = (x[:, :, None, :] * weights).reshape(len(x), -1, weights.shape[-1])
         return vh @ np.conj(vh).transpose(0, 2, 1)
@@ -1282,9 +1282,9 @@ class TestNonconvCertificate:
         users = 20
         rs = np.stack([random_correlation(rng, users, 128) for _ in range(subs)])
         x = scaled(fading(rng, (256, subs, users)))
-        bound = simulate._low_rank_bound(rs)
+        bound = model._low_rank_bound(rs)
         assert bound[3].shape == (subs * (subs - 1) // 2, users, 9)
-        trace, frob2 = simulate._gram_moments(bound, x.transpose(1, 2, 0))
+        trace, frob2 = model._gram_moments(bound, x.transpose(1, 2, 0))
         gram = self._gram(bound, x)
         assert np.allclose(trace, np.trace(gram, axis1=1, axis2=2).real, rtol=1e-13, atol=0)
         assert np.allclose(frob2, np.sum(np.abs(gram) ** 2, axis=(1, 2)), rtol=1e-13, atol=0)
@@ -1309,14 +1309,14 @@ class TestNonconvCertificate:
         if len(rs) == 1:
             h /= np.abs(h)  # H is similar to R_1, and G = diag(lambda_j - c)
         x = scaled(h)
-        bound = simulate._low_rank_bound(rs)
+        bound = model._low_rank_bound(rs)
         headroom, weights = bound[:2]
-        moments = simulate._gram_moments(bound, x.transpose(1, 2, 0))
-        tier = simulate._trace_settled(*moments, weights.shape[0] * weights.shape[1], headroom)
+        moments = model._gram_moments(bound, x.transpose(1, 2, 0))
+        tier = model._trace_settled(*moments, weights.shape[0] * weights.shape[1], headroom)
         lam_max = np.linalg.eigvalsh(self._gram(bound, x))[:, -1]
         assert np.count_nonzero(tier) == settled
         assert not np.any(lam_max[tier] >= headroom)
-        got = simulate._unsettled(bound, x)
+        got = model._unsettled(bound, x)
         assert not np.any(lam_max[~got] >= headroom)
         assert np.count_nonzero(lam_max >= headroom) == unsettled
 
@@ -1331,7 +1331,7 @@ class TestNonconvCertificate:
             "seed = 1\ndetectors = mf, conventional:3, proposed:3, decorrelator\n"
         )
         calls = []
-        unsettled = simulate._unsettled
+        unsettled = model._unsettled
 
         def record(*args):
             calls.append(1)
