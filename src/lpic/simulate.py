@@ -5,9 +5,12 @@ Trials are partitioned into fixed-size blocks, each block gets its own
 SeedSequence child, and worker threads (LPIC_THREADS) only distribute whole
 blocks, so results are bit-identical for any worker count.  Near-far profiles
 scale amplitudes after the draws, so bit/fading/noise streams are shared
-between profiles at the same seed.  In per_trial mode each trial reads its
-block's stream in a fixed order (sequences, bits, fading, noise); how many
-trials are then built and detected together does not enter any record.
+between profiles at the same seed.  A fixed-mode block reads its bits, then
+its fading, then its noise, each real plane before its imaginary plane; the
+noise is drawn slice by slice as the count reads it, and the slice sizes do
+not enter any record.  In per_trial mode each trial reads its block's stream
+in a fixed order (sequences, bits, fading, noise); how many trials are then
+built and detected together does not enter any record.
 
 Error counting uses the desired user 0 only unless count_all_users is set,
 in which case the detector label gains an "[all-users]" suffix and the
@@ -361,8 +364,10 @@ def _fold(cfg: ExperimentConfig, filters, correlations, factors):
 
     Every matrix-form statistic is F y = (F R) x + (F L) w, y = R x + L w
     (see _linear), so the folded pair lets the count read the drawn planes
-    and never form y.  It pays only when all of these hold, and otherwise F
-    is applied to y:
+    and never form y.  The count can then take the real noise plane's rows
+    (F L) w_re for the whole block first, into an (M, T, D R) stash, so a
+    folded block keeps no noise plane (see _detect).  It pays only when all
+    of these hold, and otherwise F is applied to y:
     - one draw serves a whole block (fixed mode): a per_trial draw serves
       one trial, and its two products cost more than they save;
     - the receiver is not type2: every type2 slice forms y and
@@ -378,27 +383,52 @@ def _fold(cfg: ExperimentConfig, filters, correlations, factors):
 
 # --- block simulation -----------------------------------------------------
 
-def _draw_symbols(rng: np.random.Generator, cfg: ExperimentConfig, sigma2: float, size: int):
-    """Bits, fading and noise of size trials; fixed draw order (bits, channel, noise).
+def _draw_symbols(rng: np.random.Generator, cfg: ExperimentConfig, sigma2: float, size: int,
+                  step: int, keep_real: bool, work: int = 0):
+    """One fixed-mode block; fixed draw order (bits, h_re, h_im, w_re, w_im).
 
     The bits are the +/-1 values of integers(0, 2, size=(size, K)), read
     from the generator's raw words (see model._SignDraws).  Each of fading
-    and noise draws its real parts, then its imaginary parts, into one
-    (4, size, M, K) buffer of real planes: h_re, h_im, w_re, w_im.
-    h_re + 1j h_im is bit for bit what sqrt(0.5) (a + 1j b) of the same
-    reads gives, and likewise w.  Returns the bits and the planes.
+    and noise then draws its real plane, then its imaginary plane, each
+    (size, M, K) standard normals: h_re + 1j h_im is bit for bit what
+    sqrt(0.5) (a + 1j b) of the same reads gives, and likewise w.  The
+    fading planes are drawn here, and so is w_re when keep_real is set; the
+    other noise planes are drawn as the count reads them: standard_normal
+    reads the same values whether it fills a plane whole or slice by slice.
+    Returns the bits, the (2, size, M, K) fading planes, noise and work
+    floats of room for _detect.  noise(plane, part) is the (n, M, K) slice
+    part of w_re (plane 0) or w_im (plane 1): a view of the kept w_re, or
+    else drawn into one step-trial buffer that the next read overwrites, so
+    drawn slices must be read in order, every w_re slice before any w_im
+    slice.  All but the bits sit in one allocation: with the buffers split,
+    glibc's dynamic mmap threshold stays low and every block page-faults
+    its memory in anew.
     """
+    m, k = cfg.subcarriers, cfg.users
     signs = _SignDraws(rng)
-    signs.read(size * cfg.users)
-    bits = signs.values().reshape(size, cfg.users)
-    planes = np.empty((4, size, cfg.subcarriers, cfg.users))
+    signs.read(size * k)
+    bits = signs.values().reshape(size, k)
+    whole = (3 if keep_real else 2) * size * m * k
+    buffer = np.empty(work + whole + step * m * k)
+    planes = buffer[work : work + whole].reshape(-1, size, m, k)
     for plane in planes:
         rng.standard_normal(out=plane)
-    return bits, _scaled(planes, sigma2)
+    _scaled(planes, sigma2)
+    scale, scratch = sqrt(sigma2 / 2.0), buffer[work + whole :].reshape(step, m, k)
+
+    def noise(plane, part):
+        if plane == 0 and keep_real:
+            return planes[2, part]
+        out = scratch[: part.stop - part.start]
+        rng.standard_normal(out=out)
+        out *= scale
+        return out
+
+    return bits, planes[:2], noise, buffer[:work]
 
 
 def _scaled(normals, sigma2: float):
-    """Fading and noise planes of (4, T, M, K) standard normals, scaled in place."""
+    """Fading, then noise planes of (P, T, M, K) standard normals, scaled in place."""
     normals[:2] *= sqrt(0.5)
     normals[2:] *= sqrt(sigma2 / 2.0)
     return normals
@@ -408,12 +438,12 @@ def _draw_trials(cfg: ExperimentConfig, rng: np.random.Generator, sigma2: float,
     """count trials, each with its own spreading draw.
 
     Every trial reads the stream of a one-trial block: its sequences, then
-    what _draw_symbols(rng, cfg, sigma2, 1) reads.  Its sequences and bits
+    what a one-trial block reads (see _draw_symbols).  Its sequences and bits
     are consecutive integers(0, 2) reads, so they come from one raw read of
     sets K P + K values (see model._SignDraws), and its four normal arrays
     from one call.  The chunk's sequences are correlated and factored as one
     stack.  Returns (M, count, K, K) correlations and factors, then the bits
-    and the (4, count, M, K) planes of _draw_symbols.
+    and the (4, count, M, K) planes h_re, h_im, w_re, w_im.
     """
     shape = (count, _sets(cfg), cfg.users, cfg.chips)
     chips = shape[1] * cfg.users * cfg.chips  # a trial's chip values; its K bits follow
@@ -463,33 +493,40 @@ def _users(mats, v, out=None):
 
 
 def _linear(pair, scale, h, w):
-    """A x + B w of the (2, T, M, K) planes h and w, with x = scale * h.
+    """A x + B w of the (2, T, M, K) fading planes h, with x = scale * h.
 
-    pair is (A, B), each (M, G, R, K).  Real GEMMs (see _apply) apply A_i
-    and B_i to each plane; the result is (M, 2, T, R).
+    pair is (A, B), each (M, G, R, K), and w the two (T, M, K) noise
+    planes, read in place; a plane given as None is left for the caller to
+    add (see _detect).  Real GEMMs (see _apply) apply A_i and B_i to each
+    plane; the result is (M, 2, T, R).
     """
     out = _apply(pair[0], scale * h.transpose(2, 0, 1, 3))
-    out += _apply(pair[1], w.transpose(2, 0, 1, 3))
+    for plane, noise in zip(out.swapaxes(0, 1), w, strict=True):
+        if noise is not None:
+            plane += _apply(pair[1], noise.swapaxes(0, 1))
     return out
 
 
-def _workspace(cfg: ExperimentConfig, trials: int):
-    """Three flat complex buffers: the user-major h, w and y of up to trials trials."""
-    return np.empty((3, cfg.subcarriers * cfg.users * trials), dtype=complex)
+def _workspace(cfg: ExperimentConfig, trials: int, room=None):
+    """Three flat complex buffers, the user-major h, w and y of trials trials; in room if given."""
+    if room is None:
+        room = np.empty(6 * cfg.subcarriers * cfg.users * trials)
+    return room.view(complex).reshape(3, -1)
 
 
-def _receive_users(ctx: _Context, bits, planes, space):
+def _receive_users(ctx: _Context, bits, fading, noise, space):
     """h and y = L w + R (A b h) of one chunk, user-major: complex (M, K, B) in space.
 
-    planes are the chunk's (4, B, M, K) fading and noise planes and space a
-    _workspace; h and w are copied into it, a contiguous prefix of each
-    buffer.  Each R_i and L_i product is one real GEMM into the workspace
-    (see _users): L w goes to y, then w takes A b h.  y is the sum of the
-    two products that _linear adds for the real planes of R and L.
+    fading is the chunk's (2, B, M, K) planes, noise its two (B, M, K)
+    planes, and space a _workspace; h and w are copied into it, a
+    contiguous prefix of each buffer.  Each R_i and L_i product is one real
+    GEMM into the workspace (see _users): L w goes to y, then w takes A b h.
+    y is the sum of the two products that _linear adds for the real planes
+    of R and L.
     """
-    _, b, m, k = planes.shape
+    b, m, k = noise[0].shape
     h, w, y = (buf[: m * k * b].reshape(m, k, b) for buf in space)
-    for out, (re, im) in ((h, planes[:2]), (w, planes[2:])):
+    for out, (re, im) in ((h, fading), (w, noise)):
         out.real = re.transpose(1, 2, 0)
         out.imag = im.transpose(1, 2, 0)
     _users(ctx.factors, w, out=y)
@@ -498,20 +535,26 @@ def _receive_users(ctx: _Context, bits, planes, space):
     return h, y
 
 
-def _detect(ctx: _Context, bits, planes):
+def _detect(ctx: _Context, bits, h, noise, step: int, room=None):
     """Evaluate every detector on the T trials of a block or per_trial stack.
 
-    planes are the (4, T, M, K) fading and noise planes (see _draw_symbols).
-    A per_trial stack, whose G draws serve one trial each, is one slice; a
-    fixed-mode block runs _COUNT_TRIALS trials at a time when folded (see
-    _fold), else _CHUNK_TRIALS.  ctx fixes each slice's receive form: the
-    folded count reads the planes; an unfolded single-carrier or type1
-    count applies F to the real planes of y = R x + L w (see _linear);
-    type2 forms h and y user-major (see _receive_users) in one workspace
-    allocated here, counts its matrix forms from F y (see _filtered), then
-    takes the combined-domain step, which counts nonconv with or without a
-    combined-domain detector (see _detect_combined).  The low-rank bound
-    (see model._low_rank_bound) carries from slice to slice.
+    h is their (2, T, M, K) fading planes and noise(plane, part) a slice of
+    their noise planes, read in stream order (see _draw_symbols).  They are
+    counted step trials a slice: a per_trial stack, whose G draws serve one
+    trial each, in one.  room is the spare room of a fixed-mode block's
+    buffer (see _block_fixed), else None.  ctx fixes each slice's receive
+    form:
+    - the folded count (see _fold) makes two passes over the slices: the
+      first stashes the real noise plane's rows F L w_re in room, the
+      second reads w_im and adds the stash, so no noise plane is kept;
+    - the other forms read both noise planes of a slice: an unfolded
+      single-carrier or type1 count applies F to the real planes of
+      y = R x + L w (see _linear);
+    - type2 forms h and y user-major (see _receive_users) in one workspace,
+      counts its matrix forms from F y (see _filtered), then takes the
+      combined-domain step, which counts nonconv with or without a
+      combined-domain detector (see _detect_combined).  The low-rank bound
+      (see model._low_rank_bound) carries from slice to slice.
     Returns (counts, nonconv): counts is the (2, D + C) array of bit errors
     and counted trials per detector in _split order.  A detector keeps the
     trials whose draws it was built on (and, for the type2 decorrelator,
@@ -519,24 +562,29 @@ def _detect(ctx: _Context, bits, planes):
     """
     cfg, matrix, size = ctx.cfg, len(ctx.built), len(bits)
     type2, folded = cfg.receiver == "type2", len(ctx.filters) == 2
-    step = size if cfg.sequence_mode == "per_trial" else _COUNT_TRIALS if folded else _CHUNK_TRIALS
-    space = _workspace(cfg, min(step, size)) if type2 else None
+    parts = [slice(lo, min(lo + step, size)) for lo in range(0, size, step)]
+    space = _workspace(cfg, step, room) if type2 else None
     counts = np.zeros((2, matrix + len(ctx.combined)), dtype=np.int64)
     nonconv, bound = 0, ctx.bound
-    for lo in range(0, size, step):
-        part = slice(lo, lo + step)
-        h, w = planes[:2, part], planes[2:, part]
+    if folded:
+        stash = room.reshape(cfg.subcarriers, size, -1)
+        for part in parts:
+            stash[:, part] = _apply(ctx.filters[1], noise(0, part).swapaxes(0, 1))
+    for part in parts:
+        scale, fading = ctx.amplitudes * bits[part], h[:, part]
+        w = [None if folded else noise(0, part), noise(1, part)]
         # z = F y is dropped once counted: it is D R / K times the size of y
         if folded:
-            z = _linear(ctx.filters, ctx.amplitudes * bits[part], h, w)
+            z = _linear(ctx.filters, scale, fading, w)
+            z[:, 0] += stash[:, part]
         elif not type2:
-            y = _linear((ctx.correlations, ctx.factors), ctx.amplitudes * bits[part], h, w)
+            y = _linear((ctx.correlations, ctx.factors), scale, fading, w)
             z = _apply(ctx.filters[0], y)
         else:
-            x, y = _receive_users(ctx, bits[part], planes[:, part], space)
+            x, y = _receive_users(ctx, bits[part], fading, w, space)
             z = _filtered(ctx, y) if matrix else None
         if matrix:
-            counts[:, :matrix] += _count_matrix_forms(ctx, bits[part], h, z)
+            counts[:, :matrix] += _count_matrix_forms(ctx, bits[part], fading, z)
         if type2:
             got, more, bound = _detect_combined(ctx, bits[part], x, y, bound)
             counts[:, matrix:] += got
@@ -570,7 +618,7 @@ def _count_matrix_forms(ctx: _Context, bits, h, z):
     z = z.reshape(z.shape[:3] + (-1, counted))
     z *= h[..., ctx.rows].transpose(2, 0, 1, 3)[:, :, :, None]
     z[:, 0] += z[:, 1]
-    stat = z[:, 0].sum(axis=0)                          # (T, D, R)
+    stat = _subcarrier_sum(z[:, 0])                     # (T, D, R)
     bad = ((stat < 0) != wrong[:, None]).reshape(g, trials // g, -1, counted)
     if not ctx.built.all():
         bad &= ctx.built.T[:, None, :, None]
@@ -735,14 +783,25 @@ def _decorrelate(herm, u):
 
 
 def _block_fixed(ctx: _Context, seed_seq, size: int):
-    """One fixed-mode block: drawn whole, then detected in slices (see _detect).
+    """One fixed-mode block: bits and fading drawn whole, noise as _detect reads it.
 
-    The slices keep the temporaries after the draw cache-sized.  Returns
-    (counts, nonconv).
+    The folded count (see _fold) reads _COUNT_TRIALS trials a slice, keeps
+    no noise plane and takes its (M, T, D R) stash as the buffer's work
+    room.  The other forms need both noise planes of a slice at once: they
+    read _CHUNK_TRIALS trials a slice and keep w_re, and type2 takes its
+    _workspace as the work room.  The slices keep the temporaries
+    cache-sized, and their size enters no record.  Returns (counts,
+    nonconv).
     """
+    cfg, folded = ctx.cfg, len(ctx.filters) == 2
+    step = min(_COUNT_TRIALS if folded else _CHUNK_TRIALS, size)
+    if folded:
+        work = cfg.subcarriers * size * ctx.filters[0].shape[2]
+    else:  # type2's _workspace: three complex (M K step) buffers
+        work = 6 * cfg.subcarriers * cfg.users * step if cfg.receiver == "type2" else 0
     rng = np.random.default_rng(seed_seq)
-    bits, planes = _draw_symbols(rng, ctx.cfg, ctx.sigma2, size)
-    return _detect(ctx, bits, planes)
+    bits, h, noise, room = _draw_symbols(rng, cfg, ctx.sigma2, size, step, not folded, work)
+    return _detect(ctx, bits, h, noise, step, room)
 
 
 def _block_per_trial(cfg: ExperimentConfig, seed_seq, size: int):
@@ -763,7 +822,8 @@ def _block_per_trial(cfg: ExperimentConfig, seed_seq, size: int):
             cfg, rng, sigma2, min(_DRAW_CHUNK, size - lo)
         )
         ctx = _prepare_context(cfg, correlations, factors)
-        got, more = _detect(ctx, bits, planes)
+        noise = lambda plane, part: planes[2 + plane, part]
+        got, more = _detect(ctx, bits, planes[:2], noise, len(bits))
         counts += got
         nonconv += more
     return counts, nonconv

@@ -26,6 +26,7 @@ from lpic.model import (
 )
 from lpic.sinr import compute_weight_schedule, q_matrix, sinr_breakdown
 
+from blocks import block_planes
 from limit_scaling import limit_scaling_matrix
 
 
@@ -177,7 +178,7 @@ class TestCorrelation:
 
 class TestChannel:
     def test_shapes(self, rng):
-        bits, planes = simulate._draw_symbols(rng, _cfg(4, 2), 0.5, 10)
+        bits, planes = block_planes(rng, _cfg(4, 2), 0.5, 10)
         assert bits.shape == (10, 4)
         assert set(np.unique(bits)) <= {-1.0, 1.0}
         h, w = planes[:2], planes[2:]
@@ -186,7 +187,7 @@ class TestChannel:
 
     def test_unit_power(self):
         rng = np.random.default_rng(3)
-        h = _joined(simulate._draw_symbols(rng, _cfg(3), 0.5, 200_000)[1])
+        h = _joined(block_planes(rng, _cfg(3), 0.5, 200_000)[1])
         power = np.abs(h) ** 2
         # |h|^2 is exponential(1): mean 1, var 1
         se = 1.0 / np.sqrt(power.size)
@@ -197,7 +198,7 @@ class TestChannel:
 
 def _shaped_noise(rng, r, sigma2, size):
     """Noise L w as the harness draws and shapes it, (size, K)."""
-    _, planes = simulate._draw_symbols(rng, _cfg(r.shape[0]), sigma2, size)
+    _, planes = block_planes(rng, _cfg(r.shape[0]), sigma2, size)
     factors = noise_transform(r)[None, None]
     return _joined(simulate._apply(factors, planes[2:].transpose(2, 0, 1, 3))[0])
 
@@ -311,7 +312,7 @@ class TestMatchedFilter:
             [correlation_matrix(generate_spreading_set(users, 32, rng)) for _ in range(subs)]
         )
         amps = rng.uniform(0.5, 2.0, users)
-        bits, planes = simulate._draw_symbols(rng, _cfg(users, subs), 0.3, trials)
+        bits, planes = block_planes(rng, _cfg(users, subs), 0.3, trials)
         ells = np.stack([noise_transform(r) for r in rs])
         y = simulate._linear((rs[:, None], ells[:, None]), amps * bits, planes[:2], planes[2:])
         assert y.shape == (subs, 2, trials, users)

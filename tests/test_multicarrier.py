@@ -22,6 +22,7 @@ from lpic import simulate
 from lpic.config import ConfigError, DetectorSpec, parse_config
 from lpic.simulate import run_ber_experiment
 
+from blocks import block_planes
 from oracles import explicit_power_series, random_correlation, zero_diagonal
 from reference import chain, effective, fading, hermitian, power, scaled
 
@@ -92,7 +93,7 @@ class TestEffectiveMatrices:
         cfg = parse_config(
             f"K = {users}\nP = 32\nM = {m}\nreceiver = type2\nsnr_db = 0\ndetectors = mf\n"
         )
-        _, planes = simulate._draw_symbols(rng, cfg, sigma2, draws)
+        _, planes = block_planes(rng, cfg, sigma2, draws)
         factors = np.stack([np.linalg.cholesky(r) for r in corrs])[:, None]
         noise = simulate._apply(factors, planes[2:].transpose(2, 0, 1, 3))  # (M, 2, T, K)
         noise = noise[:, 0] + 1j * noise[:, 1]

@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import astuple, replace
@@ -38,6 +39,7 @@ from lpic.simulate import (
     wilson_interval,
 )
 
+from blocks import read_noise
 from oracles import random_correlation, wilson_by_bisection
 from reference import fading, hermitian, nonconvergent, scaled
 
@@ -158,16 +160,20 @@ class TestDeterminism:
             "K = 6\nP = 8\nM = 2\nreceiver = type2\nsnr_db = 8\ntrials = 70\n"
             "sequence_mode = per_trial\ndetectors = mf, conventional:2, proposed:2, "
             "decorrelator, mmse\n",
+            "K = 20\nP = 64\nM = 4\nreceiver = type1\nsnr_db = 8\ntrials = 9000\n"
+            "detectors = conventional:2..4\n",
         ],
-        ids=["single_family", "type1_all_users", "type2", "type2_per_trial"],
+        ids=["single_family", "type1_all_users", "type2", "type2_per_trial", "type1_folded"],
     )
     @pytest.mark.parametrize("chunk", [7, 8192])
     def test_records_do_not_depend_on_the_detect_chunk_size(self, monkeypatch, text, chunk):
         # a fixed-mode block takes _COUNT_TRIALS slices when its matrix forms
-        # are folded (single_family), else _CHUNK_TRIALS slices, in which y is
-        # formed (type1_all_users, and every type2 block); a per_trial stack is
-        # one slice (type2_per_trial); in type2 the low-rank bound may be
-        # dropped at another chunk
+        # are folded (single_family, type1_folded), else _CHUNK_TRIALS slices,
+        # in which y is formed (type1_all_users, and every type2 block); a
+        # fixed block draws its noise slice by slice, so 9000 trials end in a
+        # partial slice and a partial second block; a per_trial stack is one
+        # slice (type2_per_trial); in type2 the low-rank bound may be dropped
+        # at another chunk
         text += "seed = 3\n"
         records = render_ber_csv(_run(text))
         monkeypatch.setattr(simulate, "_CHUNK_TRIALS", chunk)
@@ -729,9 +735,9 @@ class TestCountPaths:
         detect, count = simulate._detect, simulate._count_matrix_forms
         linear, receive_users = simulate._linear, simulate._receive_users
 
-        def spy_detect(ctx, bits, planes):
+        def spy_detect(ctx, *args):
             contexts.append(ctx)
-            return detect(ctx, bits, planes)
+            return detect(ctx, *args)
 
         def spy_linear(pair, scale, h, w):
             received["y" if pair[0] is contexts[-1].correlations else "folded"] += 1
@@ -872,6 +878,29 @@ class TestType2Layout:
         assert calls == {"_workspace": steps, "_receive_users": chunks}
 
 
+class TestBlockMemory:
+    """A fixed-mode block keeps less than its four fading and noise planes.
+
+    It keeps the bits, the two fading planes, a thin stash and one noise
+    slice (see simulate._draw_symbols): on one block of the type1 M = 4
+    benchmark config, the traced peak of the whole run stays below what the
+    four (T, M, K) planes alone would take.
+    """
+
+    def test_peak_stays_below_four_planes(self):
+        cfg = parse_config(
+            "K = 20\nP = 64\nM = 4\nnear_far = tenfold\nsnr_db = 14\nreceiver = type1\n"
+            "trials = 8192\nseed = 1\ndetectors = conventional:4\n"
+        )
+        planes = 4 * 8192 * 4 * 20 * np.dtype(float).itemsize  # 21.0 MB
+        tracemalloc.start()
+        try:
+            run_ber_experiment(cfg, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < planes
+
 
 def _planes(h, w):
     """The (4, ...) real planes h_re, h_im, w_re, w_im of complex fading and noise."""
@@ -910,11 +939,20 @@ def _assert_same_draws(got, want):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def _root(a):
+    """The array that owns a's memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 class TestPlaneDraw:
     """The fading and noise planes are the complex draw's stream, bit for bit.
 
     The reference reads the normals with size=, as four separate arrays, and
-    forms h = sqrt(0.5) (a + 1j b) and w = sqrt(sigma2 / 2) (c + 1j d).
+    forms h = sqrt(0.5) (a + 1j b) and w = sqrt(sigma2 / 2) (c + 1j d).  A
+    fixed-mode block draws the fading whole and the noise slice by slice as
+    it is read (see blocks.read_noise), w_re whole too when it is kept.
     """
 
     @staticmethod
@@ -924,23 +962,41 @@ class TestPlaneDraw:
             f"K = 6\nP = 16\nM = {subs}\nreceiver = {rx}\nsnr_db = 3\ndetectors = mf\n{extra}"
         )
 
+    @pytest.mark.parametrize("keep_real", [False, True])
     @pytest.mark.parametrize("subs", [1, 4])
-    @pytest.mark.parametrize("size", [1, 300])
-    def test_draw_symbols_reads_the_complex_stream(self, subs, size):
+    @pytest.mark.parametrize("size, step", [(1, 1), (300, 7)])
+    def test_draw_symbols_reads_the_complex_stream(self, subs, size, step, keep_real):
         cfg = self._cfg(subs)
         rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
-        got = simulate._draw_symbols(rng, cfg, cfg.sigma2(), size)
+        drawn, fading, noise, _ = simulate._draw_symbols(rng, cfg, cfg.sigma2(), size, step,
+                                                         keep_real)
+        got = (drawn, np.concatenate([fading, read_noise(noise, size, step)]))
         bits, h, w = reference.draw_symbols(cfg, ref_rng, cfg.sigma2(), size)
         _assert_same_draws(got, (bits, _planes(h, w)))
-        assert got[1].shape == (4, size, subs, 6)
+        assert fading.shape == (2, size, subs, 6)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("keep_real", [False, True])
+    def test_noise_is_drawn_as_it_is_read(self, keep_real):
+        # the draw reads the bits, the fading and a kept w_re, and nothing
+        # more; everything but the bits sits in one allocation
+        cfg = self._cfg(4)
+        rng, ref_rng = np.random.default_rng(45), np.random.default_rng(45)
+        _, fading, noise, room = simulate._draw_symbols(rng, cfg, cfg.sigma2(), 300, 7,
+                                                        keep_real, 10)
+        ref_rng.integers(0, 2, size=(300, 6))
+        ref_rng.standard_normal((2 + keep_real) * 300 * 4 * 6)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert room.shape == (10,)
+        assert len({id(_root(a)) for a in (fading, room, noise(0, slice(0, 7)))}) == 1
 
     def test_odd_blocks_carry_the_buffered_half(self):
         # size K = 15 is odd: the second block starts on the first's spare half
         cfg = parse_config("K = 3\nP = 2\nM = 2\nreceiver = type1\nsnr_db = 3\ndetectors = mf\n")
         rng, ref_rng = np.random.default_rng(47), np.random.default_rng(47)
         for _ in range(2):
-            got = simulate._draw_symbols(rng, cfg, cfg.sigma2(), 5)
+            drawn, fading, noise, _ = simulate._draw_symbols(rng, cfg, cfg.sigma2(), 5, 2, False)
+            got = (drawn, np.concatenate([fading, read_noise(noise, 5, 2)]))
             bits, h, w = reference.draw_symbols(cfg, ref_rng, cfg.sigma2(), 5)
             _assert_same_draws(got, (bits, _planes(h, w)))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
