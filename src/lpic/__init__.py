@@ -3,7 +3,7 @@
 Matrix-filter multistage detectors (conventional and zero-diagonal series,
 eigenvalue-weighted MMSE-converging variants, per-user weighted stages; all
 of them, conventional included, sum the single stage recursion
-filters.cancellation_series, and build_filter can build only the rows a
+filters.cancellation_partials, and build_filter can build only the rows a
 caller counts), closed-form output SINR and optimal stage weights, and a
 deterministic Monte Carlo BER harness with single-carrier and multicarrier
 Type I / II receivers.  The Type II chains sum the same kernel with a

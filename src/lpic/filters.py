@@ -8,7 +8,7 @@ takes a stack of correlation matrices with leading draw axes, shape
 give, bit for bit.  build_filter(..., rows=...) builds only the given rows
 of each filter, which is all a detector that counts some users needs.  The
 m-stage cancellation structures are represented in closed matrix form, and
-every one of them sums the one stage recursion, cancellation_series, whose
+every one of them sums the one stage recursion, cancellation_partials, whose
 row i needs only row i of the term before it:
 
   * conventional: truncated series G = I + (I-R) + ... + (I-R)^(m-1), the sum
@@ -28,7 +28,7 @@ row i needs only row i of the term before it:
 
 The type2 harness sums the same kernel for its chains on the complex
 combined-domain H itself, with a matrix-free step (a callable; see
-cancellation_series); no filter is built on a complex matrix.
+cancellation_partials); no filter is built on a complex matrix.
 """
 
 from __future__ import annotations
@@ -108,9 +108,10 @@ def _identities(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def cancellation_series(first, steps, hollow: bool, coefs=None, rows=None) -> np.ndarray:
-    """The stage recursion: sum_n c_n T_n with T_0 = first and T_n = T_{n-1} S_n.
+def cancellation_partials(first, steps, hollow: bool, coefs=None, rows=None):
+    """Yield every partial sum of the stage recursion: c_0 T_0, then + c_1 T_1, ...
 
+    The recursion is sum_n c_n T_n with T_0 = first and T_n = T_{n-1} S_n.
     steps yields S_1, S_2, ...: each a matrix, or a callable that takes
     T_{n-1} to T_n without forming S_n (a matrix-free step).  With hollow set,
     each new product T_n (n >= 1) has its diagonal zeroed before it is
@@ -120,13 +121,6 @@ def cancellation_series(first, steps, hollow: bool, coefs=None, rows=None) -> np
     T_{n-1}, so first may hold some rows of T_0 alone, (..., R, K): rows
     then names them (an index array into K), and hollowing zeroes entry
     (i, rows[i]).
-    """
-    *_, total = cancellation_partials(first, steps, hollow, coefs, rows)
-    return total
-
-
-def cancellation_partials(first, steps, hollow: bool, coefs=None, rows=None):
-    """Yield every partial sum of cancellation_series: c_0 T_0, then + c_1 T_1, ...
 
     One pass gives the filters of stages 1, 2, ... with the products and
     additions of the last one's build, in the same order.  The yielded array
@@ -201,7 +195,8 @@ def _power_series(r, stage, hollow, schedule, rows) -> np.ndarray:
     """
     step = np.eye(r.shape[-1]) - r
     steps = _weighted_steps(step, schedule, stage)
-    return cancellation_series(_identities(r, rows), steps, hollow, rows=rows)
+    *_, total = cancellation_partials(_identities(r, rows), steps, hollow, rows=rows)
+    return total
 
 
 def _mmse_series(r, sigma2, stage, hollow, eigenvalues, rows) -> np.ndarray:
@@ -226,7 +221,8 @@ def _mmse_series(r, sigma2, stage, hollow, eigenvalues, rows) -> np.ndarray:
     coefs = [mu[..., stage - 1 - i, :, :] for i in range(stage)]
     factors = (mu[..., stage - i, :, :] * s for i in range(1, stage))
     steps = (np.subtract(eye, f, out=f) for f in factors)
-    return cancellation_series(eye[rows], steps, hollow, coefs, rows)
+    *_, total = cancellation_partials(eye[rows], steps, hollow, coefs, rows)
+    return total
 
 
 def build_filter(

@@ -48,7 +48,7 @@ THREADS_ENV = "LPIC_THREADS"
 
 _BLOCK_TRIALS = 8192   # fixed: part of the deterministic draw structure
 _CHUNK_TRIALS = 256    # cache-sized slice of a fixed-mode block where y is formed: receive,
-                       # count from y, combine; the size of type2's workspace (see _detect)
+                       # count from y, combine (see _detect)
 _COUNT_TRIALS = 1024   # slice of a fixed-mode block counted from the folded rows (see _fold)
 _DRAW_CHUNK = 64       # per_trial draws built and detected as one stack, in one slice
 _MAX_REDRAWS = 1000    # sequence redraw attempts before giving up
@@ -290,8 +290,8 @@ def _prepare_context(cfg: ExperimentConfig, correlations, factors) -> _Context:
     schedule take as one stack.  A detector builds only the counted rows of
     its filter on each subcarrier (single carrier is M = 1): R = K with
     count_all_users, else 1.  They are laid out once as the (M, G, D R, K)
-    stack that _apply and _users take, detector-major in each draw's rows,
-    and folded into R and L when the count then never needs y (see _fold).
+    stack that _apply takes, detector-major in each draw's rows, and folded
+    into R and L when the count then never needs y (see _fold).
 
     The detectors on one stack share its weight schedule and its spectrum,
     each computed for the first detector that needs it.  Failures are
@@ -472,24 +472,21 @@ def _apply(mats, v):
     return out.reshape(v.shape[:-1] + out.shape[-1:])
 
 
-def _users(mats, v, out=None):
+def _users(mats, v):
     """Per-draw products A v of real mats (M, G, R, K) and user-major complex v (M, K, B).
 
-    The result is (M, R, B) complex, C-contiguous, in out when given.  With
-    one draw (G = 1) each subcarrier's product is one real GEMM, (R, K) @
-    (K, 2B), on v's interleaved float view: no cast and no copy.  With one
-    draw per trial (G = B) it is a stacked product per draw on a trial-major
-    copy of v.  v's last axis must be contiguous.
+    The result is (M, R, B) complex, C-contiguous.  With one draw (G = 1)
+    each subcarrier's product is one real GEMM, (R, K) @ (K, 2B), on v's
+    interleaved float view: no cast and no copy.  With one draw per trial
+    (G = B) it is a stacked product per draw on a trial-major copy of v.
+    v's last axis must be contiguous.
     """
     m, g = mats.shape[:2]
-    if out is None:
-        out = np.empty((m, mats.shape[2], v.shape[-1]), dtype=complex)
     if g == 1:
-        np.matmul(mats[:, 0], v.view(float), out=out.view(float))
-    else:
-        per = np.ascontiguousarray(v.transpose(0, 2, 1)).view(float).reshape(m, g, -1, 2)
-        out[...] = np.matmul(mats, per).view(complex)[..., 0].transpose(0, 2, 1)
-    return out
+        return np.matmul(mats[:, 0], v.view(float)).view(complex)
+    per = np.ascontiguousarray(v.transpose(0, 2, 1)).view(float).reshape(m, g, -1, 2)
+    out = np.matmul(mats, per).view(complex)[..., 0].transpose(0, 2, 1)
+    return np.ascontiguousarray(out)
 
 
 def _linear(pair, scale, h, w):
@@ -507,34 +504,6 @@ def _linear(pair, scale, h, w):
     return out
 
 
-def _workspace(cfg: ExperimentConfig, trials: int, room=None):
-    """Three flat complex buffers, the user-major h, w and y of trials trials; in room if given."""
-    if room is None:
-        room = np.empty(6 * cfg.subcarriers * cfg.users * trials)
-    return room.view(complex).reshape(3, -1)
-
-
-def _receive_users(ctx: _Context, bits, fading, noise, space):
-    """h and y = L w + R (A b h) of one chunk, user-major: complex (M, K, B) in space.
-
-    fading is the chunk's (2, B, M, K) planes, noise its two (B, M, K)
-    planes, and space a _workspace; h and w are copied into it, a
-    contiguous prefix of each buffer.  Each R_i and L_i product is one real
-    GEMM into the workspace (see _users): L w goes to y, then w takes A b h.
-    y is the sum of the two products that _linear adds for the real planes
-    of R and L.
-    """
-    b, m, k = noise[0].shape
-    h, w, y = (buf[: m * k * b].reshape(m, k, b) for buf in space)
-    for out, (re, im) in ((h, fading), (w, noise)):
-        out.real = re.transpose(1, 2, 0)
-        out.imag = im.transpose(1, 2, 0)
-    _users(ctx.factors, w, out=y)
-    np.multiply(h, (ctx.amplitudes * bits).T, out=w)
-    y += _users(ctx.correlations, w)
-    return h, y
-
-
 def _detect(ctx: _Context, bits, h, noise, step: int, room=None):
     """Evaluate every detector on the T trials of a block or per_trial stack.
 
@@ -547,14 +516,12 @@ def _detect(ctx: _Context, bits, h, noise, step: int, room=None):
     - the folded count (see _fold) makes two passes over the slices: the
       first stashes the real noise plane's rows F L w_re in room, the
       second reads w_im and adds the stash, so no noise plane is kept;
-    - the other forms read both noise planes of a slice: an unfolded
-      single-carrier or type1 count applies F to the real planes of
-      y = R x + L w (see _linear);
-    - type2 forms h and y user-major (see _receive_users) in one workspace,
-      counts its matrix forms from F y (see _filtered), then takes the
-      combined-domain step, which counts nonconv with or without a
-      combined-domain detector (see _detect_combined).  The low-rank bound
-      (see model._low_rank_bound) carries from slice to slice.
+    - every other count reads both noise planes of a slice and applies F
+      to the real planes of y = R x + L w (see _linear).  A type2 slice
+      then takes the combined-domain step, which counts nonconv with or
+      without a combined-domain detector (see _detect_combined).  The
+      low-rank bound (see model._low_rank_bound) carries from slice to
+      slice.
     Returns (counts, nonconv): counts is the (2, D + C) array of bit errors
     and counted trials per detector in _split order.  A detector keeps the
     trials whose draws it was built on (and, for the type2 decorrelator,
@@ -563,7 +530,6 @@ def _detect(ctx: _Context, bits, h, noise, step: int, room=None):
     cfg, matrix, size = ctx.cfg, len(ctx.built), len(bits)
     type2, folded = cfg.receiver == "type2", len(ctx.filters) == 2
     parts = [slice(lo, min(lo + step, size)) for lo in range(0, size, step)]
-    space = _workspace(cfg, step, room) if type2 else None
     counts = np.zeros((2, matrix + len(ctx.combined)), dtype=np.int64)
     nonconv, bound = 0, ctx.bound
     if folded:
@@ -577,29 +543,16 @@ def _detect(ctx: _Context, bits, h, noise, step: int, room=None):
         if folded:
             z = _linear(ctx.filters, scale, fading, w)
             z[:, 0] += stash[:, part]
-        elif not type2:
-            y = _linear((ctx.correlations, ctx.factors), scale, fading, w)
-            z = _apply(ctx.filters[0], y)
         else:
-            x, y = _receive_users(ctx, bits[part], fading, w, space)
-            z = _filtered(ctx, y) if matrix else None
+            y = _linear((ctx.correlations, ctx.factors), scale, fading, w)
+            z = _apply(ctx.filters[0], y) if matrix else None
         if matrix:
             counts[:, :matrix] += _count_matrix_forms(ctx, bits[part], fading, z)
         if type2:
-            got, more, bound = _detect_combined(ctx, bits[part], x, y, bound)
+            got, more, bound = _detect_combined(ctx, bits[part], fading, y, bound)
             counts[:, matrix:] += got
             nonconv += more
     return counts, nonconv
-
-
-def _filtered(ctx: _Context, y):
-    """The counted rows F y of every matrix form, as (M, 2, T, D R) real planes.
-
-    y is the user-major complex (M, K, T) of _receive_users; the product
-    comes back as a real-plane view, the layout _count_matrix_forms takes.
-    """
-    z = _users(ctx.filters[0], y)
-    return z.view(float).reshape(z.shape + (2,)).transpose(0, 3, 2, 1)
 
 
 def _count_matrix_forms(ctx: _Context, bits, h, z):
@@ -629,7 +582,7 @@ def _count_matrix_forms(ctx: _Context, bits, h, z):
     return counts
 
 
-def _detect_combined(ctx: _Context, bits, x, y, bound):
+def _detect_combined(ctx: _Context, bits, h, y, bound):
     """Type2 detectors without a fixed filter on one chunk, plus its nonconv.
 
     Combines first, then cancels in the combined domain.  With P = diag of
@@ -639,21 +592,27 @@ def _detect_combined(ctx: _Context, bits, x, y, bound):
     similarity, so each conventional, proposed and decorrelator statistic on
     y_c is sqrt(p_k) times its H form on u = P^-1/2 y_c = sum_i conj(x_i) y_i,
     with the same sign, and nonconv counts the trials with lambda_max(H) >= 2.
-    x holds the chunk's user-major h, scaled into x in place, and y the
-    chunk's y (see _receive_users), both complex (M, K, B); u is summed in
-    y's buffer.  H is formed only for the decorrelator, all-users proposed
-    (see _series_stats) and the trials that the low-rank bound leaves open
-    (model._unsettled; None once _nonconvergent drops it).  Returns the
-    (2, C) errors and counted trials of ctx.combined, nonconv, and the bound.
+    h is the chunk's (2, B, M, K) fading planes and y its (M, 2, B, K) real
+    planes (see _linear).  Each is copied into a user-major complex
+    (M, K, B) array, the layout the chains take (see _cancel_step): h is
+    scaled into x in place, and u is summed in y's copy.  H is formed only
+    for the decorrelator, all-users proposed (see _series_stats) and the
+    trials that the low-rank bound leaves open (model._unsettled; None once
+    _nonconvergent drops it).  Returns the (2, C) errors and counted trials
+    of ctx.combined, nonconv, and the bound.
     """
     wrong = bits[:, ctx.rows] < 0
     kinds = {spec.kind: spec for spec in ctx.combined}  # the decorrelator has one spec
     dense = "decorrelator" in kinds or ("proposed" in kinds and ctx.cfg.count_all_users)
+    b, m, k = h.shape[1:]
+    x, u = np.empty((2, m, k, b), dtype=complex)
+    x.real, x.imag = h.transpose(0, 2, 3, 1)
+    u.real, u.imag = y.transpose(1, 0, 3, 2)
     # p = sum_i |h_i|^2, then x = h / sqrt(p) in place and u = sum_i conj(x_i) y_i
     square = np.square(x.view(float))
     x *= 1.0 / np.sqrt(_subcarrier_sum(square[..., ::2] + square[..., 1::2]))
     xc = np.conj(x)
-    u = _subcarrier_sum(np.multiply(xc, y, out=y))
+    u = _subcarrier_sum(np.multiply(xc, u, out=u))
     herm = _combined_matrix(ctx.correlations, x.transpose(2, 0, 1)) if dense else None
     nonconv, bound = _nonconvergent(bound, ctx.correlations, x.transpose(2, 0, 1), herm)
     stats, solved = _series_stats(ctx, x, xc, u, herm), None
@@ -788,17 +747,13 @@ def _block_fixed(ctx: _Context, seed_seq, size: int):
     The folded count (see _fold) reads _COUNT_TRIALS trials a slice, keeps
     no noise plane and takes its (M, T, D R) stash as the buffer's work
     room.  The other forms need both noise planes of a slice at once: they
-    read _CHUNK_TRIALS trials a slice and keep w_re, and type2 takes its
-    _workspace as the work room.  The slices keep the temporaries
-    cache-sized, and their size enters no record.  Returns (counts,
-    nonconv).
+    read _CHUNK_TRIALS trials a slice, keep w_re and take no work room.
+    The slices keep the temporaries cache-sized, and their size enters no
+    record.  Returns (counts, nonconv).
     """
     cfg, folded = ctx.cfg, len(ctx.filters) == 2
     step = min(_COUNT_TRIALS if folded else _CHUNK_TRIALS, size)
-    if folded:
-        work = cfg.subcarriers * size * ctx.filters[0].shape[2]
-    else:  # type2's _workspace: three complex (M K step) buffers
-        work = 6 * cfg.subcarriers * cfg.users * step if cfg.receiver == "type2" else 0
+    work = cfg.subcarriers * size * ctx.filters[0].shape[2] if folded else 0
     rng = np.random.default_rng(seed_seq)
     bits, h, noise, room = _draw_symbols(rng, cfg, ctx.sigma2, size, step, not folded, work)
     return _detect(ctx, bits, h, noise, step, room)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import _checked_schedule, _weighted_steps, cancellation_series
+from .filters import _checked_schedule, _weighted_steps, cancellation_partials
 from .model import _real_correlation
 
 # relative threshold below which the optimum denominator counts as degenerate
@@ -71,7 +71,7 @@ def q_matrix(
     """Full K x K matrix of combining coefficients q_ki at a given stage.
 
     Row k holds user k's coefficients (zero diagonal).  Computed by the
-    matrix recursion (cancellation_series) of the weighted stage expansion:
+    matrix recursion (cancellation_partials) of the weighted stage expansion:
     Q = -(C_1 + ... + C_{m-1}) with C_1 = I - R and
     C_n = zero_diagonal(C_{n-1} W_{m-n+1} (I - R)), which costs O(K^3) per
     stage instead of the nested interference sums' O(K^m).
@@ -93,7 +93,8 @@ def q_matrix(
 def _q(step: np.ndarray, prior_weights: np.ndarray | None, stage: int) -> np.ndarray:
     """q_matrix from the step I - R, with checked prior weights."""
     steps = _weighted_steps(step, prior_weights, stage - 1)
-    return -cancellation_series(step, steps, hollow=True)
+    *_, total = cancellation_partials(step, steps, hollow=True)
+    return -total
 
 
 def _stage_invariants(correlation: np.ndarray, amplitudes: np.ndarray):

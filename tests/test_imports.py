@@ -14,9 +14,15 @@ not grow back, and `reference.py` imports no `_`-prefixed `lpic` name.
 
 `model.py` owns every spectral certificate: no other module defines one, or
 defines, imports or reads the thresholds and Cholesky tests they share.
+
+Every private name the README cites in backticks (`_name`, or
+`module._name` for a module of the package) is a top-level name of
+`src/lpic`, of that module when one is named, so the README cannot keep
+citing a helper that a refactor removed.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -24,6 +30,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "lpic"
+README = TESTS.parent / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -135,3 +142,31 @@ def test_model_alone_owns_the_spectral_certificates():
     leaks = {p.name: _certificate_leaks(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py")) if p.name != "model.py"}
     assert {name: found for name, found in leaks.items() if found} == {}
+
+
+# a backticked `_name` or `module._name`, bare or called: `_name(...)`
+_CITED = re.compile(r"`(?:(\w+)\.)?(_\w+)(?:\([^`]*\))?`")
+
+
+def _stale_citations(text: str, defined: dict[str, set[str]]) -> list[str]:
+    """Private names text cites that are not top-level names of defined (module: names)."""
+    stale = []
+    for module, name in _CITED.findall(text):
+        known = defined[module] if module in defined else set().union(*defined.values())
+        if name not in known:
+            stale.append(f"{module}.{name}" if module else name)
+    return stale
+
+
+def test_the_check_sees_a_stale_citation():
+    defined = {"model": {"_a"}, "simulate": {"_b"}}
+    text = "`_a`, `simulate._b`, `model._b`, `_c(x, y)`, `np._a`, `a_b`, `__init__.py`"
+    assert _stale_citations(text, defined) == ["model._b", "_c"]  # a file name is no citation
+
+
+def test_readme_cites_only_defined_private_names():
+    defined = {p.stem: _defined(ast.parse(p.read_text(encoding="utf-8")))
+               for p in sorted(SRC.glob("*.py"))}
+    text = README.read_text(encoding="utf-8")
+    assert _CITED.search(text)
+    assert _stale_citations(text, defined) == []

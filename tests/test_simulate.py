@@ -451,22 +451,26 @@ class TestAllUsersCounting:
 class TestCombinedOnlyCounting:
     def test_no_filter_rows_are_applied_without_a_matrix_form(self, monkeypatch):
         # type2 conventional alone (the type2_m4 workload) has no matrix-form
-        # detector: every _users product receives or cancels, none counts zero rows
-        shapes = []
-        users = simulate._users
+        # detector: every _apply product receives y and every _users product
+        # cancels, none applies a zero-row filter stack
+        shapes = Counter()
 
-        def record(mats, v, out=None):
-            shapes.append(mats.shape)
-            return users(mats, v, out)
+        for name in ("_apply", "_users"):
+            original = getattr(simulate, name)
 
-        monkeypatch.setattr(simulate, "_users", record)
+            def record(mats, v, _name=name, _original=original):
+                shapes[_name, mats.shape[2]] += 1
+                return _original(mats, v)
+
+            monkeypatch.setattr(simulate, name, record)
         text = (
             "K = 20\nP = 64\nM = 4\nnear_far = tenfold\nsnr_db = 14\nreceiver = type2\n"
             "trials = 600\nseed = 1\ndetectors = conventional:4\n"
         )
         (record_,) = _run(text)
         assert record_.trials == 600
-        assert shapes and all(shape[2] > 0 for shape in shapes)
+        assert {name for name, _ in shapes} == {"_apply", "_users"}
+        assert all(rows > 0 for _, rows in shapes)
 
 
 # The configs TestReferenceSweep runs through both run_ber_experiment and
@@ -710,9 +714,9 @@ class TestCountPaths:
 
     With D matrix-form detectors and R counted rows each, the harness counts
     from the folded rows (F R, F L) exactly when a fixed-mode run is not
-    type2 and D R < K, and otherwise applies F to y, which type2 forms
-    user-major.  _linear receives (F R, F L) for the folded count and (R, L)
-    for real-plane y.  Either way each statistic is sum_i Re(conj(h_i) z_i)
+    type2 and D R < K, and otherwise applies F to y, type2 included.
+    _linear receives (F R, F L) for the folded count and (R, L) for
+    real-plane y.  Either way each statistic is sum_i Re(conj(h_i) z_i)
     with z_i = F_i (R_i x_i + L_i w_i): the reference forms that one trial
     at a time, and the harness's must lie within its rounding band.
     """
@@ -733,19 +737,17 @@ class TestCountPaths:
 
         contexts, stats, received = [], [], Counter()
         detect, count = simulate._detect, simulate._count_matrix_forms
-        linear, receive_users = simulate._linear, simulate._receive_users
+        linear = simulate._linear
 
         def spy_detect(ctx, *args):
             contexts.append(ctx)
             return detect(ctx, *args)
 
         def spy_linear(pair, scale, h, w):
-            received["y" if pair[0] is contexts[-1].correlations else "folded"] += 1
+            ctx = contexts[-1]
+            y = pair[0] is ctx.correlations and pair[1] is ctx.factors
+            received["y" if y else "folded"] += 1
             return linear(pair, scale, h, w)
-
-        def spy_receive_users(*args):
-            received["user_major"] += 1
-            return receive_users(*args)
 
         def spy_count(ctx, bits, h, z):
             # the harness's statistic, taken before the count overwrites z
@@ -755,12 +757,12 @@ class TestCountPaths:
             return count(ctx, bits, h, z.copy())
 
         for attr, spy in (("_detect", spy_detect), ("_linear", spy_linear),
-                          ("_receive_users", spy_receive_users), ("_count_matrix_forms", spy_count)):
+                          ("_count_matrix_forms", spy_count)):
             monkeypatch.setattr(simulate, attr, spy)
         records = run_ber_experiment(cfg)
 
-        # y is formed only where the count is unfolded, and type2 forms it user-major
-        assert received.keys() == {"folded" if folded else "user_major" if type2 else "y"}
+        # y is formed only where the count is unfolded, type2 through the same _linear
+        assert received.keys() == {"folded" if folded else "y"}
         assert all(len(ctx.filters) == (2 if folded else 1) for ctx in contexts)
         assert all(ctx.built.all() for ctx in contexts)
         ref = _replay(cfg)
@@ -844,10 +846,15 @@ class TestType2CombinedDomain:
 
 
 class TestType2Layout:
-    """Type2 forms y once per chunk, user-major, in a workspace allocated once per detect step."""
+    """Every type2 slice forms y once, through _linear, and a type2 block takes no work room.
+
+    The combined domain copies that y and the fading into its own user-major
+    arrays (see simulate._detect_combined); the block buffer keeps no room
+    for them.
+    """
 
     @pytest.mark.parametrize(
-        "text, steps, chunks",
+        "text, blocks, chunks",
         [
             # two blocks: 8192 trials in 32 chunks, then 600 in 3, the last one short
             ("K = 20\nP = 64\nM = 4\ntrials = 8792\ndetectors = mf, conventional:3, mmse\n",
@@ -859,23 +866,34 @@ class TestType2Layout:
              "detectors = mf, mmse\n", 1, 3),
             # per_trial stacks of 64 and 6 draws, each detected in one slice
             ("K = 6\nP = 8\nM = 2\ntrials = 70\nsequence_mode = per_trial\n"
-             "detectors = mf, conventional:2, proposed:2, decorrelator, mmse\n", 2, 2),
+             "detectors = mf, conventional:2, proposed:2, decorrelator, mmse\n", 0, 2),
         ],
         ids=["fixed", "matrix_forms", "matrix_forms_all_users", "per_trial"],
     )
-    def test_y_is_formed_user_major_once_per_chunk(self, monkeypatch, text, steps, chunks):
-        calls = Counter()
-        for name in ("_linear", "_receive_users", "_workspace"):
-            original = getattr(simulate, name)
+    def test_y_is_formed_once_per_chunk_through_linear(self, monkeypatch, text, blocks, chunks):
+        formed, rooms, combined = [], [], []
+        linear, draw, detect = simulate._linear, simulate._draw_symbols, simulate._detect_combined
 
-            def spy(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
+        def spy_linear(*args):
+            formed.append(linear(*args))
+            return formed[-1]
 
+        def spy_draw(*args):
+            drawn = draw(*args)
+            rooms.append(drawn[-1].size)
+            return drawn
+
+        def spy_combined(ctx, bits, h, y, bound):
+            combined.append(y is formed[-1])
+            return detect(ctx, bits, h, y, bound)
+
+        for name, spy in (("_linear", spy_linear), ("_draw_symbols", spy_draw),
+                          ("_detect_combined", spy_combined)):
             monkeypatch.setattr(simulate, name, spy)
         records = _run(text + "receiver = type2\nsnr_db = 8\nseed = 2\n")
         assert all(r.trials > 0 for r in records)
-        assert calls == {"_workspace": steps, "_receive_users": chunks}
+        assert len(formed) == chunks and combined == [True] * chunks
+        assert rooms == [0] * blocks
 
 
 class TestBlockMemory:
